@@ -16,7 +16,6 @@ from .kernels import (
     gm_first,
     homogeneous_mode,
     inhomogeneous_mode,
-    set_repeated_root_measure,
     solve,
 )
 from .multiplier import (

@@ -20,12 +20,12 @@ import configparser
 import enum
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import exprparse, kernels, oracle
+from . import exprparse, oracle
 from .errors import InconclusiveProbe, OpcauchyError
 from .kernels import CauchyProblem, solve
 from .multiplier import Field, mesh
@@ -110,6 +110,14 @@ def _parse_operator(cfg):
     return SymbolPolynomial(dim, tuple(terms))
 
 
+def _validated(model, *args):
+    """Build ``model(*args)``; a ValueError from its checks becomes a ConfigError."""
+    try:
+        return model(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_problem(path, quad_nodes=64):
     """Parse a problem file into a CauchyProblem."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -167,7 +175,7 @@ def load_problem(path, quad_nodes=64):
             )
         tree = exprparse.parse(init[key], dim, allow_t=False)
         vals = exprparse.evaluate(tree, grid_mesh)
-        phis.append(Field(shape, box, np.broadcast_to(vals, shape).astype(complex)))
+        phis.append(_validated(Field, shape, box, np.broadcast_to(vals, shape).astype(complex)))
 
     forcing = None
     if cfg.has_section("forcing") and cfg.has_option("forcing", "f"):
@@ -183,7 +191,7 @@ def load_problem(path, quad_nodes=64):
     if not times:
         raise ConfigError("output.times: need at least one time")
 
-    return CauchyProblem(spec, P, shape, box, tuple(phis), forcing, times)
+    return _validated(CauchyProblem, spec, P, shape, box, tuple(phis), forcing, times)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +262,17 @@ def _verdict_path(config):
     return Path(config.out) / VERDICT_FILENAME
 
 
-def _ensure_repeated_measure(problem, config):
+def _with_measure(problem, config):
+    """The problem with its repeated-root measure read from this run's verdict."""
     if problem.spec.kind is not Kind.REPEATED_ROOT or problem.forcing is None:
-        return
-    if kernels.get_repeated_root_measure() is not None:
-        return
+        return problem
     path = _verdict_path(config)
     if not path.exists():
         raise ConfigError(
             f"repeated-root problems with forcing need a probe verdict; run "
             f"--mode probe first (expected {path})"
         )
-    kernels.set_repeated_root_measure(oracle.load_verdict(path))
+    return replace(problem, measure=oracle.load_verdict(path))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +280,7 @@ def _ensure_repeated_measure(problem, config):
 
 
 def _run_solve(config):
-    problem = load_problem(config.problem, config.quad_nodes)
-    _ensure_repeated_measure(problem, config)
+    problem = _with_measure(load_problem(config.problem, config.quad_nodes), config)
     snapshots, report = solve(problem, nodes=config.quad_nodes)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -290,14 +296,10 @@ def _run_solve(config):
 
 
 def _run_verify(config, n_snapshots=25):
-    problem = load_problem(config.problem, config.quad_nodes)
-    _ensure_repeated_measure(problem, config)
+    problem = _with_measure(load_problem(config.problem, config.quad_nodes), config)
     t_max = max(problem.t_points)
     ts = tuple(np.linspace(0.0, t_max, n_snapshots))
-    dense = CauchyProblem(
-        problem.spec, problem.P, problem.shape, problem.box, problem.phi,
-        problem.forcing, ts,
-    )
+    dense = replace(problem, t_points=ts)
     snapshots, _ = solve(dense, nodes=config.quad_nodes)
     report = oracle.residual_check(snapshots, dense)
     out = Path(config.out)
@@ -325,14 +327,12 @@ def _run_probe(config):
         print(f"probe inconclusive: {exc}")
         return 4
     oracle.save_verdict(_verdict_path(config), results)
-    kernels.set_repeated_root_measure(results[0].winner)
     print(f"verdict: {results[0].winner} (min ratio {min(r.min_ratio for r in results):.1e})")
     return 0
 
 
 def _run_convergence(config, node_counts=(8, 16, 24, 32, 48, 64, 96), ref_nodes=192):
-    problem = load_problem(config.problem, config.quad_nodes)
-    _ensure_repeated_measure(problem, config)
+    problem = _with_measure(load_problem(config.problem, config.quad_nodes), config)
     ref, _ = solve(problem, nodes=ref_nodes)
     rows = []
     for n in node_counts:

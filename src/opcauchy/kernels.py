@@ -2,18 +2,27 @@
 
 Every operator here is a function of the spatial operator alone, so on a
 periodic grid the whole construction reduces to scalar calculus in the
-symbol p.  The homogeneous part applies time derivatives analytically
-through a small term calculus (``TermList``): each term is either
-c * t^alpha * integral_0^t tau^beta K(tau) dtau or a boundary term
-c * t^alpha * K^(d)(t), and d/dt maps the set into itself.
+symbol p.  The impulse response G of each kind is a short sum of
+exponential-integrator kernels
+
+    T_k(t; mu) = t^(k+s-1) f_k(mu t^s),   f_k(z) = sum_i z^i / (s i + k + s - 1)!,
+
+with s = 1 for the first-order product (f_k = phi_k, f_0 = exp) and s = 2
+for the even-order product and the repeated root (f_k = sigma_k,
+sigma_-1(z) = cosh sqrt(z), sigma_0(z) = sinh sqrt(z) / sqrt(z)); terms with
+a negative factorial argument are dropped, so T_k = mu T_{k+s} below those
+closed forms.  Since
+T_k' = T_{k-1}, every time derivative of G is an index shift and the
+homogeneous part is exact; the forced part is one Gauss-Legendre sum over
+the Duhamel convolution (Hochbruck & Ostermann, Acta Numerica 19, 2010).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 
@@ -22,10 +31,8 @@ from .multiplier import (
     Field,
     SpectralField,
     _sat_exp,
-    cosh_sqrt,
     from_spectral,
     mesh,
-    sinhc_sqrt,
     to_spectral,
     OVERFLOW_LIMIT,
 )
@@ -35,242 +42,204 @@ from .symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial, symbol_grid
 PLAIN_MEASURE = "plain"
 TAU_PRIME_MEASURE = "tau_prime"
 
-_repeated_root_measure = None
+#: (node, mode) values per temporary of the Duhamel sum.  Nodes are batched
+#: up to this budget, so a grid this large is summed one node at a time.
+_DUHAMEL_BATCH = 1 << 12
 
 
-def set_repeated_root_measure(measure):
-    """Select the repeated-root forcing measure ('plain', 'tau_prime', None)."""
-    global _repeated_root_measure
-    if measure not in (None, PLAIN_MEASURE, TAU_PRIME_MEASURE):
-        raise ValueError(f"unknown measure {measure!r}")
-    _repeated_root_measure = measure
+# ---------------------------------------------------------------------------
+# Exponential-integrator kernels
 
 
-def get_repeated_root_measure():
-    return _repeated_root_measure
+@lru_cache(maxsize=None)
+def _series_coeffs(step, k):
+    """Taylor coefficients 1/(s i + k + s - 1)! of f_k, i < 64."""
+    return [1 / factorial(step * i + k + step - 1) for i in range(64)]
 
 
-def double_factorial(n):
-    """n!! with the convention 0!! = (-1)!! = 1."""
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
+def _series(z, step, k, reach):
+    """f_k(z) by Horner's rule, with the terms |z| <= reach needs for roundoff."""
+    coeffs = _series_coeffs(step, k)
+    n = 1
+    while n < len(coeffs) and reach**n * coeffs[n] > 1e-18 * coeffs[0]:
+        n += 1
+    acc = np.full_like(z, coeffs[n - 1])
+    for c in coeffs[n - 2 :: -1]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _time_kernels(step, mu, t, lo, hi):
+    """{k: T_k(t; mu)} for every k in [lo, hi], over broadcast arrays mu and t.
+
+    Outside the disc |z| < r = max(1, hi/2)^s, f_0 = exp (s = 1) or
+    sigma_-1 = cosh(w), sigma_0 = sinh(w)/w from one saturating exp(w),
+    w = sqrt(z) (s = 2), and the upward recurrence
+    f_k = (f_{k-s} - 1/(k-1)!) / z.  Inside it, the Taylor series of the top
+    s levels and the downward recurrence f_k = z f_{k+s} + 1/(k+s-1)!, for
+    the levels asked for only.  For hi <= 8 the error stays below 2e-14 of
+    f_k(|z|), the size of the series terms.
+    """
+    z = np.asarray(mu * t**step, dtype=complex)
+    radius = max(1.0, hi / 2) ** step
+    near = np.abs(z) < radius
+    outside = np.where(near, radius, z)  # the series replaces these values
+    if step == 1:
+        f = {0: _sat_exp(outside)}
+    else:
+        w = np.sqrt(outside)
+        e = _sat_exp(w)
+        inverse_e = 1 / e
+        f = {-1: e + inverse_e, 0: e - inverse_e}
+        f[-1] *= 0.5
+        f[0] /= 2 * w
+    inverse = 1 / outside
+    for k in range(1, hi + 1):
+        f[k] = f[k - step] - 1 / factorial(k - 1)
+        f[k] *= inverse
+    zs = z[near]
+    if zs.size:
+        reach = np.abs(zs).max()
+        inside = {}
+        for k in range(hi, max(lo, 1 - step) - 1, -1):
+            if k + step > hi:
+                inside[k] = _series(zs, step, k, reach)
+            else:
+                inside[k] = zs * inside[k + step] + 1 / factorial(k + step - 1)
+            f[k][near] = inside[k]
+    for k in range(max(lo, 2 - step), hi + 1):
+        f[k] *= t ** (k + step - 1)
+    for k in range(-step, lo - 1, -1):
+        f[k] = mu * f[k + step]
+    return {k: f[k] for k in range(lo, hi + 1)}
+
+
+def _solve_exact(rows):
+    """Gauss-Jordan elimination of an augmented matrix of Fractions."""
+    n = len(rows)
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    return [row[-1] for row in rows]
+
+
+@lru_cache(maxsize=None)
+def _repeated_root_weights(m, measure):
+    """Exact (e, gamma) with G(t) = t^e sum_j gamma_j sigma_{e-1-j}(p t^2).
+
+    The measure's kernel is the nested integral
+    int_0^t (t^2 - tau^2)^(m-2) tau^beta K(tau) dtau / ((2m-2)!! (2m-4)!!)
+    with K(tau) = sinh(tau sqrt p)/sqrt p, beta = 1 for the tau' measure and
+    0 for the plain one.  Integrated term by term it is sum_i g_i p^i
+    t^(e+2i) with e = 2m-2+beta, and (e+2i)! g_i is a polynomial in i of
+    degree J-1, J = m-1+beta.  The J weights matched on i < J therefore
+    reproduce every coefficient.
+    """
+    beta = 1 if measure == TAU_PRIME_MEASURE else 0
+    e, count = 2 * m - 2 + beta, m - 1 + beta
+    denom = 2 ** (2 * m - 3) * factorial(m - 1) * factorial(m - 2)
+
+    def coeff(i):
+        moment = sum(
+            Fraction(comb(m - 2, l) * (-1) ** l, 2 * l + 2 * i + 2 + beta) for l in range(m - 1)
+        )
+        return moment / (factorial(2 * i + 1) * denom)
+
+    rows = [
+        [Fraction(1, factorial(e + 2 * i - j)) for j in range(count)] + [coeff(i)]
+        for i in range(count)
+    ]
+    return e, tuple(_solve_exact(rows))
+
+
+def _kernel_terms(spec, measure):
+    """G as (s, groups): the sum over groups (scale, terms) and their terms
+    (w, a, k) of w t^a T_k(t; scale * p)."""
+    m = spec.m
+    if spec.kind is Kind.FIRST_ORDER_PRODUCT:
+        # sum_j c_j t^(m-1) phi_{m-1}(a_j p t)
+        return 1, [(a, [(c, 0, m - 1)]) for c, a in zip(spec.pf, spec.roots)]
+    if spec.kind is Kind.EVEN_ORDER_PRODUCT:
+        # sum_j d_j t^(2m-1) sigma_{2m-2}(a_j^2 p t^2)
+        return 2, [(a * a, [(d, 0, 2 * m - 2)]) for d, a in zip(spec.pf, spec.roots)]
+    e, gammas = _repeated_root_weights(m, measure)
+    return 2, [(1.0, [(float(g), j, e - 1 - j) for j, g in enumerate(gammas)])]
+
+
+def _kernel(spec, p, t, orders, measure=TAU_PRIME_MEASURE):
+    """[G^(d)(t) for d in orders] on the mode array p at broadcastable t."""
+    step, groups = _kernel_terms(spec, measure)
+    out = [0.0] * len(orders)
+    for scale, terms in groups:
+        ks = [k for _, _, k in terms]
+        table = _time_kernels(step, scale * p, t, min(ks) - max(orders), max(ks))
+        for n, d in enumerate(orders):
+            for w, a, k in terms:
+                # Leibniz: (t^a T_k)^(d) = sum_r C(d,r) a!/(a-r)! t^(a-r) T_{k-d+r}
+                for r in range(min(d, a) + 1):
+                    out[n] = out[n] + w * comb(d, r) * perm(a, r) * t ** (a - r) * table[k - d + r]
     return out
 
 
-# ---------------------------------------------------------------------------
-# Term calculus
+def _modes(p):
+    return np.atleast_1d(np.asarray(p, dtype=complex))
 
 
-@dataclass(frozen=True)
-class IntegralTerm:
-    coeff: Fraction
-    t_pow: int
-    tau_pow: int
-    kernel: int = 0
-
-
-@dataclass(frozen=True)
-class BoundaryTerm:
-    coeff: Fraction
-    t_pow: int
-    kernel: int = 0
-    deriv: int = 0
-
-
-@dataclass(frozen=True)
-class TermList:
-    integrals: tuple = ()
-    boundaries: tuple = ()
-
-
-def _combine(integrals, boundaries):
-    acc_i = {}
-    for term in integrals:
-        key = (term.t_pow, term.tau_pow, term.kernel)
-        acc_i[key] = acc_i.get(key, Fraction(0)) + term.coeff
-    acc_b = {}
-    for term in boundaries:
-        key = (term.t_pow, term.kernel, term.deriv)
-        acc_b[key] = acc_b.get(key, Fraction(0)) + term.coeff
-    ints = tuple(
-        IntegralTerm(c, a, b, k) for (a, b, k), c in sorted(acc_i.items()) if c != 0
-    )
-    bnds = tuple(
-        BoundaryTerm(c, a, k, d) for (a, k, d), c in sorted(acc_b.items()) if c != 0
-    )
-    return TermList(ints, bnds)
-
-
-def derivative_reduce(terms: TermList, order: int) -> TermList:
-    """Apply d/dt `order` times, exactly.
-
-    d/dt [t^a int_0^t tau^b K] = a t^{a-1} int tau^b K + t^{a+b} K(t);
-    boundary terms follow the product rule with a K-derivative increment.
-    Like terms are combined with exact rational coefficients, so the
-    cancellations the closed forms rely on are exact.
-    """
-    for _ in range(order):
-        ints, bnds = [], []
-        for term in terms.integrals:
-            if term.t_pow > 0:
-                ints.append(
-                    IntegralTerm(term.coeff * term.t_pow, term.t_pow - 1, term.tau_pow, term.kernel)
-                )
-            bnds.append(BoundaryTerm(term.coeff, term.t_pow + term.tau_pow, term.kernel, 0))
-        for term in terms.boundaries:
-            if term.t_pow > 0:
-                bnds.append(
-                    BoundaryTerm(term.coeff * term.t_pow, term.t_pow - 1, term.kernel, term.deriv)
-                )
-            bnds.append(BoundaryTerm(term.coeff, term.t_pow, term.kernel, term.deriv + 1))
-        terms = _combine(ints, bnds)
-    return terms
-
-
-@lru_cache(maxsize=None)
-def _g_termlist(kind: Kind, m: int) -> TermList:
-    """Base term list of the impulse-response kernel G for each problem kind."""
-    terms = []
-    if kind is Kind.FIRST_ORDER_PRODUCT:
-        pw = m - 2
-        denom = factorial(pw)
-        for i in range(pw + 1):
-            c = Fraction(comb(pw, i) * (-1) ** i, denom)
-            terms.append(IntegralTerm(c, pw - i, i))
-    elif kind is Kind.EVEN_ORDER_PRODUCT:
-        pw = 2 * m - 3
-        denom = factorial(pw)
-        for i in range(pw + 1):
-            c = Fraction(comb(pw, i) * (-1) ** i, denom)
-            terms.append(IntegralTerm(c, pw - i, i))
-    else:
-        pw = m - 2
-        denom = double_factorial(2 * m - 2) * double_factorial(2 * m - 4)
-        for i in range(pw + 1):
-            c = Fraction(comb(pw, i) * (-1) ** i, denom)
-            terms.append(IntegralTerm(c, 2 * (pw - i), 2 * i + 1))
-    return _combine(terms, ())
-
-
-@lru_cache(maxsize=None)
-def _reduced_g(kind: Kind, m: int, order: int) -> TermList:
-    return derivative_reduce(_g_termlist(kind, m), order)
-
-
-# ---------------------------------------------------------------------------
-# Scalar kernels K(tau) and their derivatives
-
-
-def _sinh_pair(w2, tau, d):
-    """d-th derivative of sinh(tau w)/w as an even function of w (w2 = w^2)."""
-    half, odd = divmod(d, 2)
-    fac = w2**half if half else 1.0
-    if odd == 0:
-        return fac * tau * sinhc_sqrt(tau * tau * w2)
-    return fac * cosh_sqrt(tau * tau * w2)
-
-
-def _kernel_deriv(spec: CharacteristicSpec, p, tau, d=0):
-    """K^(d)(tau) for the kind's scalar kernel, broadcastable in tau and p."""
-    p = np.asarray(p, dtype=complex)
-    if spec.kind is Kind.FIRST_ORDER_PRODUCT:
-        total = 0.0
-        for cj, aj in zip(spec.pf, spec.roots):
-            lam = aj * p
-            total = total + cj * (lam**d if d else 1.0) * _sat_exp(tau * lam)
-        return total
-    if spec.kind is Kind.EVEN_ORDER_PRODUCT:
-        total = 0.0
-        for dj, aj in zip(spec.pf, spec.roots):
-            total = total + dj * _sinh_pair(aj * aj * p, tau, d)
-        return total
-    return _sinh_pair(p, tau, d)
+def _like(p, out):
+    """``out`` as a Python complex when the symbol ``p`` was a scalar."""
+    return complex(out[0]) if np.ndim(p) == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # Kernel operators
 
 
-def gm_first(spec, p, t, nodes=64):
-    """G_m(p, t) = int_0^t (t-tau)^{m-2}/(m-2)! sum_j c_j e^{tau a_j p} dtau."""
+def gm_first(spec, p, t):
+    """G_m(p, t) = sum_j c_j t^{m-1} phi_{m-1}(a_j p t)."""
     if spec.kind is not Kind.FIRST_ORDER_PRODUCT or spec.m < 2:
         raise ValueError("gm_first needs a first-order product with m >= 2")
-    tau, w = gauss_rule(nodes, t)
-    p = np.asarray(p, dtype=complex)
-    tau_b = tau.reshape((-1,) + (1,) * p.ndim)
-    w_b = w.reshape((-1,) + (1,) * p.ndim)
-    kern = (t - tau_b) ** (spec.m - 2) / factorial(spec.m - 2)
-    vals = _kernel_deriv(spec, p, tau_b)
-    out = np.sum(w_b * kern * vals, axis=0)
-    return complex(out) if p.ndim == 0 else out
+    return _like(p, _kernel(spec, _modes(p), t, (0,))[0])
 
 
-def gm_even(spec, p, t, nodes=64):
-    """Even-order G_m with the sinh kernel in place of the exponential."""
+def gm_even(spec, p, t):
+    """Even-order G_m = sum_j d_j t^{2m-1} sigma_{2m-2}(a_j^2 p t^2)."""
     if spec.kind is not Kind.EVEN_ORDER_PRODUCT or spec.m < 2:
         raise ValueError("gm_even needs an even-order product with m >= 2")
-    tau, w = gauss_rule(nodes, t)
-    p = np.asarray(p, dtype=complex)
-    tau_b = tau.reshape((-1,) + (1,) * p.ndim)
-    w_b = w.reshape((-1,) + (1,) * p.ndim)
-    kern = (t - tau_b) ** (2 * spec.m - 3) / factorial(2 * spec.m - 3)
-    vals = _kernel_deriv(spec, p, tau_b)
-    out = np.sum(w_b * kern * vals, axis=0)
-    return complex(out) if p.ndim == 0 else out
-
-
-def _resolve_measure(spec, measure):
-    if spec.kind is not Kind.REPEATED_ROOT:
-        return None
-    measure = measure or _repeated_root_measure
-    if measure is None:
-        raise UnresolvedKernel(
-            "repeated-root forcing measure unresolved: run the kernel discrepancy "
-            "probe (CLI mode 'probe') or set it explicitly"
-        )
-    return measure
+    return _like(p, _kernel(spec, _modes(p), t, (0,))[0])
 
 
 def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None):
-    """Forced part of the mode solution: the nested double time integral.
+    """Forced part of the mode solution, the Duhamel convolution
+    int_0^t G(t - tau) fhat(tau) dtau / b_m as one ``nodes``-point
+    Gauss-Legendre sum.
 
-    ``fhat`` is a callable tau -> forcing coefficient (scalar or an array
-    broadcastable with p).  For the repeated-root kind the tau'-measure must
-    have been resolved by the discrepancy probe (or passed explicitly).
+    ``fhat`` is a callable tau -> forcing coefficient (scalar or an array of
+    p's shape).  For the repeated-root kind G is the kernel of ``measure``,
+    which the discrepancy probe decides.
     """
-    if t == 0:
-        p_arr = np.asarray(p, dtype=complex)
-        return 0j if p_arr.ndim == 0 else np.zeros(p_arr.shape, complex)
-    measure = _resolve_measure(spec, measure)
-    p_arr = np.asarray(p, dtype=complex)
-    m = spec.m
-    tau_o, w_o = gauss_rule(nodes, t)
-    total = np.zeros(p_arr.shape, dtype=complex)
-    if spec.kind is Kind.FIRST_ORDER_PRODUCT:
-        pw, denom = m - 2, factorial(m - 2)
-    elif spec.kind is Kind.EVEN_ORDER_PRODUCT:
-        pw, denom = 2 * m - 3, factorial(2 * m - 3)
-    else:
-        pw = m - 2
-        denom = double_factorial(2 * m - 2) * double_factorial(2 * m - 4)
-    for to, wo in zip(tau_o, w_o):
-        rem = t - to
-        tp, wp = gauss_rule(nodes, rem)
-        tp_b = tp.reshape((-1,) + (1,) * p_arr.ndim)
-        wp_b = wp.reshape((-1,) + (1,) * p_arr.ndim)
-        if spec.kind is Kind.REPEATED_ROOT:
-            kern = (rem * rem - tp_b * tp_b) ** pw / denom
-            if measure == TAU_PRIME_MEASURE:
-                kern = kern * tp_b
-        else:
-            kern = (rem - tp_b) ** pw / denom
-        inner = np.sum(wp_b * kern * _kernel_deriv(spec, p_arr, tp_b), axis=0)
-        total = total + wo * inner * fhat(to)
-    if spec.kind is Kind.FIRST_ORDER_PRODUCT:
-        total = total / spec.lead
-    return complex(total) if p_arr.ndim == 0 else total
+    modes = _modes(p)
+    total = np.zeros(modes.shape, dtype=complex)
+    if t != 0:
+        if spec.kind is Kind.REPEATED_ROOT and measure is None:
+            raise UnresolvedKernel(
+                "repeated-root forcing measure unresolved: run the kernel discrepancy "
+                "probe (CLI mode 'probe') or set it explicitly"
+            )
+        tau, w = gauss_rule(nodes, t)
+        batch = max(1, _DUHAMEL_BATCH // modes.size)
+        for lo in range(0, nodes, batch):
+            taus, ws = tau[lo : lo + batch], w[lo : lo + batch]
+            forcing = np.stack(
+                [wi * np.broadcast_to(fhat(x), modes.shape) for x, wi in zip(taus, ws)]
+            )
+            lag = (t - taus).reshape((-1,) + (1,) * modes.ndim)
+            total += np.sum(_kernel(spec, modes, lag, (0,), measure)[0] * forcing, axis=0)
+    return _like(p, total / spec.lead)
 
 
 def _homogeneous_pairs(spec):
@@ -287,49 +256,24 @@ def _homogeneous_pairs(spec):
     return pairs
 
 
-def _eval_termlist(terms, spec, p, t, tau, w, kvals, moment_cache, bderiv_cache):
-    out = np.zeros(np.shape(p), dtype=complex)
-    for term in terms.integrals:
-        beta = term.tau_pow
-        if beta not in moment_cache:
-            tau_b = tau.reshape((-1,) + (1,) * np.ndim(p))
-            w_b = w.reshape((-1,) + (1,) * np.ndim(p))
-            moment_cache[beta] = np.sum(w_b * tau_b**beta * kvals, axis=0)
-        out = out + float(term.coeff) * t**term.t_pow * moment_cache[beta]
-    for term in terms.boundaries:
-        if term.deriv not in bderiv_cache:
-            bderiv_cache[term.deriv] = _kernel_deriv(spec, p, t, term.deriv)
-        out = out + float(term.coeff) * t**term.t_pow * bderiv_cache[term.deriv]
-    return out
-
-
-def homogeneous_mode(spec, p, phihat, t, nodes=64):
+def homogeneous_mode(spec, p, phihat, t):
     """Initial-data part of the mode solution.
 
-    Assembles sum_k b_k p^{m-k} sum_r d^{q}/dt^{q} [G](t) phihat_r with the
-    derivatives taken analytically via the term calculus.
+    Assembles sum_k b_k p^{m-k} sum_r d^{q}/dt^{q} [G](t) phihat_r / b_m
+    with every derivative an exact index shift of G's kernels.
     """
     if len(phihat) != spec.data_count:
         raise ValueError(f"expected {spec.data_count} initial coefficients")
-    if spec.m < 2:
-        raise ValueError("closed-form homogeneous path needs m >= 2")
-    p_arr = np.asarray(p, dtype=complex)
-    tau, w = gauss_rule(nodes, t)
-    tau_b = tau.reshape((-1,) + (1,) * p_arr.ndim)
-    kvals = _kernel_deriv(spec, p_arr, tau_b)
-    moment_cache, bderiv_cache = {}, {}
-    acc = np.zeros(p_arr.shape, dtype=complex)
-    for k, r, order in _homogeneous_pairs(spec):
+    modes = _modes(p)
+    pairs = _homogeneous_pairs(spec)
+    derivs = _kernel(spec, modes, t, range(max(q for _, _, q in pairs) + 1))
+    acc = np.zeros(modes.shape, dtype=complex)
+    for k, r, order in pairs:
         phi = phihat[r]
         if np.isscalar(phi) and phi == 0:
             continue
-        terms = _reduced_g(spec.kind, spec.m, order)
-        val = _eval_termlist(
-            terms, spec, p_arr, t, tau, w, kvals, moment_cache, bderiv_cache
-        )
-        acc = acc + spec.b[k] * p_arr ** (spec.m - k) * val * phi
-    acc = acc / spec.lead
-    return complex(acc) if p_arr.ndim == 0 else acc
+        acc = acc + spec.b[k] * modes ** (spec.m - k) * derivs[order] * phi
+    return _like(p, acc / spec.lead)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +285,9 @@ class CauchyProblem:
     """A periodic-grid Cauchy problem for one of the three operator kinds.
 
     ``forcing`` is a callable (mesh arrays..., t) -> samples, or None.
+    ``measure`` selects the repeated-root forcing kernel ('plain' or
+    'tau_prime', as the discrepancy probe decides); it is needed only when a
+    repeated-root problem is forced.
     """
 
     spec: CharacteristicSpec
@@ -350,6 +297,7 @@ class CauchyProblem:
     phi: tuple
     forcing: object = None
     t_points: tuple = ()
+    measure: str = None
 
     def __post_init__(self):
         if len(self.phi) != self.spec.data_count:
@@ -360,10 +308,11 @@ class CauchyProblem:
         for f in self.phi:
             if f.shape != tuple(self.shape) or f.box != tuple(self.box):
                 raise ValueError("all initial fields must share the problem grid")
-        if list(self.t_points) != sorted(self.t_points) or any(
-            t < 0 for t in self.t_points
-        ):
-            raise ValueError("t_points must be increasing and nonnegative")
+        times = list(self.t_points)
+        if not all(0 <= t < np.inf for t in times) or times != sorted(times):
+            raise ValueError("t_points must be finite, nonnegative and increasing")
+        if self.measure not in (None, PLAIN_MEASURE, TAU_PRIME_MEASURE):
+            raise ValueError(f"unknown measure {self.measure!r}")
 
 
 @dataclass(frozen=True)
@@ -402,22 +351,13 @@ def stability_report(spec, pgrid, shape, t_max):
     )
 
 
-def _duhamel_first_order(spec, pgrid, phihat0, fhat, t, nodes):
-    """Plain m = 1 fallback: u = e^{t a p} phi0 + int_0^t e^{(t-tau) a p} f."""
-    a = spec.roots[0]
-    out = _sat_exp(t * a * pgrid) * phihat0
-    if fhat is not None:
-        tau, w = gauss_rule(nodes, t)
-        for to, wo in zip(tau, w):
-            out = out + wo * _sat_exp((t - to) * a * pgrid) * fhat(to) / spec.lead
-    return out
-
 
 def solve(problem: CauchyProblem, nodes=64):
     """Evaluate the closed-form solution at every requested time.
 
-    Returns ([(t, Field), ...], StabilityReport).  Growing modes are computed
-    and flagged, never suppressed.
+    ``nodes`` is the Gauss-Legendre node count of the Duhamel sum.  Returns
+    ([(t, Field), ...], StabilityReport).  Growing modes are computed and
+    flagged, never suppressed.
     """
     spec = problem.spec
     pgrid = symbol_grid(problem.P, problem.shape, problem.box)
@@ -435,12 +375,11 @@ def solve(problem: CauchyProblem, nodes=64):
     for t in problem.t_points:
         # saturated modes may hit inf/nan; they are reported, not suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            if spec.m == 1:
-                uhat = _duhamel_first_order(spec, pgrid, phihat[0], fhat_at, t, nodes)
-            else:
-                uhat = homogeneous_mode(spec, pgrid, phihat, t, nodes=nodes)
-                if fhat_at is not None:
-                    uhat = uhat + inhomogeneous_mode(spec, pgrid, fhat_at, t, nodes=nodes)
+            uhat = homogeneous_mode(spec, pgrid, phihat, t)
+            if fhat_at is not None:
+                uhat = uhat + inhomogeneous_mode(
+                    spec, pgrid, fhat_at, t, nodes=nodes, measure=problem.measure
+                )
         u = from_spectral(SpectralField(problem.shape, problem.box, uhat))
         snapshots.append((t, u))
 

@@ -39,8 +39,8 @@ class Field:
             raise ValueError("data shape does not match grid shape")
         if any(n < 2 for n in self.shape):
             raise ValueError("grid must have at least 2 points per axis")
-        if any(L <= 0 for L in self.box):
-            raise ValueError("box lengths must be positive")
+        if not all(0 < L < np.inf for L in self.box):
+            raise ValueError("box lengths must be positive and finite")
 
     @property
     def dim(self):

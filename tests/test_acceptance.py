@@ -61,7 +61,7 @@ def _sample_symbol(rng, roots):
 
 
 def _mode_formula(spec, p, phihat, t, measure=None):
-    out = homogeneous_mode(spec, p, phihat, t, nodes=64)
+    out = homogeneous_mode(spec, p, phihat, t)
     out += inhomogeneous_mode(spec, p, np.cos, t, nodes=64, measure=measure)
     return out
 
@@ -114,14 +114,14 @@ def test_criterion_1_per_mode_oracle_equivalence():
 
 def test_criterion_2_closed_form_spot_checks():
     heat = CharacteristicSpec.first_order_product(roots=[1.0, 2.0])
-    got = homogeneous_mode(heat, -1.0, [1.0, 0.0], 1.0, nodes=64)
+    got = homogeneous_mode(heat, -1.0, [1.0, 0.0], 1.0)
     heat_err = abs(got - (2 * np.exp(-1) - np.exp(-2)))
     assert heat_err <= 1e-8
 
     wave = CharacteristicSpec.even_order_product([1.0, 2.0])
     wave_err = 0.0
     for t in T_VALUES:
-        got = homogeneous_mode(wave, -1.0, [1.0, 0, 0, 0], t, nodes=64)
+        got = homogeneous_mode(wave, -1.0, [1.0, 0, 0, 0], t)
         expect = (4 * np.cos(t) - np.cos(2 * t)) / 3
         wave_err = max(wave_err, abs(got - expect))
     assert wave_err <= 1e-8
@@ -289,11 +289,11 @@ def test_criterion_8_quadrature_convergence():
     node_counts = (8, 16, 24, 32, 48, 64, 96)
     summaries = []
     for spec, phihat in cases:
-        ref = homogeneous_mode(spec, -1.0, phihat, 1.0, nodes=192)
+        ref = homogeneous_mode(spec, -1.0, phihat, 1.0)
         ref += inhomogeneous_mode(spec, -1.0, np.cos, 1.0, nodes=192)
 
         def err_at(n):
-            got = homogeneous_mode(spec, -1.0, phihat, 1.0, nodes=n)
+            got = homogeneous_mode(spec, -1.0, phihat, 1.0)
             got += inhomogeneous_mode(spec, -1.0, np.cos, 1.0, nodes=n)
             return abs(got - ref)
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from opcauchy import kernels
 from opcauchy.cli import (
     ConfigError,
     Mode,
@@ -86,14 +85,6 @@ phi3 = 0
 [output]
 times = 0.5
 """
-
-
-@pytest.fixture(autouse=True)
-def reset_measure():
-    saved = kernels.get_repeated_root_measure()
-    kernels.set_repeated_root_measure(None)
-    yield
-    kernels.set_repeated_root_measure(saved)
 
 
 def write_problem(tmp_path, text, name="problem.ini"):
@@ -211,9 +202,17 @@ class TestRunModes:
         out = tmp_path / "out"
         assert main(["--mode", "probe", "--out", str(out)]) == 0
         assert (out / "probe_verdict.txt").exists()
-        kernels.set_repeated_root_measure(None)  # force the verdict-file path
         code = main(["--mode", "solve", "--problem", problem, "--out", str(out)])
         assert code == 0
+
+    def test_verdict_is_read_per_run(self, tmp_path, capsys):
+        # a probe into one directory does not resolve a solve into another
+        problem = write_problem(tmp_path, REPEATED_FORCED)
+        assert main(["--mode", "probe", "--out", str(tmp_path / "a")]) == 0
+        code = main(["--mode", "solve", "--problem", problem, "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert "probe" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "solution.opc").exists()
 
     def test_verify_mode(self, tmp_path):
         problem = write_problem(tmp_path, HEAT_PRODUCT)
@@ -258,3 +257,22 @@ class TestRunModes:
         code = main(["--mode", "solve", "--problem", str(tmp_path / "missing.ini")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [
+        ("times = 0.5, 1.0", "times = 1.0, 0.5"),
+        ("times = 0.5, 1.0", "times = -0.5"),
+        ("times = 0.5, 1.0", "times = nan"),
+        ("times = 0.5, 1.0", "times = inf"),
+        ("times = 0.5, 1.0", "times = 0.1, nan"),
+        ("box = 6.283185307179586", "box = 0"),
+        ("box = 6.283185307179586", "box = -6.28"),
+        ("box = 6.283185307179586", "box = nan"),
+    ])
+    def test_bad_times_and_box_exit_2(self, tmp_path, capsys, old, new):
+        problem = write_problem(tmp_path, HEAT_PRODUCT.replace(old, new))
+        out = tmp_path / "out"
+        code = main(["--mode", "solve", "--problem", problem, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()

@@ -1,23 +1,23 @@
-from math import factorial
+from fractions import Fraction
+from math import comb, factorial
 
+import mpmath
 import numpy as np
 import pytest
 
 from opcauchy.errors import UnresolvedKernel
 from opcauchy.kernels import (
+    PLAIN_MEASURE,
+    TAU_PRIME_MEASURE,
     CauchyProblem,
-    IntegralTerm,
-    TermList,
-    derivative_reduce,
     gm_even,
     gm_first,
     homogeneous_mode,
     inhomogeneous_mode,
-    set_repeated_root_measure,
     solve,
-    _eval_termlist,
-    _g_termlist,
-    _kernel_deriv,
+    _kernel,
+    _repeated_root_weights,
+    _time_kernels,
 )
 from opcauchy.multiplier import Field, mesh
 from opcauchy.oracle import fd_weights, mode_ode_solve
@@ -100,7 +100,6 @@ class TestInhomogeneous:
         assert abs(val - ref) < 1e-6 * (1 + abs(ref))
 
     def test_repeated_root_requires_measure(self):
-        set_repeated_root_measure(None)
         spec = CharacteristicSpec.repeated_root(2)
         with pytest.raises(UnresolvedKernel):
             inhomogeneous_mode(spec, -1.0, np.cos, 1.0)
@@ -112,18 +111,36 @@ class TestInhomogeneous:
         assert abs(val - ref) < 1e-6 * (1 + abs(ref))
 
 
+def kind_spec(kind, m):
+    if kind is Kind.FIRST_ORDER_PRODUCT:
+        return CharacteristicSpec.first_order_product(roots=[1, 2, -1.5][:m])
+    if kind is Kind.EVEN_ORDER_PRODUCT:
+        return CharacteristicSpec.even_order_product([1, 2, 1.5][:m])
+    return CharacteristicSpec.repeated_root(m)
+
+
 class TestDerivativeReduce:
+    """Time derivatives of G are index shifts of its kernel table."""
+
     def test_order_zero_identity(self):
-        terms = _g_termlist(Kind.FIRST_ORDER_PRODUCT, 3)
-        assert derivative_reduce(terms, 0) == terms
+        # G itself does not depend on how many derivatives the table spans
+        p = np.array([-2.0 + 0.5j, -300.0, 0.0])
+        for kind in Kind:
+            spec = kind_spec(kind, 3)
+            alone = _kernel(spec, p, 0.7, (0,))[0]
+            assert np.array_equal(_kernel(spec, p, 0.7, range(6))[0], alone)
 
     def test_fundamental_theorem(self):
-        terms = TermList(integrals=(IntegralTerm(1, 0, 0),))
-        out = derivative_reduce(terms, 1)
-        assert out.integrals == ()
-        assert len(out.boundaries) == 1
-        b = out.boundaries[0]
-        assert (b.coeff, b.t_pow, b.deriv) == (1, 0, 0)
+        # int_0^t G^(d+1) = G^(d)(t) - G^(d)(0)
+        p, t = np.array([-1.3 + 0.4j]), 0.9
+        tau, w = gauss_rule(48, t)
+        for kind in Kind:
+            spec = kind_spec(kind, 2)
+            at_t = _kernel(spec, p, t, range(4))
+            at_0 = _kernel(spec, p, 0.0, range(4))
+            for d in range(3):
+                integral = sum(wi * _kernel(spec, p, ti, (d + 1,))[0] for ti, wi in zip(tau, w))
+                assert abs(integral - (at_t[d] - at_0[d]))[0] < 1e-13
 
     @pytest.mark.parametrize("kind,m,order", [
         (Kind.FIRST_ORDER_PRODUCT, 3, 2),
@@ -131,22 +148,11 @@ class TestDerivativeReduce:
         (Kind.REPEATED_ROOT, 3, 4),
     ])
     def test_matches_finite_differences(self, kind, m, order):
-        if kind is Kind.FIRST_ORDER_PRODUCT:
-            spec = CharacteristicSpec.first_order_product(roots=[1, 2, -1.5])
-        elif kind is Kind.EVEN_ORDER_PRODUCT:
-            spec = CharacteristicSpec.even_order_product([1, 2])
-        else:
-            spec = CharacteristicSpec.repeated_root(m)
+        spec = kind_spec(kind, m)
 
-        def evaluate(terms, p, t):
-            tau, w = gauss_rule(96, t)
-            kvals = _kernel_deriv(spec, np.asarray(p), tau.reshape(-1))
-            return complex(
-                _eval_termlist(terms, spec, np.asarray(p), t, tau, w, kvals, {}, {})
-            )
+        def kernel(p, t, d):
+            return complex(_kernel(spec, np.array([p]), t, (d,))[0][0])
 
-        base = _g_termlist(kind, m)
-        reduced = derivative_reduce(base, order)
         rng = np.random.default_rng(31)
         for _ in range(5):
             p = complex(rng.uniform(-2, 0), rng.uniform(-1, 1))
@@ -154,11 +160,100 @@ class TestDerivativeReduce:
             h = 1e-2
             stencil = np.arange(-4, 5) * h
             wfd = fd_weights(t + stencil, t, order)
-            fd = sum(
-                wi * evaluate(base, p, t + si) for wi, si in zip(wfd, stencil)
-            )
-            exact = evaluate(reduced, p, t)
+            fd = sum(wi * kernel(p, t + si, 0) for wi, si in zip(wfd, stencil))
+            exact = kernel(p, t, order)
             assert abs(fd - exact) < 1e-6 * (1 + abs(exact))
+
+
+def f_mpmath(step, k, z):
+    """f_k(z) = sum_i z^i / (s i + k + s - 1)!, from closed forms at 50 digits."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z)
+        if step == 1:
+            head = sum(z**n / mpmath.factorial(n) for n in range(k))
+            return complex((mpmath.exp(z) - head) / z**k)
+        w = mpmath.sqrt(z)
+        whole = mpmath.cosh(w) if k % 2 else mpmath.sinh(w)
+        head = sum(w**n / mpmath.factorial(n) for n in range(k % 2 == 0, k + 1, 2))
+        return complex((whole - head) / w ** (k + 1))
+
+
+class TestTimeKernels:
+    """phi_k (s = 1) and sigma_k (s = 2) against mpmath; T_k(1; z) = f_k(z)."""
+
+    @staticmethod
+    def table(step, z, lo, hi):
+        return _time_kernels(step, np.asarray(z, dtype=complex), 1.0, lo, hi)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_real_negative_and_complex_arguments(self, step):
+        radii = np.array([1e-3, 0.3, 2.0, 7.0, 30.0, 150.0]) ** step
+        angles = np.array([0.0, 0.6, 1.9, np.pi, -2.5])
+        z = (radii[:, None] * np.exp(1j * angles)).ravel()
+        lo, hi = -4, 8  # k up to 2m for m <= 4, and the index shifts below 0
+        table = self.table(step, z, lo, hi)
+        for k in range(lo, hi + 1):
+            for zi, got in zip(z, table[k]):
+                ref = f_mpmath(step, k, zi)
+                assert abs(got - ref) <= 1e-13 * abs(ref), (k, zi)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_either_side_of_series_switch(self, step):
+        # up to level hi the series covers |z| < max(1, hi/2)^s
+        angles = np.linspace(0, 2 * np.pi, 7, endpoint=False)
+        for hi in range(1, 9):
+            switch = max(1, hi / 2) ** step
+            z = np.concatenate(
+                [switch * (1 + side) * np.exp(1j * angles) for side in (-1e-9, 1e-9)]
+            )
+            table = self.table(step, z, 1 - step, hi)
+            for k in range(1 - step, hi + 1):
+                ref = np.array([f_mpmath(step, k, zi) for zi in z])
+                # relative to f_k(|z|), the size of the series terms
+                scale = np.array([f_mpmath(step, k, abs(zi)).real for zi in z])
+                assert np.max(np.abs(table[k] - ref) / scale) < 2e-14, (hi, k)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_origin(self, step):
+        table = self.table(step, [0.0], 1 - step, 6)
+        for k in range(1 - step, 7):
+            assert table[k][0] == pytest.approx(1 / factorial(k + step - 1), rel=1e-15)
+
+
+class TestRepeatedRootWeights:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_tau_prime_is_the_impulse_response_series(self, m):
+        # G = sum_i C(m-1+i, i) p^i t^(2m-1+2i) / (2m-1+2i)!, the inverse
+        # Laplace transform of (s^2 - p)^-m, coefficient by coefficient
+        e, gammas = _repeated_root_weights(m, TAU_PRIME_MEASURE)
+        assert e == 2 * m - 1
+        for i in range(20):
+            got = sum(g * Fraction(1, factorial(e + 2 * i - j)) for j, g in enumerate(gammas))
+            assert got == Fraction(comb(m - 1 + i, i), factorial(2 * m - 1 + 2 * i))
+
+    def test_published_weights(self):
+        assert _repeated_root_weights(2, TAU_PRIME_MEASURE)[1] == (-Fraction(1, 2), Fraction(1, 2))
+        assert _repeated_root_weights(3, TAU_PRIME_MEASURE)[1] == (
+            Fraction(3, 8), -Fraction(3, 8), Fraction(1, 8)
+        )
+
+    @pytest.mark.parametrize("measure", [PLAIN_MEASURE, TAU_PRIME_MEASURE])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_kernel_matches_nested_integral(self, m, measure):
+        # the measure's defining integral, by mpmath quadrature
+        beta = 1 if measure == TAU_PRIME_MEASURE else 0
+        denom = 2 ** (2 * m - 3) * factorial(m - 1) * factorial(m - 2)
+        spec = CharacteristicSpec.repeated_root(m)
+        for p, t in ((-3.1 + 0.7j, 0.8), (2.5, 1.1), (-900.0, 0.5)):
+            with mpmath.workdps(30):
+                root = mpmath.sqrt(mpmath.mpc(p))
+                ref = mpmath.quad(
+                    lambda tau: (t * t - tau * tau) ** (m - 2) * tau**beta
+                    * mpmath.sinh(tau * root) / root,
+                    mpmath.linspace(0, t, 8),
+                ) / denom
+            got = _kernel(spec, np.array([p]), t, (0,), measure)[0][0]
+            assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref))
 
 
 class TestHomogeneous:
@@ -297,3 +392,51 @@ class TestSolve:
         _, report = solve(prob)
         assert max(report.max_growth) > 0
         assert report.overflowed
+
+
+class TestStiffGrid:
+    """Every mode of a 256-point grid against the oracle, for white-noise data.
+
+    The top modes are stiff (|p| t up to 8e3); a quadrature of the kernels
+    misses them by up to 1e3 at 64 nodes.
+    """
+
+    N, T = 256, 0.5
+    # forcing cos(2t) sin(x) + exp(-t) cos(3x): mode index -> fhat(tau)
+    FORCED = {1: lambda tau: -0.5j * np.cos(2 * tau), 3: lambda tau: 0.5 * np.exp(-tau)}
+
+    @staticmethod
+    def forcing(x, t):
+        return np.cos(2 * t) * np.sin(x) + np.exp(-t) * np.cos(3 * x)
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_every_mode_matches_oracle(self, kind):
+        spec = {
+            Kind.FIRST_ORDER_PRODUCT: CharacteristicSpec.first_order_product(roots=[1, 2, 3]),
+            Kind.EVEN_ORDER_PRODUCT: CharacteristicSpec.even_order_product([1, 1.5, 2]),
+            Kind.REPEATED_ROOT: CharacteristicSpec.repeated_root(3),
+        }[kind]
+        shape, box = (self.N,), (2 * np.pi,)
+        rng = np.random.default_rng(71)
+        phis = tuple(
+            Field(shape, box, rng.normal(size=shape).astype(complex))
+            for _ in range(spec.data_count)
+        )
+        phihat = np.array([np.fft.fft(f.data) / self.N for f in phis])
+        # real data and forcing: mode -n is the conjugate of mode n
+        half = self.N // 2 + 1
+        free = np.array([
+            mode_ode_solve(spec, -float(n * n), phihat[:, n], None, self.T) for n in range(half)
+        ])
+        forced = free.copy()
+        for n, fhat in self.FORCED.items():
+            forced[n] = mode_ode_solve(spec, -float(n * n), phihat[:, n], fhat, self.T)
+        for forcing, ref in ((None, free), (self.forcing, forced)):
+            prob = CauchyProblem(
+                spec, SymbolPolynomial.laplacian(1), shape, box, phis, forcing, (self.T,),
+                measure="tau_prime",
+            )
+            uhat = np.fft.fft(solve(prob)[0][0][1].data) / self.N
+            expect = np.concatenate([ref, np.conj(ref[1 : self.N - half + 1][::-1])])
+            err = np.max(np.abs(uhat - expect)) / np.max(np.abs(expect))
+            assert err <= 1e-8, err
