@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import enum
+import itertools
 import struct
 import sys
 from dataclasses import dataclass, replace
@@ -28,7 +29,7 @@ import numpy as np
 from . import exprparse, oracle
 from .errors import InconclusiveProbe, OpcauchyError
 from .kernels import CauchyProblem, solve
-from .multiplier import Field, mesh
+from .multiplier import Field, mesh, sinhc_sqrt
 from .spherical import SphereQuadrature, sinhc_spherical
 from .symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial, symbol_grid
 
@@ -118,8 +119,13 @@ def _validated(model, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def load_problem(path, quad_nodes=64):
-    """Parse a problem file into a CauchyProblem."""
+def load_problem(path):
+    """Parse a problem file into a CauchyProblem.
+
+    Each expression is compiled once (``exprparse.Program``); the forcing
+    keeps its t-free values for the mesh it is sampled on, so a sample at a
+    new time computes only the t-dependent parts.
+    """
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = cfg.read(path)
     if not read:
@@ -157,7 +163,6 @@ def load_problem(path, quad_nodes=64):
     P = _parse_operator(cfg)
     dim = P.dim
 
-    grid = _require(cfg, "grid")
     shape = tuple(int(n) for n in _require(cfg, "grid", "shape").split())
     box = tuple(float(L) for L in _require(cfg, "grid", "box").split())
     if len(shape) != dim or len(box) != dim:
@@ -173,17 +178,19 @@ def load_problem(path, quad_nodes=64):
                 f"missing initial.{key}: kind {kind.value} with m={m} needs "
                 f"phi0..phi{spec.data_count - 1}"
             )
-        tree = exprparse.parse(init[key], dim, allow_t=False)
-        vals = exprparse.evaluate(tree, grid_mesh)
+        program = exprparse.Program(exprparse.parse(init[key], dim, allow_t=False))
+        vals = exprparse.evaluate(program, grid_mesh)
+        if not np.isfinite(vals).all():
+            raise ConfigError(f"initial.{key} is not finite at every grid point")
         phis.append(_validated(Field, shape, box, np.broadcast_to(vals, shape).astype(complex)))
 
     forcing = None
     if cfg.has_section("forcing") and cfg.has_option("forcing", "f"):
-        ftree = exprparse.parse(cfg["forcing"]["f"], dim, allow_t=True)
+        fprogram = exprparse.Program(exprparse.parse(cfg["forcing"]["f"], dim, allow_t=True))
 
         def forcing(*args):
             *xs, t = args
-            return np.broadcast_to(exprparse.evaluate(ftree, xs, t), shape)
+            return np.broadcast_to(exprparse.evaluate(fprogram, xs, t), shape)
 
     times = tuple(
         float(v) for v in _require(cfg, "output", "times").replace(",", " ").split()
@@ -198,17 +205,32 @@ def load_problem(path, quad_nodes=64):
 # Artifact emission
 
 
+#: Rows formatted per write in ``write_csv``; bounds the text held at once.
+CSV_CHUNK_ROWS = 1024
+
+
 def write_csv(path, u: Field, t):
-    coords = mesh(u.shape, u.box)
-    cols = [c.ravel() for c in coords] + [u.data.real.ravel(), u.data.imag.ravel()]
+    """One row per grid point: coordinates, Re u, Im u, in row-major order.
+
+    The bytes are those of ``np.savetxt(fmt="%.17e", delimiter=",")`` with
+    the same two-line header; each axis's coordinates are formatted once.
+    """
     header = ",".join([f"x{d + 1}" for d in range(u.dim)] + ["re_u", "im_u"])
-    np.savetxt(
-        path,
-        np.column_stack(cols),
-        delimiter=",",
-        header=f"t = {t!r}\n{header}",
-        fmt="%.17e",
-    )
+    axes = [
+        ["%.17e," % v for v in L * np.arange(n) / n] for n, L in zip(u.shape, u.box)
+    ]
+    prefixes = map("".join, itertools.product(*axes))
+    re_u, im_u = u.data.real.ravel(), u.data.imag.ravel()
+    with open(path, "w") as fh:
+        fh.write(f"# t = {t!r}\n# {header}\n")
+        for lo in range(0, re_u.size, CSV_CHUNK_ROWS):
+            hi = lo + CSV_CHUNK_ROWS
+            rows = zip(
+                itertools.islice(prefixes, CSV_CHUNK_ROWS),
+                re_u[lo:hi].tolist(),
+                im_u[lo:hi].tolist(),
+            )
+            fh.write("".join(["%s%.17e,%.17e\n" % row for row in rows]))
 
 
 def write_opc1(path, snapshots, box):
@@ -280,7 +302,7 @@ def _with_measure(problem, config):
 
 
 def _run_solve(config):
-    problem = _with_measure(load_problem(config.problem, config.quad_nodes), config)
+    problem = _with_measure(load_problem(config.problem), config)
     snapshots, report = solve(problem, nodes=config.quad_nodes)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -296,7 +318,7 @@ def _run_solve(config):
 
 
 def _run_verify(config, n_snapshots=25):
-    problem = _with_measure(load_problem(config.problem, config.quad_nodes), config)
+    problem = _with_measure(load_problem(config.problem), config)
     t_max = max(problem.t_points)
     ts = tuple(np.linspace(0.0, t_max, n_snapshots))
     dense = replace(problem, t_points=ts)
@@ -332,7 +354,7 @@ def _run_probe(config):
 
 
 def _run_convergence(config, node_counts=(8, 16, 24, 32, 48, 64, 96), ref_nodes=192):
-    problem = _with_measure(load_problem(config.problem, config.quad_nodes), config)
+    problem = _with_measure(load_problem(config.problem), config)
     ref, _ = solve(problem, nodes=ref_nodes)
     rows = []
     for n in node_counts:
@@ -354,7 +376,7 @@ def _run_convergence(config, node_counts=(8, 16, 24, 32, 48, 64, 96), ref_nodes=
 
 
 def _run_compare_spherical(config):
-    problem = load_problem(config.problem, config.quad_nodes)
+    problem = load_problem(config.problem)
     if len(problem.shape) != 3:
         raise ConfigError("compare-spherical needs a 3-D problem")
     u0 = problem.phi[0]
@@ -363,8 +385,6 @@ def _run_compare_spherical(config):
         raise ConfigError("compare-spherical needs a positive real root as the speed")
     q = SphereQuadrature.gauss_product(config.sphere_order)
     pgrid = symbol_grid(problem.P, problem.shape, problem.box)
-    from .multiplier import sinhc_sqrt
-
     rows = []
     for a in speeds:
         for t in problem.t_points:

@@ -21,6 +21,10 @@ class UnresolvedKernel(OpcauchyError):
     """Repeated-root forcing kernel requested before the measure probe has run."""
 
 
+class NonFiniteForcing(OpcauchyError):
+    """A forcing sample is infinite or NaN."""
+
+
 class InconclusiveProbe(OpcauchyError):
     """Neither candidate repeated-root kernel dominates the other."""
 

@@ -10,14 +10,20 @@ Grammar:
 
 Functions: sin cos exp sinh cosh sqrt abs.  Variables are x1..xn and
 (optionally) t; the bare identifier ``i`` is the imaginary unit, and a
-number may carry an ``i`` suffix (``3i``).  '^' is right-associative with a
-constant integer exponent; unary minus binds tighter than the base of '^'.
+number may carry an ``i`` suffix (``3i``).  A factor takes at most one '^',
+whose exponent is a constant integer, so ``x1^2^3`` is a syntax error (write
+``(x1^2)^3``); unary minus binds tighter than the base of '^'.
+
+``evaluate`` walks a parsed tree.  ``Program`` compiles a tree into a DAG
+holding each distinct subtree once; ``evaluate`` runs it with the same numpy
+operations as the tree walk, so the values are bitwise equal.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import copysign
 
 import numpy as np
 
@@ -206,25 +212,32 @@ def parse(src, dim, allow_t=False):
     return _Parser(src, dim, allow_t).parse()
 
 
-def evaluate(node, x, t=None):
-    """Evaluate a parsed tree; x is a sequence of coordinates (or arrays)."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        if node.name == "t":
-            return complex(t) if np.isscalar(t) else np.asarray(t, complex)
-        axis = int(node.name[1:]) - 1
-        v = x[axis]
-        return complex(v) if np.isscalar(v) else np.asarray(v, complex)
-    if isinstance(node, Call):
-        return FUNCTIONS[node.fn](evaluate(node.arg, x, t))
-    if isinstance(node, Neg):
-        return -evaluate(node.child, x, t)
-    if isinstance(node, Pow):
-        return evaluate(node.base, x, t) ** node.exponent
+def _parts(node):
+    """(operand nodes, payload); the payload and the operands' slots are the
+    node's structural key, so the key never hashes a subtree."""
     if isinstance(node, BinOp):
-        a = evaluate(node.left, x, t)
-        b = evaluate(node.right, x, t)
+        return (node.left, node.right), (BinOp, node.op)
+    if isinstance(node, Const):
+        v = node.value
+        if v != v:  # a NaN constant is never merged
+            return (), (Const, id(node))
+        # the signs tell -0.0 from 0.0, which compare equal
+        return (), (Const, type(v), v, copysign(1.0, v.real), copysign(1.0, v.imag))
+    if isinstance(node, Call):
+        return (node.arg,), (Call, node.fn)
+    if isinstance(node, Var):
+        return (), (Var, node.name)
+    if isinstance(node, Neg):
+        return (node.child,), (Neg,)
+    if isinstance(node, Pow):
+        return (node.base,), (Pow, type(node.exponent), node.exponent)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _apply(node, operands, x, t):
+    """The value of ``node`` from its operands' values."""
+    if isinstance(node, BinOp):
+        a, b = operands
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -232,7 +245,130 @@ def evaluate(node, x, t=None):
         if node.op == "*":
             return a * b
         return a / b
+    if isinstance(node, Call):
+        return FUNCTIONS[node.fn](operands[0])
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        v = t if node.name == "t" else x[int(node.name[1:]) - 1]
+        return complex(v) if np.isscalar(v) else np.asarray(v, complex)
+    if isinstance(node, Neg):
+        return -operands[0]
+    if isinstance(node, Pow):
+        return operands[0] ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def evaluate(node, x, t=None):
+    """Evaluate a parsed tree or a compiled ``Program``; x is a sequence of
+    coordinates (or arrays)."""
+    if isinstance(node, Program):
+        return node.run(x, t)
+    return _apply(node, [evaluate(c, x, t) for c in _parts(node)[0]], x, t)
+
+
+def _coords_key(x):
+    """The coordinates' bytes: equal keys give bitwise-equal variable values."""
+    arrays = [np.asarray(v) for v in x]
+    return tuple((np.isscalar(v), a.dtype, a.shape, a.tobytes()) for v, a in zip(x, arrays))
+
+
+class Program:
+    """An expression tree compiled to a DAG of its distinct subtrees.
+
+    Hash-consing in one post-order pass gives each structurally equal
+    subtree one slot, evaluated once per call.  The t-free slots run before
+    the t-dependent ones, and each value is dropped after its last use.
+    A call given a time keeps the t-free values that a t-dependent slot or
+    the root reads, for the coordinates of that call; a later call whose
+    coordinates are byte for byte the same computes only the t-dependent
+    slots, and any other call evaluates afresh.
+
+    Cheap slots, a constant, a variable or one arithmetic operation on
+    those (``7*x1``), are never kept: each reader recomputes them.  They are
+    the most widely shared subtrees (every ``k*x1`` of one wavenumber), and
+    keeping them would hold a grid-sized array per distinct one for the
+    whole expression.
+    """
+
+    def __init__(self, tree):
+        self._nodes, self._args = [], []
+        self.root = self._visit(tree, {})
+        tdep, self._cheap = [], []
+        for node, operands in zip(self._nodes, self._args):
+            is_t = isinstance(node, Var) and node.name == "t"
+            tdep.append(is_t or any([tdep[a] for a in operands]))
+            leaves = all([not self._args[a] for a in operands])
+            self._cheap.append(leaves and not isinstance(node, Call))
+        kept = [i for i, cheap in enumerate(self._cheap) if not cheap]
+        self._t_free = [i for i in kept if not tdep[i]]
+        self._t_dep = [i for i in kept if tdep[i]]
+        self._order = self._t_free + self._t_dep
+        self._last = [None] * len(self._nodes)  # the slot that reads each slot last
+        for i in self._order:
+            for a in self._args[i]:
+                self._last[a] = i
+        self._held = None  # (coordinates key, slot values after the t-free pass)
+
+    def _intern(self, node, key, operands, slot_of_key):
+        slot = slot_of_key.get(key)
+        if slot is None:
+            slot = slot_of_key[key] = len(self._nodes)
+            self._nodes.append(node)
+            self._args.append(operands)
+        return slot
+
+    def _visit(self, node, slot_of_key):
+        """The slot of ``node``, interning its subtree first."""
+        # sums and products parse left-deep: follow that spine in a loop, so
+        # only parenthesised nesting recurses (as deep as the parser did)
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        kids, payload = _parts(node)
+        operands = tuple([self._visit(k, slot_of_key) for k in kids])
+        slot = self._intern(node, (payload, operands), operands, slot_of_key)
+        for b in reversed(spine):
+            operands = (slot, self._visit(b.right, slot_of_key))
+            slot = self._intern(b, ((BinOp, b.op), operands), operands, slot_of_key)
+        return slot
+
+    def _value(self, i, vals, x, t):
+        """Slot i's value: kept in ``vals``, or recomputed if i is cheap."""
+        if not self._cheap[i]:
+            return vals[i]
+        return _apply(self._nodes[i], [self._value(a, vals, x, t) for a in self._args[i]], x, t)
+
+    def _exec(self, order, vals, x, t):
+        nodes, args, last, cheap = self._nodes, self._args, self._last, self._cheap
+        for i in order:
+            operands = args[i]
+            vals[i] = _apply(
+                nodes[i],
+                [self._value(a, vals, x, t) if cheap[a] else vals[a] for a in operands],
+                x,
+                t,
+            )
+            for a in operands:
+                if last[a] == i:
+                    vals[a] = None
+
+    def run(self, x, t=None):
+        """The expression's value at coordinates ``x`` and time ``t``."""
+        if t is None:
+            vals = [None] * len(self._nodes)
+            self._exec(self._order, vals, x, t)
+        else:
+            key = _coords_key(x)
+            if self._held is None or self._held[0] != key:
+                self._held = None  # release the old mesh's values first
+                vals = [None] * len(self._nodes)
+                self._exec(self._t_free, vals, x, t)
+                self._held = (key, vals)
+            vals = list(self._held[1])
+            self._exec(self._t_dep, vals, x, t)
+        return self._value(self.root, vals, x, t)
 
 
 def pretty(node):

@@ -26,7 +26,7 @@ from math import comb, factorial, perm
 
 import numpy as np
 
-from .errors import UnresolvedKernel
+from .errors import NonFiniteForcing, UnresolvedKernel
 from .multiplier import (
     Field,
     SpectralField,
@@ -369,6 +369,8 @@ def solve(problem: CauchyProblem, nodes=64):
     if problem.forcing is not None:
         def fhat_at(tau):
             samples = np.asarray(problem.forcing(*grid_mesh, tau), dtype=complex)
+            if not np.isfinite(samples).all():
+                raise NonFiniteForcing(f"forcing is not finite at t = {float(tau):.17g}")
             return np.fft.fftn(samples) / size
 
     snapshots = []

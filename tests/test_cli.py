@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opcauchy import cli
 from opcauchy.cli import (
     ConfigError,
     Mode,
@@ -9,6 +10,7 @@ from opcauchy.cli import (
     main,
     read_opc1,
     run,
+    write_csv,
     write_opc1,
 )
 from opcauchy.multiplier import Field, mesh
@@ -133,6 +135,18 @@ class TestLoadProblem:
         with pytest.raises(ConfigError):
             load_problem(str(tmp_path / "nope.ini"))
 
+    def test_non_finite_initial_data_rejected(self, tmp_path, capsys):
+        # x1 = 0 is a grid point, so 1/x1 is infinite there
+        broken = HEAT_PRODUCT.replace("phi0 = sin(x1)", "phi0 = 1/x1")
+        path = write_problem(tmp_path, broken)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ConfigError, match="phi0"):
+                load_problem(path)
+            code = main(["--mode", "solve", "--problem", path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "phi0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_forcing_with_time(self, tmp_path):
         problem = load_problem(write_problem(tmp_path, REPEATED_FORCED))
         x = mesh(problem.shape, problem.box)[0]
@@ -162,6 +176,23 @@ class TestOpc1Format:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             read_opc1(path)
+
+
+class TestCsv:
+    @pytest.mark.parametrize("chunk", [7, cli.CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("shape", [(7,), (5, 6), (3, 4, 5)])
+    def test_bytes_match_savetxt(self, tmp_path, monkeypatch, shape, chunk):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(62)
+        box = tuple(2.0 + d for d in range(len(shape)))
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        data.flat[:4] = [complex(-0.0, -0.0), 1e-300, -1e300, complex(5e-324, -2.5e-310)]
+        write_csv(tmp_path / "fast.csv", Field(shape, box, data), 0.25)
+        cols = [c.ravel() for c in mesh(shape, box)] + [data.real.ravel(), data.imag.ravel()]
+        header = ",".join([f"x{d + 1}" for d in range(len(shape))] + ["re_u", "im_u"])
+        np.savetxt(tmp_path / "ref.csv", np.column_stack(cols), delimiter=",",
+                   header=f"t = {0.25!r}\n{header}", fmt="%.17e")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestRunModes:
@@ -248,6 +279,17 @@ class TestRunModes:
             if not line.startswith("#")
         ]
         assert rows and all(float(err) < 1e-3 for _, _, err in rows)
+
+    def test_non_finite_forcing_exit_2(self, tmp_path, capsys):
+        forced = HEAT_PRODUCT.replace("[output]", "[forcing]\nf = cos(t)/x1\n\n[output]")
+        problem = write_problem(tmp_path, forced)
+        out = tmp_path / "out"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            code = main(["--mode", "solve", "--problem", problem, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "forcing" in err
+        assert not (out / "solution.opc").exists()
 
     def test_problem_required(self):
         with pytest.raises(ConfigError):

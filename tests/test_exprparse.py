@@ -1,18 +1,28 @@
+import copy
+import gc
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from opcauchy.cli import load_problem
 from opcauchy.errors import ExprSyntaxError, NonIntegerExponent, UnknownVariable
 from opcauchy.exprparse import (
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
     Neg,
     Pow,
+    Program,
     Var,
     evaluate,
     parse,
     pretty,
 )
+from opcauchy.multiplier import mesh
 
 
 def ev(src, x, t=None, dim=None):
@@ -55,6 +65,11 @@ class TestParsing:
             parse("2^x1", 1)
         with pytest.raises(NonIntegerExponent):
             parse("x1^1.5", 1)
+
+    def test_one_power_per_factor(self):
+        with pytest.raises(ExprSyntaxError):
+            parse("x1^2^3", 1)
+        assert parse("(x1^2)^3", 1) == Pow(Pow(Var("x1"), 2), 3)
 
     def test_syntax_errors_carry_offset(self):
         with pytest.raises(ExprSyntaxError) as exc:
@@ -149,3 +164,153 @@ class TestPretty:
                 b = evaluate(reparsed, x, 0.9)
             if np.isfinite(a) and np.isfinite(b):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs
+
+
+def bits(value):
+    """A value's type and raw bytes: equal only when bitwise equal."""
+    return type(value), np.atleast_1d(np.asarray(value, complex)).tobytes()
+
+
+def outcome(fn):
+    """fn()'s bits, or the type of the error it raises: arithmetic, or a
+    TypeError from reading t when no time is given."""
+    try:
+        with np.errstate(all="ignore"):
+            return bits(fn())
+    except (ArithmeticError, TypeError) as exc:
+        return type(exc)
+
+
+_leaves = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, 700.0, 1e300]).map(
+        lambda v: Const(complex(v, 0.0))),
+    st.sampled_from([-0.0, -1.5, 2.5]).map(lambda v: Const(complex(0.0, v))),
+    st.sampled_from(["x1", "x2", "x3", "t"]).map(Var),
+)
+
+
+def _grow(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), children).map(lambda a: Call(*a)),
+        children.map(Neg),
+        st.tuples(children, st.integers(-2, 3)).map(lambda a: Pow(*a)),
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda a: BinOp(*a)),
+    )
+
+
+_subtrees = st.recursive(_leaves, _grow, max_leaves=6)
+
+
+@st.composite
+def trees_with_repeats(draw):
+    """Trees built over a few subtrees, each reused as the same object and
+    as structurally equal copies."""
+    pool = draw(st.lists(_subtrees, min_size=1, max_size=3))
+    reused = st.sampled_from(pool)
+    return draw(st.recursive(reused | reused.map(copy.deepcopy), _grow, max_leaves=8))
+
+
+# coordinates with signed zeros and values that overflow exp
+COORDS = [
+    np.array([0.0, -0.0, 0.5, -2.0, 710.0]),
+    np.array([1.0, 3.0, -0.0, 1e-310, -800.0]),
+    np.array([-1.0, 0.25, 2.0, 0.0, 40.0]),
+]
+
+
+@pytest.fixture
+def trig_calls(monkeypatch):
+    """Counts of the sin and cos calls made through FUNCTIONS."""
+    calls = Counter()
+    for name in ("sin", "cos"):
+        fn = FUNCTIONS[name]
+        monkeypatch.setitem(
+            FUNCTIONS, name, lambda v, fn=fn, name=name: calls.update([name]) or fn(v)
+        )
+    return calls
+
+
+class TestProgram:
+    @settings(max_examples=300, deadline=None)
+    @example(  # constants 0.0 and -0.0 are equal but not interchangeable
+        tree=BinOp("-", BinOp("*", Var("x1"), Const(complex(-0.0, 0.0))),
+                   BinOp("*", Var("x1"), Const(0j))),
+        ts=[None],
+    )
+    @given(tree=trees_with_repeats(), ts=st.lists(
+        st.sampled_from([None, 0.0, -0.0, 0.3, 2.0, 710.0]), min_size=1, max_size=4))
+    def test_bitwise_equal_to_tree_walk(self, tree, ts):
+        # t = None evaluates in one pass; a time keeps the t-free values
+        program = Program(tree)
+        for t in ts:
+            expect = outcome(lambda: evaluate(tree, COORDS, t))
+            assert outcome(lambda: evaluate(program, COORDS, t)) == expect
+
+    def test_repeated_subtree_runs_once(self, trig_calls):
+        tree = parse("cos(7*x1+7*x2)*2+sin(7*x1+7*x2)-cos(7*x1+7*x2)", 2)
+        got = evaluate(Program(tree), COORDS[:2])
+        assert trig_calls == {"cos": 1, "sin": 1}
+        assert bits(got) == bits(evaluate(tree, COORDS[:2]))
+
+    def test_forcing_samples_t_free_parts_once(self, tmp_path, trig_calls):
+        path = tmp_path / "forced.ini"
+        path.write_text(
+            "[equation]\nkind = first_order_product\nm = 1\nroots = 1\n"
+            "[operator]\ndim = 1\nterms = alpha=2: coeff=1\n"
+            "[grid]\nshape = 16\nbox = 6.283185307179586\n"
+            "[initial]\nphi0 = 0\n"
+            "[forcing]\nf = cos(2*t)*sin(x1)\n"
+            "[output]\ntimes = 1\n"
+        )
+        problem = load_problem(str(path))
+        x = mesh(problem.shape, problem.box)
+        taus = np.linspace(0.0, 1.0, 64)
+        samples = [problem.forcing(*x, tau) for tau in taus]
+        assert trig_calls == {"sin": 1, "cos": 64}
+        for tau, got in zip(taus, samples):
+            assert bits(got) == bits(np.cos(2 * complex(tau)) * np.sin(x[0].astype(complex)))
+
+    def test_new_coordinates_are_not_served_stale(self):
+        # sin(x1) and x2/x1+x1 are kept between calls; t*sin(x1) carries
+        # the sign of a zero x1
+        tree = parse("t*sin(x1)", 2, allow_t=True)
+        program = Program(tree)
+        first = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)]
+        second = [np.linspace(-3.0, 3.0, 5), np.linspace(0.5, 0.7, 5)]
+        for xs, t in ((first, 0.1), (second, 0.2), (first, 0.3)):
+            assert bits(evaluate(program, xs, t)) == bits(evaluate(tree, xs, t))
+        # coordinates changed in place: a value, then only the sign of a zero
+        first[0][2] = 7.0
+        assert bits(evaluate(program, first, 0.3)) == bits(evaluate(tree, first, 0.3))
+        first[0][0] = -0.0
+        assert bits(evaluate(program, first, 0.3)) == bits(evaluate(tree, first, 0.3))
+        # scalars, then 0-d arrays of the same bytes, which the tree walk types apart
+        tree = parse("(x2/x1+x1)*t", 2, allow_t=True)
+        program = Program(tree)
+        for xs in ([2.0, 3.0], [np.array(2.0), np.array(3.0)]):
+            assert bits(evaluate(program, xs, 0.3)) == bits(evaluate(tree, xs, 0.3))
+
+    def test_compile_and_run_leave_no_reference_cycles(self):
+        # intermediates and compile tables must be freed at once, not whenever
+        # the cycle collector next runs
+        tree = parse("exp(-t)*cos(2*x1)+sin(2*x1)*x2", 2, allow_t=True)
+        gc.collect()
+        gc.disable()
+        try:
+            program = Program(tree)
+            evaluate(program, COORDS[:2], 0.5)
+            evaluate(program, COORDS[:2])
+            del program
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_3000_term_sum(self):
+        n = 3000
+        tree = parse("+".join(f"{k}*x1" for k in range(n)), 1)
+        x = [np.array([1.0, 2.0])]
+        assert np.array_equal(evaluate(Program(tree), x), n * (n - 1) // 2 * x[0])
