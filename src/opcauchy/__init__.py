@@ -4,6 +4,7 @@ from .errors import (
     DegenerateRoots,
     InconclusiveProbe,
     InsufficientSnapshots,
+    NonFiniteForcing,
     NonmonicZero,
     OpcauchyError,
     UnresolvedKernel,
@@ -12,22 +13,12 @@ from .errors import (
 from .kernels import (
     CauchyProblem,
     StabilityReport,
-    gm_even,
-    gm_first,
     homogeneous_mode,
     inhomogeneous_mode,
+    sinhc_sqrt,
     solve,
 )
-from .multiplier import (
-    Field,
-    SpectralField,
-    apply_multiplier,
-    cosh_sqrt,
-    exp_prop,
-    from_spectral,
-    sinhc_sqrt,
-    to_spectral,
-)
+from .multiplier import Field, SpectralField, apply_multiplier, from_spectral, to_spectral
 from .oracle import kernel_discrepancy_probe, mode_ode_solve, residual_check
 from .spherical import SphereQuadrature, sinhc_spherical, sphere_mean
 from .symbol_poly import (
@@ -37,8 +28,39 @@ from .symbol_poly import (
     partial_fraction_even,
     partial_fraction_first,
     roots_from_coeffs,
-    symbol_eval,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CauchyProblem",
+    "CharacteristicSpec",
+    "DegenerateRoots",
+    "Field",
+    "InconclusiveProbe",
+    "InsufficientSnapshots",
+    "Kind",
+    "NonFiniteForcing",
+    "NonmonicZero",
+    "OpcauchyError",
+    "SpectralField",
+    "SphereQuadrature",
+    "StabilityReport",
+    "SymbolPolynomial",
+    "UnresolvedKernel",
+    "ZeroRoot",
+    "apply_multiplier",
+    "from_spectral",
+    "homogeneous_mode",
+    "inhomogeneous_mode",
+    "kernel_discrepancy_probe",
+    "mode_ode_solve",
+    "partial_fraction_even",
+    "partial_fraction_first",
+    "residual_check",
+    "roots_from_coeffs",
+    "sinhc_spherical",
+    "sinhc_sqrt",
+    "solve",
+    "sphere_mean",
+    "to_spectral",
+]
 __version__ = "0.1.0"

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import exprparse, oracle
 from .errors import InconclusiveProbe, OpcauchyError
-from .kernels import CauchyProblem, solve
-from .multiplier import Field, mesh, sinhc_sqrt
+from .kernels import CauchyProblem, sinhc_sqrt, solve
+from .multiplier import Field, apply_multiplier, mesh
 from .spherical import SphereQuadrature, sinhc_spherical
-from .symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial, symbol_grid
+from .symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial
 
 VERDICT_FILENAME = "probe_verdict.txt"
 MAGIC = b"OPC1"
@@ -60,16 +60,20 @@ class ConfigError(OpcauchyError):
     """Problem-file validation failure (exit code 2)."""
 
 
+def _number(text, key, kind=float):
+    """``kind(text)``; a malformed number becomes a ConfigError naming ``key``."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {text.strip()!r}") from None
+
+
 def _parse_complex_pair(text, key):
     parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]))
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ConfigError(f"{key}: expected 're' or 're,im', got {text!r}")
+    if len(parts) > 2:
+        raise ConfigError(f"{key}: expected 're' or 're,im', got {text!r}")
+    return complex(*(_number(part, key) for part in parts))
 
 
 def _parse_complex_list(text, key):
@@ -87,7 +91,7 @@ def _require(cfg, section, key=None):
 
 
 def _parse_operator(cfg):
-    dim = int(_require(cfg, "operator", "dim"))
+    dim = _number(_require(cfg, "operator", "dim"), "operator.dim", int)
     terms_text = _require(cfg, "operator", "terms")
     terms = []
     for chunk in terms_text.split(";"):
@@ -102,19 +106,19 @@ def _parse_operator(cfg):
             raise ConfigError(
                 f"operator term {chunk!r}: expected 'alpha=...: coeff=...'"
             )
-        alpha = tuple(int(a) for a in alpha_txt.split())
+        alpha = tuple(_number(a, f"operator term {chunk!r}", int) for a in alpha_txt.split())
         if len(alpha) != dim:
             raise ConfigError(f"operator term {chunk!r}: alpha must have {dim} entries")
         terms.append((alpha, _parse_complex_pair(coeff_txt, "coeff")))
     if not terms:
         raise ConfigError("operator: no terms given")
-    return SymbolPolynomial(dim, tuple(terms))
+    return _validated(SymbolPolynomial, dim, tuple(terms))
 
 
-def _validated(model, *args):
-    """Build ``model(*args)``; a ValueError from its checks becomes a ConfigError."""
+def _validated(model, *args, **kwargs):
+    """Build ``model(*args, **kwargs)``; a ValueError from its checks becomes a ConfigError."""
     try:
-        return model(*args)
+        return model(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -137,36 +141,38 @@ def load_problem(path):
     except ValueError:
         valid = ", ".join(k.value for k in Kind)
         raise ConfigError(f"equation.kind: {kind_txt!r} not one of {valid}")
-    m = int(_require(cfg, "equation", "m"))
+    m = _number(_require(cfg, "equation", "m"), "equation.m", int)
 
     if kind is Kind.FIRST_ORDER_PRODUCT:
         if cfg.has_option("equation", "roots"):
             roots = _parse_complex_list(cfg["equation"]["roots"], "equation.roots")
             if len(roots) != m:
                 raise ConfigError(f"equation.roots: expected {m} roots")
-            spec = CharacteristicSpec.first_order_product(roots=roots)
+            spec = _validated(CharacteristicSpec.first_order_product, roots=roots)
         elif cfg.has_option("equation", "coeffs"):
             coeffs = _parse_complex_list(cfg["equation"]["coeffs"], "equation.coeffs")
             if len(coeffs) != m + 1:
                 raise ConfigError(f"equation.coeffs: expected {m + 1} coefficients")
-            spec = CharacteristicSpec.first_order_product(coeffs=coeffs)
+            spec = _validated(CharacteristicSpec.first_order_product, coeffs=coeffs)
         else:
             raise ConfigError("equation: need 'roots' or 'coeffs'")
     elif kind is Kind.EVEN_ORDER_PRODUCT:
         roots = _parse_complex_list(_require(cfg, "equation", "roots"), "equation.roots")
         if len(roots) != m:
             raise ConfigError(f"equation.roots: expected {m} roots")
-        spec = CharacteristicSpec.even_order_product(roots)
+        spec = _validated(CharacteristicSpec.even_order_product, roots)
     else:
-        spec = CharacteristicSpec.repeated_root(m)
+        spec = _validated(CharacteristicSpec.repeated_root, m)
 
     P = _parse_operator(cfg)
     dim = P.dim
 
-    shape = tuple(int(n) for n in _require(cfg, "grid", "shape").split())
-    box = tuple(float(L) for L in _require(cfg, "grid", "box").split())
+    shape = tuple(_number(n, "grid.shape", int) for n in _require(cfg, "grid", "shape").split())
+    box = tuple(_number(L, "grid.box") for L in _require(cfg, "grid", "box").split())
     if len(shape) != dim or len(box) != dim:
         raise ConfigError(f"grid: shape and box need {dim} entries each")
+    if min(shape) < 2:
+        raise ConfigError("grid.shape: need at least 2 points per axis")
 
     init = _require(cfg, "initial")
     grid_mesh = mesh(shape, box)
@@ -193,7 +199,8 @@ def load_problem(path):
             return np.broadcast_to(exprparse.evaluate(fprogram, xs, t), shape)
 
     times = tuple(
-        float(v) for v in _require(cfg, "output", "times").replace(",", " ").split()
+        _number(v, "output.times")
+        for v in _require(cfg, "output", "times").replace(",", " ").split()
     )
     if not times:
         raise ConfigError("output.times: need at least one time")
@@ -384,13 +391,13 @@ def _run_compare_spherical(config):
     if not speeds:
         raise ConfigError("compare-spherical needs a positive real root as the speed")
     q = SphereQuadrature.gauss_product(config.sphere_order)
-    pgrid = symbol_grid(problem.P, problem.shape, problem.box)
     rows = []
     for a in speeds:
         for t in problem.t_points:
             spherical = sinhc_spherical(u0, a, t, q)
-            mult = t * sinhc_sqrt(t * t * a * a * pgrid)
-            spectral = np.fft.ifftn(mult * np.fft.fftn(u0.data))
+            spectral = apply_multiplier(
+                u0, lambda p: t * sinhc_sqrt(t * t * a * a * p), problem.P
+            ).data
             num = np.linalg.norm(spherical.data - spectral)
             den = max(np.linalg.norm(spectral), 1e-300)
             rows.append((a, t, float(num / den)))
@@ -418,6 +425,18 @@ def run(config: RunConfig) -> int:
     return _run_compare_spherical(config)
 
 
+def _integer_at_least(least):
+    """argparse type: an integer no smaller than ``least``."""
+
+    def integer(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="opcauchy",
@@ -425,8 +444,8 @@ def build_parser():
     )
     ap.add_argument("--mode", required=True, choices=[m.value for m in Mode])
     ap.add_argument("--problem", default=None, help="problem definition file")
-    ap.add_argument("--quad-nodes", type=int, default=64)
-    ap.add_argument("--sphere-order", type=int, default=29)
+    ap.add_argument("--quad-nodes", type=_integer_at_least(1), default=64)
+    ap.add_argument("--sphere-order", type=_integer_at_least(0), default=29)
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--permissive-overflow", action="store_true")

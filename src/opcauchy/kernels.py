@@ -27,20 +27,15 @@ from math import comb, factorial, perm
 import numpy as np
 
 from .errors import NonFiniteForcing, UnresolvedKernel
-from .multiplier import (
-    Field,
-    SpectralField,
-    _sat_exp,
-    from_spectral,
-    mesh,
-    to_spectral,
-    OVERFLOW_LIMIT,
-)
+from .multiplier import Field, SpectralField, from_spectral, mesh, to_spectral
 from .quadrature import gauss_rule
 from .symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial, symbol_grid, wavevectors
 
 PLAIN_MEASURE = "plain"
 TAU_PRIME_MEASURE = "tau_prime"
+
+#: Real part of the exponent beyond which results saturate and are flagged.
+OVERFLOW_LIMIT = 700.0
 
 #: (node, mode) values per temporary of the Duhamel sum.  Nodes are batched
 #: up to this budget, so a grid this large is summed one node at a time.
@@ -49,6 +44,12 @@ _DUHAMEL_BATCH = 1 << 12
 
 # ---------------------------------------------------------------------------
 # Exponential-integrator kernels
+
+
+def _sat_exp(w):
+    """exp(w) with the real part clipped at the overflow limit."""
+    w = np.asarray(w, dtype=complex)
+    return np.exp(np.minimum(w.real, OVERFLOW_LIMIT) + 1j * w.imag)
 
 
 @lru_cache(maxsize=None)
@@ -158,26 +159,25 @@ def _repeated_root_weights(m, measure):
 
 
 def _kernel_terms(spec, measure):
-    """G as (s, groups): the sum over groups (scale, terms) and their terms
-    (w, a, k) of w t^a T_k(t; scale * p)."""
+    """G as groups (scale, terms) and their terms (w, a, k): the sum of
+    w t^a T_k(t; scale * p) with s = ``spec.step``."""
     m = spec.m
     if spec.kind is Kind.FIRST_ORDER_PRODUCT:
         # sum_j c_j t^(m-1) phi_{m-1}(a_j p t)
-        return 1, [(a, [(c, 0, m - 1)]) for c, a in zip(spec.pf, spec.roots)]
+        return [(a, [(c, 0, m - 1)]) for c, a in zip(spec.pf, spec.roots)]
     if spec.kind is Kind.EVEN_ORDER_PRODUCT:
         # sum_j d_j t^(2m-1) sigma_{2m-2}(a_j^2 p t^2)
-        return 2, [(a * a, [(d, 0, 2 * m - 2)]) for d, a in zip(spec.pf, spec.roots)]
+        return [(a * a, [(d, 0, 2 * m - 2)]) for d, a in zip(spec.pf, spec.roots)]
     e, gammas = _repeated_root_weights(m, measure)
-    return 2, [(1.0, [(float(g), j, e - 1 - j) for j, g in enumerate(gammas)])]
+    return [(1.0, [(float(g), j, e - 1 - j) for j, g in enumerate(gammas)])]
 
 
 def _kernel(spec, p, t, orders, measure=TAU_PRIME_MEASURE):
     """[G^(d)(t) for d in orders] on the mode array p at broadcastable t."""
-    step, groups = _kernel_terms(spec, measure)
     out = [0.0] * len(orders)
-    for scale, terms in groups:
+    for scale, terms in _kernel_terms(spec, measure):
         ks = [k for _, _, k in terms]
-        table = _time_kernels(step, scale * p, t, min(ks) - max(orders), max(ks))
+        table = _time_kernels(spec.step, scale * p, t, min(ks) - max(orders), max(ks))
         for n, d in enumerate(orders):
             for w, a, k in terms:
                 # Leibniz: (t^a T_k)^(d) = sum_r C(d,r) a!/(a-r)! t^(a-r) T_{k-d+r}
@@ -195,22 +195,13 @@ def _like(p, out):
     return complex(out[0]) if np.ndim(p) == 0 else out
 
 
+def sinhc_sqrt(z):
+    """sinh(sqrt(z)) / sqrt(z) = sigma_0(z), entire in z, saturating on overflow."""
+    return _like(z, _time_kernels(2, _modes(z), 1.0, 0, 0)[0])
+
+
 # ---------------------------------------------------------------------------
 # Kernel operators
-
-
-def gm_first(spec, p, t):
-    """G_m(p, t) = sum_j c_j t^{m-1} phi_{m-1}(a_j p t)."""
-    if spec.kind is not Kind.FIRST_ORDER_PRODUCT or spec.m < 2:
-        raise ValueError("gm_first needs a first-order product with m >= 2")
-    return _like(p, _kernel(spec, _modes(p), t, (0,))[0])
-
-
-def gm_even(spec, p, t):
-    """Even-order G_m = sum_j d_j t^{2m-1} sigma_{2m-2}(a_j^2 p t^2)."""
-    if spec.kind is not Kind.EVEN_ORDER_PRODUCT or spec.m < 2:
-        raise ValueError("gm_even needs an even-order product with m >= 2")
-    return _like(p, _kernel(spec, _modes(p), t, (0,))[0])
 
 
 def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None):
@@ -244,16 +235,8 @@ def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None):
 
 def _homogeneous_pairs(spec):
     """(coefficient index k, data index r, derivative order) triples."""
-    pairs = []
-    if spec.kind is Kind.FIRST_ORDER_PRODUCT:
-        for k in range(1, spec.m + 1):
-            for r in range(k):
-                pairs.append((k, r, k - 1 - r))
-    else:
-        for k in range(1, spec.m + 1):
-            for r in range(2 * k):
-                pairs.append((k, r, 2 * k - 1 - r))
-    return pairs
+    s = spec.step
+    return [(k, r, s * k - 1 - r) for k in range(1, spec.m + 1) for r in range(s * k)]
 
 
 def homogeneous_mode(spec, p, phihat, t):

@@ -10,7 +10,6 @@ never touches the kernel-synthesis code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -19,7 +18,7 @@ from . import kernels
 from .errors import InconclusiveProbe, InsufficientSnapshots
 from .multiplier import Field, mesh
 from .quadrature import gauss_rule
-from .symbol_poly import CharacteristicSpec, Kind, symbol_grid
+from .symbol_poly import CharacteristicSpec, symbol_grid
 
 #: Relative eigenvalue gap below which the adaptive integrator takes over.
 EIG_GAP_RTOL = 1e-6
@@ -27,18 +26,16 @@ EIG_GAP_RTOL = 1e-6
 
 def _s_poly_coeffs(spec: CharacteristicSpec, p):
     """Ascending coefficients of the mode ODE's characteristic polynomial in s."""
-    m = spec.m
     p = complex(p)
-    if spec.kind is Kind.FIRST_ORDER_PRODUCT:
-        return np.array([spec.b[k] * p ** (m - k) for k in range(m + 1)], dtype=complex)
-    coeffs = np.zeros(2 * m + 1, dtype=complex)
-    if spec.kind is Kind.EVEN_ORDER_PRODUCT:
-        for k in range(m + 1):
-            coeffs[2 * k] = spec.b[k] * p ** (m - k)
-    else:
-        for k in range(m + 1):
-            coeffs[2 * k] = comb(m, k) * (-p) ** (m - k)
+    coeffs = np.zeros(spec.data_count + 1, dtype=complex)
+    for order, b, power in _operator_orders(spec):
+        coeffs[order] = b * p**power
     return coeffs
+
+
+def _operator_orders(spec):
+    """(time-derivative order, coefficient b, power of p) triples."""
+    return [(spec.step * k, spec.b[k], spec.m - k) for k in range(spec.m + 1)]
 
 
 @dataclass(eq=False)
@@ -177,16 +174,6 @@ class ResidualReport:
     per_time: tuple
 
 
-def _operator_orders(spec):
-    """(time-derivative order, coefficient b, power of p) triples."""
-    m = spec.m
-    if spec.kind is Kind.FIRST_ORDER_PRODUCT:
-        return [(k, spec.b[k], m - k) for k in range(m + 1)]
-    if spec.kind is Kind.EVEN_ORDER_PRODUCT:
-        return [(2 * k, spec.b[k], m - k) for k in range(m + 1)]
-    return [(2 * k, comb(m, k) * (-1) ** (m - k), m - k) for k in range(m + 1)]
-
-
 def residual_check(snapshots, problem, fd_order=6):
     """Substitute a space-time solution back into the equation.
 
@@ -298,23 +285,10 @@ def kernel_discrepancy_probe(m, samples=9, seed=7, nodes=96):
         label, fhat = _PROBE_FORCINGS[i % len(_PROBE_FORCINGS)]
         ref = mode_ode_solve(spec, p, zeros, fhat, t)
         scale = 1.0 + abs(ref)
-        err_plain = (
-            abs(
-                kernels.inhomogeneous_mode(
-                    spec, p, fhat, t, nodes=nodes, measure=kernels.PLAIN_MEASURE
-                )
-                - ref
-            )
+        err_plain, err_tau = (
+            abs(kernels.inhomogeneous_mode(spec, p, fhat, t, nodes=nodes, measure=measure) - ref)
             / scale
-        )
-        err_tau = (
-            abs(
-                kernels.inhomogeneous_mode(
-                    spec, p, fhat, t, nodes=nodes, measure=kernels.TAU_PRIME_MEASURE
-                )
-                - ref
-            )
-            / scale
+            for measure in (kernels.PLAIN_MEASURE, kernels.TAU_PRIME_MEASURE)
         )
         rows.append((m, complex(p), float(t), label, float(err_plain), float(err_tau)))
 

@@ -7,8 +7,8 @@ The characteristic data describes which product operator acts in time:
 * ``REPEATED_ROOT``        -- (d^2/dt^2 - P)^m
 
 The spatial operator is a constant-coefficient polynomial in partial
-derivatives; on a periodic box it diagonalizes, and ``symbol_eval`` returns
-its eigenvalue p(k) at an integer wavevector.
+derivatives; on a periodic box it diagonalizes, and ``symbol_grid`` returns
+its eigenvalues p(k) over the FFT wavevector grid.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def poly_from_roots(roots, lead=1.0):
     return lead * np.polynomial.polynomial.polyfromroots(np.asarray(roots, complex))
 
 
-def roots_from_coeffs(b, tol=DISTINCT_ROOT_RTOL):
+def roots_from_coeffs(b):
     """Roots of b_0 + b_1 x + ... + b_m x^m, polished and checked distinct.
 
     Companion-matrix eigenvalues plus one Newton step; the reconstruction
@@ -73,7 +73,7 @@ def roots_from_coeffs(b, tol=DISTINCT_ROOT_RTOL):
     roots[safe] = roots[safe] - pv[safe] / dv[safe]
 
     scale = 1.0 + np.max(np.abs(roots))
-    if _min_gap(roots) < tol * scale:
+    if _min_gap(roots) < DISTINCT_ROOT_RTOL * scale:
         raise DegenerateRoots("coincident roots: closed-form kernels divide by root gaps")
 
     bound = 1.0 + np.max(np.abs(b[:m] / b[m]))
@@ -82,7 +82,7 @@ def roots_from_coeffs(b, tol=DISTINCT_ROOT_RTOL):
     rebuilt = b[m] * np.prod(pts[:, None] - roots[None, :], axis=1)
     direct = np.polynomial.polynomial.polyval(pts, b)
     resid = np.max(np.abs(rebuilt - direct)) / np.max(np.abs(direct))
-    if resid > max(tol, 1e-7):
+    if resid > max(DISTINCT_ROOT_RTOL, 1e-7):
         raise DegenerateRoots(f"root reconstruction residual {resid:.2e} exceeds tolerance")
 
     order = np.lexsort((roots.imag, roots.real))
@@ -133,11 +133,11 @@ class CharacteristicSpec:
     pf: tuple
 
     @classmethod
-    def first_order_product(cls, roots=None, coeffs=None, tol=DISTINCT_ROOT_RTOL):
+    def first_order_product(cls, roots=None, coeffs=None):
         if roots is None:
             if coeffs is None:
                 raise ValueError("need roots or coeffs")
-            roots = roots_from_coeffs(coeffs, tol=tol)
+            roots = roots_from_coeffs(coeffs)
             b = tuple(complex(c) for c in coeffs)
         else:
             roots = tuple(complex(r) for r in roots)
@@ -145,12 +145,7 @@ class CharacteristicSpec:
         m = len(roots)
         if m < 1:
             raise ValueError("need at least one root")
-        if m >= 2:
-            _check_distinct(roots)
-            pf = partial_fraction_first(roots)
-        else:
-            pf = (1.0 + 0j,)
-        return cls(Kind.FIRST_ORDER_PRODUCT, m, b, roots, pf)
+        return cls(Kind.FIRST_ORDER_PRODUCT, m, b, roots, partial_fraction_first(roots))
 
     @classmethod
     def even_order_product(cls, roots):
@@ -174,11 +169,14 @@ class CharacteristicSpec:
         return cls(Kind.REPEATED_ROOT, m, b, (), ())
 
     @property
+    def step(self):
+        """Order in d/dt of each factor: 1 for the first-order product, else 2."""
+        return 1 if self.kind is Kind.FIRST_ORDER_PRODUCT else 2
+
+    @property
     def data_count(self):
         """Number of prescribed initial time-derivatives."""
-        if self.kind is Kind.FIRST_ORDER_PRODUCT:
-            return self.m
-        return 2 * self.m
+        return self.step * self.m
 
     @property
     def lead(self):
@@ -215,19 +213,6 @@ class SymbolPolynomial:
     def derivative(cls, dim, axis, order):
         alpha = tuple(order if i == axis else 0 for i in range(dim))
         return cls(dim, ((alpha, 1.0 + 0j),))
-
-
-def symbol_eval(P, k, box):
-    """Symbol p(k) = sum_alpha c_alpha prod_d (i 2 pi k_d / L_d)^{alpha_d}."""
-    k = np.atleast_1d(k)
-    box = np.atleast_1d(box)
-    total = 0j
-    for alpha, c in P.terms:
-        term = complex(c)
-        for d, a in enumerate(alpha):
-            term *= (1j * 2 * np.pi * k[d] / box[d]) ** a
-        total += term
-    return total
 
 
 def wavevectors(shape):

@@ -10,9 +10,10 @@ from opcauchy.kernels import (
     CauchyProblem,
     homogeneous_mode,
     inhomogeneous_mode,
+    sinhc_sqrt,
     solve,
 )
-from opcauchy.multiplier import Field, apply_multiplier, mesh, sinhc_sqrt
+from opcauchy.multiplier import Field, apply_multiplier, mesh
 from opcauchy.oracle import (
     kernel_discrepancy_probe,
     load_verdict,

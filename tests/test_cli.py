@@ -318,3 +318,42 @@ class TestRunModes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,old,new,named", [
+        (HEAT_PRODUCT, "m = 2", "m = two", "equation.m"),
+        (HEAT_PRODUCT, "dim = 1", "dim = x", "operator.dim"),
+        (WAVE_3D, "shape = 16 16 16", "shape = 8 8.5 8", "grid.shape"),
+        (WAVE_3D, "shape = 16 16 16", "shape = 8 -4 8", "grid.shape"),
+        (HEAT_PRODUCT, "box = 6.283185307179586", "box = abc", "grid.box"),
+        (WAVE_3D, "alpha=2 0 0", "alpha=2.5 0 0", "operator term"),
+        (HEAT_PRODUCT, "times = 0.5, 1.0", "times = 0.25, zz", "output.times"),
+        (WAVE_3D, "m = 2\nroots = 1 2", "m = 1\nroots = 1", "m >= 2"),
+        (REPEATED_FORCED, "m = 2", "m = 1", "m >= 2"),
+        (HEAT_PRODUCT, "m = 2\nroots = 1 2", "m = 0\nroots =", "root"),
+        (HEAT_PRODUCT, "coeff=1", "coeff=1 ; alpha=2: coeff=3", "duplicate"),
+    ], ids=["m", "dim", "shape", "negative-shape", "box", "alpha", "times", "even-m1", "repeated-m1",
+            "first-m0", "duplicate-alpha"])
+    def test_bad_numbers_exit_2(self, tmp_path, capsys, text, old, new, named):
+        assert old in text
+        problem = write_problem(tmp_path, text.replace(old, new))
+        out = tmp_path / "out"
+        code = main(["--mode", "solve", "--problem", problem, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--quad-nodes", "0"),
+        ("--quad-nodes", "-3"),
+        ("--sphere-order", "-2"),
+    ])
+    def test_bad_node_counts_exit_2(self, tmp_path, capsys, flag, value):
+        problem = write_problem(tmp_path, WAVE_3D)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--mode", "compare-spherical", "--problem", problem, "--out", str(out),
+                  flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()

@@ -2,18 +2,20 @@ import mpmath
 import numpy as np
 import pytest
 
-from opcauchy.multiplier import (
-    Field,
-    apply_multiplier,
-    cosh_sqrt,
-    exp_prop,
-    exp_overflow,
-    from_spectral,
-    mesh,
-    sinhc_sqrt,
-    to_spectral,
-)
-from opcauchy.symbol_poly import SymbolPolynomial
+from opcauchy.kernels import _sat_exp, _time_kernels, sinhc_sqrt, stability_report
+from opcauchy.multiplier import Field, apply_multiplier, from_spectral, mesh, to_spectral
+from opcauchy.symbol_poly import CharacteristicSpec, SymbolPolynomial, symbol_grid
+
+
+def cosh_sqrt(z):
+    """cosh(sqrt(z)) = sigma_-1(z) from the kernel table."""
+    return complex(_time_kernels(2, np.atleast_1d(complex(z)), 1.0, -1, -1)[-1][0])
+
+
+def exp_prop(t, a, p):
+    """exp(t a p) = phi_0(a p t) from the kernel table."""
+    out = _time_kernels(1, a * np.atleast_1d(np.asarray(p, dtype=complex)), t, 0, 0)[0]
+    return out if np.ndim(p) else complex(out[0])
 
 
 def sinhc_sqrt_series(z, terms=40):
@@ -57,15 +59,19 @@ class TestScalarFunctions:
         assert cosh_sqrt(4.0) == pytest.approx(cosh_sqrt_series(4.0), abs=1e-15)
 
     def test_series_closed_form_continuity(self):
-        # values straddling |z| = 0.25 agree to full precision
+        # values straddling |z| = 0.25 and |z| = 1, where the kernel table
+        # switches from its series to the closed form, agree to full precision
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            angle = rng.uniform(0, 2 * np.pi)
-            z_in = 0.2499999 * np.exp(1j * angle)
-            z_out = 0.2500001 * np.exp(1j * angle)
-            for f, oracle in ((sinhc_sqrt, sinhc_sqrt_series), (cosh_sqrt, cosh_sqrt_series)):
-                for z in (z_in, z_out):
-                    assert abs(f(z) - oracle(z)) < 1e-13 * abs(oracle(z))
+        for radius in (0.25, 1.0):
+            for _ in range(50):
+                angle = rng.uniform(0, 2 * np.pi)
+                z_in = radius * (1 - 4e-7) * np.exp(1j * angle)
+                z_out = radius * (1 + 4e-7) * np.exp(1j * angle)
+                for f, oracle in (
+                    (sinhc_sqrt, sinhc_sqrt_series), (cosh_sqrt, cosh_sqrt_series)
+                ):
+                    for z in (z_in, z_out):
+                        assert abs(f(z) - oracle(z)) < 1e-13 * abs(oracle(z))
 
     def test_branch_independence(self):
         # the functions are even in sqrt(z): conjugating the argument path
@@ -99,10 +105,7 @@ class TestScalarFunctions:
         assert abs(val) == pytest.approx(np.exp(-2))
 
     def test_exp_overflow_saturates(self):
-        val = exp_prop(1.0, 1.0, 800.0)
-        assert np.isfinite(val)
-        assert exp_overflow(1.0, 1.0, 800.0)
-        assert not exp_overflow(1.0, 1.0, 600.0)
+        assert np.isfinite(_sat_exp(800.0))
 
     def test_vectorized(self):
         z = np.array([[0.0, 1.0], [-np.pi**2, 4.0]])
@@ -171,11 +174,10 @@ class TestApplyMultiplier:
         u = Field(shape, box, rng.normal(size=shape).astype(complex))
         P = SymbolPolynomial.derivative(1, 0, 2)
         t = 1.0
-        out, flagged = apply_multiplier(
-            u,
-            lambda p: exp_prop(t, -1.0, p),
-            P,
-            overflow=lambda p: exp_overflow(t, -1.0, p),
-        )
+        out = apply_multiplier(u, lambda p: exp_prop(t, -1.0, p), P)
+        assert np.isfinite(out.data).all()  # growing modes saturate, not inf
+        # the stability report of the same symbol grid names the flagged modes
+        spec = CharacteristicSpec.first_order_product(roots=[-1])
+        flagged = stability_report(spec, symbol_grid(P, shape, box), shape, t).overflowed
         assert flagged  # -p(k) is large positive for high k
         assert all(isinstance(k, tuple) for k in flagged)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from opcauchy.multiplier import Field, apply_multiplier, mesh, sinhc_sqrt
+from opcauchy.kernels import sinhc_sqrt
+from opcauchy.multiplier import Field, apply_multiplier, mesh
 from opcauchy.spherical import (
     FULL_SOLID_ANGLE,
     SphereQuadrature,

@@ -10,7 +10,6 @@ from opcauchy.symbol_poly import (
     partial_fraction_first,
     poly_from_roots,
     roots_from_coeffs,
-    symbol_eval,
     symbol_grid,
 )
 
@@ -102,34 +101,40 @@ def test_lagrange_identities(m):
             assert abs(total - expected) < 1e-9 * scale
 
 
+def symbol_at(P, k, box):
+    """p(k) read off ``symbol_grid`` on a grid just wide enough to hold k."""
+    shape = tuple(2 * abs(int(c)) + 2 for c in k)
+    return symbol_grid(P, shape, box)[tuple(int(c) for c in k)]
+
+
 class TestSymbolEval:
     def test_second_derivative_1d(self):
         P = SymbolPolynomial.derivative(1, 0, 2)
-        assert symbol_eval(P, [1], [2 * np.pi]) == pytest.approx(-1)
+        assert symbol_at(P, [1], [2 * np.pi]) == pytest.approx(-1)
 
     def test_laplacian_3d(self):
         P = SymbolPolynomial.laplacian(3)
-        p = symbol_eval(P, [1, 2, 0], [2 * np.pi] * 3)
+        p = symbol_at(P, [1, 2, 0], [2 * np.pi] * 3)
         assert p == pytest.approx(-5)
 
     def test_first_derivative_imaginary(self):
         P = SymbolPolynomial.derivative(1, 0, 1)
-        assert symbol_eval(P, [3], [2 * np.pi]) == pytest.approx(3j)
+        assert symbol_at(P, [3], [2 * np.pi]) == pytest.approx(3j)
 
     def test_additive_in_terms(self):
         P1 = SymbolPolynomial(2, (((2, 0), 1.0),))
         P2 = SymbolPolynomial(2, (((0, 2), 1.0),))
         Psum = SymbolPolynomial(2, (((2, 0), 1.0), ((0, 2), 1.0)))
         k, box = [3, -2], [2 * np.pi, 4.0]
-        assert symbol_eval(Psum, k, box) == pytest.approx(
-            symbol_eval(P1, k, box) + symbol_eval(P2, k, box)
+        assert symbol_at(Psum, k, box) == pytest.approx(
+            symbol_at(P1, k, box) + symbol_at(P2, k, box)
         )
 
     def test_multiplicative_under_power(self):
         P = SymbolPolynomial(1, (((3,), 2.0),))
         P_sq = SymbolPolynomial(1, (((6,), 4.0),))
         k, box = [2], [3.0]
-        assert symbol_eval(P_sq, k, box) == pytest.approx(symbol_eval(P, k, box) ** 2)
+        assert symbol_at(P_sq, k, box) == pytest.approx(symbol_at(P, k, box) ** 2)
 
     def test_grid_matches_pointwise(self):
         P = SymbolPolynomial.laplacian(2)
@@ -138,9 +143,8 @@ class TestSymbolEval:
         ks = [np.fft.fftfreq(n, d=1.0 / n) for n in shape]
         for i in range(shape[0]):
             for j in range(shape[1]):
-                assert grid[i, j] == pytest.approx(
-                    symbol_eval(P, [ks[0][i], ks[1][j]], box)
-                )
+                expect = -sum((2 * np.pi * ks[d][n] / box[d]) ** 2 for d, n in enumerate((i, j)))
+                assert grid[i, j] == pytest.approx(expect)
 
     def test_duplicate_multi_index_rejected(self):
         with pytest.raises(ValueError):
@@ -164,6 +168,17 @@ class TestCharacteristicSpec:
         # (y - 1)^2 = 1 - 2y + y^2 in y = x^2
         assert np.allclose(spec.b, [1, -2, 1])
         assert spec.data_count == 4
+        # the mode oracle reads spec.b, so check it against (y - 1)^m directly
+        for m in range(2, 7):
+            expect = np.polynomial.polynomial.polypow([-1, 1], m)
+            assert np.array_equal(CharacteristicSpec.repeated_root(m).b, expect)
+        for spec, step in (
+            (CharacteristicSpec.first_order_product(roots=[1, 2, 3]), 1),
+            (CharacteristicSpec.even_order_product([1, 2, 3]), 2),
+            (CharacteristicSpec.repeated_root(3), 2),
+        ):
+            assert spec.step == step
+            assert spec.data_count == step * spec.m
 
     def test_degenerate_roots_rejected(self):
         with pytest.raises(DegenerateRoots):
