@@ -281,6 +281,7 @@ def _write_stability(path, report):
     for j, g in enumerate(report.max_growth):
         lines.append(f"max_growth_root_{j + 1} = {g:.6e}")
     lines.append(f"condition = {report.condition:.6e}")
+    lines.append(f"nonfinite_modes = {report.nonfinite}")
     lines.append(f"overflowed_modes = {len(report.overflowed)}")
     for k in report.overflowed:
         lines.append(f"overflowed = {' '.join(str(c) for c in k)}")
@@ -318,8 +319,13 @@ def _run_solve(config):
     write_opc1(out / "solution.opc", snapshots, problem.box)
     _write_stability(out / "stability.txt", report)
     print(f"wrote {len(snapshots)} snapshot(s) to {out}")
-    if report.overflowed and not config.permissive_overflow:
-        print(f"{len(report.overflowed)} mode(s) overflowed; rerun with --permissive-overflow")
+    flags = []
+    if report.overflowed:
+        flags.append(f"{len(report.overflowed)} mode(s) overflowed")
+    if report.nonfinite:
+        flags.append(f"{report.nonfinite} output mode(s) not finite")
+    if flags and not config.permissive_overflow:
+        print(f"{'; '.join(flags)}; rerun with --permissive-overflow")
         return 3
     return 0
 

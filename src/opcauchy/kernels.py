@@ -1,8 +1,10 @@
-"""Closed-form solution assembly, evaluated per Fourier mode.
+"""Closed-form solution assembly on the Fourier modes of a periodic grid.
 
 Every operator here is a function of the spatial operator alone, so on a
 periodic grid the whole construction reduces to scalar calculus in the
-symbol p.  The impulse response G of each kind is a short sum of
+symbol p.  Modes with equal p share every kernel value, so the kernels are
+evaluated once per distinct symbol value and gathered to the modes.  The
+impulse response G of each kind is a short sum of
 exponential-integrator kernels
 
     T_k(t; mu) = t^(k+s-1) f_k(mu t^s),   f_k(z) = sum_i z^i / (s i + k + s - 1)!,
@@ -190,6 +192,21 @@ def _modes(p):
     return np.atleast_1d(np.asarray(p, dtype=complex))
 
 
+def _distinct(modes):
+    """(values, gather): the distinct symbol values of ``modes``, and the map
+    that takes an array over those values (last axis) to one over the modes
+    (trailing axes ``modes.shape``).
+
+    The kernels depend on a mode through p alone and elementwise, so they are
+    evaluated on ``values`` only.  The series term count follows the largest
+    |z| of a call, which the distinct values share with the modes, so every
+    gathered value is bitwise the one the full grid would give.
+    """
+    values, index = np.unique(modes.ravel(), return_inverse=True)
+    index = index.reshape(modes.shape)
+    return values, lambda table: table[..., index]
+
+
 def _like(p, out):
     """``out`` as a Python complex when the symbol ``p`` was a scalar."""
     return complex(out[0]) if np.ndim(p) == 0 else out
@@ -222,14 +239,16 @@ def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None):
                 "probe (CLI mode 'probe') or set it explicitly"
             )
         tau, w = gauss_rule(nodes, t)
+        values, gather = _distinct(modes)
         batch = max(1, _DUHAMEL_BATCH // modes.size)
         for lo in range(0, nodes, batch):
             taus, ws = tau[lo : lo + batch], w[lo : lo + batch]
             forcing = np.stack(
                 [wi * np.broadcast_to(fhat(x), modes.shape) for x, wi in zip(taus, ws)]
             )
-            lag = (t - taus).reshape((-1,) + (1,) * modes.ndim)
-            total += np.sum(_kernel(spec, modes, lag, (0,), measure)[0] * forcing, axis=0)
+            lag = (t - taus)[:, None]
+            kernel = gather(_kernel(spec, values, lag, (0,), measure)[0])
+            total += np.sum(kernel * forcing, axis=0)
     return _like(p, total / spec.lead)
 
 
@@ -249,7 +268,9 @@ def homogeneous_mode(spec, p, phihat, t):
         raise ValueError(f"expected {spec.data_count} initial coefficients")
     modes = _modes(p)
     pairs = _homogeneous_pairs(spec)
-    derivs = _kernel(spec, modes, t, range(max(q for _, _, q in pairs) + 1))
+    values, gather = _distinct(modes)
+    orders = range(max(q for _, _, q in pairs) + 1)
+    derivs = [gather(d) for d in _kernel(spec, values, t, orders)]
     acc = np.zeros(modes.shape, dtype=complex)
     for k, r, order in pairs:
         phi = phihat[r]
@@ -305,6 +326,7 @@ class StabilityReport:
     max_growth: tuple  # per root, max over the grid of Re(a_j p(k))
     overflowed: tuple  # integer wavevectors whose modes saturated
     condition: float  # max |partial-fraction weight|
+    nonfinite: int  # NaN or infinite output coefficients, summed over the times
 
 
 def _growth_rates(spec, pgrid):
@@ -316,7 +338,7 @@ def _growth_rates(spec, pgrid):
     return [np.abs(np.real(np.sqrt(pgrid.astype(complex))))]
 
 
-def stability_report(spec, pgrid, shape, t_max):
+def stability_report(spec, pgrid, shape, t_max, nonfinite):
     rates = _growth_rates(spec, pgrid)
     kmesh = wavevectors(shape)
     over = np.zeros(pgrid.shape, dtype=bool)
@@ -331,6 +353,7 @@ def stability_report(spec, pgrid, shape, t_max):
         max_growth=tuple(float(np.max(r)) for r in rates),
         overflowed=flagged,
         condition=float(cond),
+        nonfinite=nonfinite,
     )
 
 
@@ -340,7 +363,7 @@ def solve(problem: CauchyProblem, nodes=64):
 
     ``nodes`` is the Gauss-Legendre node count of the Duhamel sum.  Returns
     ([(t, Field), ...], StabilityReport).  Growing modes are computed and
-    flagged, never suppressed.
+    flagged, never suppressed; non-finite output coefficients are counted.
     """
     spec = problem.spec
     pgrid = symbol_grid(problem.P, problem.shape, problem.box)
@@ -357,6 +380,7 @@ def solve(problem: CauchyProblem, nodes=64):
             return np.fft.fftn(samples) / size
 
     snapshots = []
+    nonfinite = 0
     for t in problem.t_points:
         # saturated modes may hit inf/nan; they are reported, not suppressed
         with np.errstate(over="ignore", invalid="ignore"):
@@ -365,9 +389,10 @@ def solve(problem: CauchyProblem, nodes=64):
                 uhat = uhat + inhomogeneous_mode(
                     spec, pgrid, fhat_at, t, nodes=nodes, measure=problem.measure
                 )
+        nonfinite += int(np.count_nonzero(~np.isfinite(uhat)))
         u = from_spectral(SpectralField(problem.shape, problem.box, uhat))
         snapshots.append((t, u))
 
     t_max = max(problem.t_points) if problem.t_points else 0.0
-    report = stability_report(spec, pgrid, problem.shape, t_max)
+    report = stability_report(spec, pgrid, problem.shape, t_max, nonfinite)
     return snapshots, report

@@ -13,6 +13,7 @@ its eigenvalues p(k) over the FFT wavevector grid.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 from math import comb
@@ -39,6 +40,14 @@ def _min_gap(values):
         return np.inf
     gaps = [abs(values[i] - values[j]) for i in range(n) for j in range(i + 1, n)]
     return min(gaps)
+
+
+def _finite(values, label):
+    """``values`` as complex numbers; a NaN or infinite entry is a ValueError."""
+    values = tuple(complex(v) for v in values)
+    if not all(cmath.isfinite(v) for v in values):
+        raise ValueError(f"{label} must be finite")
+    return values
 
 
 def _check_distinct(values, label="roots"):
@@ -137,10 +146,10 @@ class CharacteristicSpec:
         if roots is None:
             if coeffs is None:
                 raise ValueError("need roots or coeffs")
-            roots = roots_from_coeffs(coeffs)
-            b = tuple(complex(c) for c in coeffs)
+            b = _finite(coeffs, "coeffs")
+            roots = roots_from_coeffs(b)
         else:
-            roots = tuple(complex(r) for r in roots)
+            roots = _finite(roots, "roots")
             b = tuple(complex(c) for c in poly_from_roots(roots))
         m = len(roots)
         if m < 1:
@@ -149,7 +158,7 @@ class CharacteristicSpec:
 
     @classmethod
     def even_order_product(cls, roots):
-        roots = tuple(complex(r) for r in roots)
+        roots = _finite(roots, "roots")
         m = len(roots)
         if m < 2:
             raise ValueError("even-order product needs m >= 2")
@@ -194,9 +203,12 @@ class SymbolPolynomial:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         seen = set()
-        for alpha, _ in self.terms:
+        for alpha, c in self.terms:
             if len(alpha) != self.dim:
                 raise ValueError("multi-index length must equal dim")
+            if min(alpha) < 0:
+                raise ValueError(f"multi-index {alpha} has a negative entry")
+            _finite([c], f"coefficient of multi-index {alpha}")
             if alpha in seen:
                 raise ValueError(f"duplicate multi-index {alpha}")
             seen.add(alpha)

@@ -331,8 +331,16 @@ class TestRunModes:
         (REPEATED_FORCED, "m = 2", "m = 1", "m >= 2"),
         (HEAT_PRODUCT, "m = 2\nroots = 1 2", "m = 0\nroots =", "root"),
         (HEAT_PRODUCT, "coeff=1", "coeff=1 ; alpha=2: coeff=3", "duplicate"),
+        (HEAT_PRODUCT, "roots = 1 2", "roots = nan 2", "roots must be finite"),
+        (HEAT_PRODUCT, "roots = 1 2", "roots = inf 2", "roots must be finite"),
+        (WAVE_3D, "roots = 1 2", "roots = 1 -inf", "roots must be finite"),
+        (HEAT_PRODUCT, "roots = 1 2", "coeffs = 2 -3 nan", "coeffs must be finite"),
+        (HEAT_PRODUCT, "coeff=1", "coeff=nan", "must be finite"),
+        (HEAT_PRODUCT, "coeff=1", "coeff=1,inf", "must be finite"),
+        (HEAT_PRODUCT, "alpha=2", "alpha=-2", "negative"),
     ], ids=["m", "dim", "shape", "negative-shape", "box", "alpha", "times", "even-m1", "repeated-m1",
-            "first-m0", "duplicate-alpha"])
+            "first-m0", "duplicate-alpha", "roots-nan", "roots-inf", "even-roots-inf",
+            "coeffs-nan", "coeff-nan", "coeff-inf", "negative-alpha"])
     def test_bad_numbers_exit_2(self, tmp_path, capsys, text, old, new, named):
         assert old in text
         problem = write_problem(tmp_path, text.replace(old, new))
@@ -342,6 +350,33 @@ class TestRunModes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("old,new", [
+        ("phi0 = sin(x1)", "phi0 = 1e308*sin(x1)"),
+        ("[output]", "[forcing]\nf = 1e308*cos(t)*sin(x1)\n\n[output]"),
+    ], ids=["data", "forcing"])
+    def test_non_finite_output_exit_3(self, tmp_path, capsys, old, new):
+        # finite samples whose Fourier sums overflow: no mode is predicted to grow
+        problem = write_problem(tmp_path, HEAT_PRODUCT.replace(old, new))
+        strict, permissive = tmp_path / "strict", tmp_path / "permissive"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["--mode", "solve", "--problem", problem, "--out", str(strict)]) == 3
+            assert "not finite" in capsys.readouterr().out
+            assert main(["--mode", "solve", "--problem", problem, "--out", str(permissive),
+                         "--permissive-overflow"]) == 0
+        for out in (strict, permissive):
+            lines = (out / "stability.txt").read_text().splitlines()
+            assert "overflowed_modes = 0" in lines
+            counts = [int(line.split("=")[1]) for line in lines if line.startswith("nonfinite_modes")]
+            bad = sum(int(np.count_nonzero(~np.isfinite(u.data)))
+                      for _, u in read_opc1(out / "solution.opc"))
+            assert len(counts) == 1 and counts[0] > 0 and bad > 0
+
+    def test_finite_run_reports_zero_nonfinite(self, tmp_path):
+        problem = write_problem(tmp_path, HEAT_PRODUCT)
+        out = tmp_path / "out"
+        assert main(["--mode", "solve", "--problem", problem, "--out", str(out)]) == 0
+        assert "nonfinite_modes = 0" in (out / "stability.txt").read_text().splitlines()
 
     @pytest.mark.parametrize("flag,value", [
         ("--quad-nodes", "0"),

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from opcauchy import kernels
 from opcauchy.errors import UnresolvedKernel
 from opcauchy.kernels import (
     PLAIN_MEASURE,
@@ -20,7 +21,7 @@ from opcauchy.kernels import (
 from opcauchy.multiplier import Field, mesh
 from opcauchy.oracle import fd_weights, mode_ode_solve
 from opcauchy.quadrature import gauss_rule
-from opcauchy.symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial
+from opcauchy.symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial, symbol_grid
 
 from test_symbol_poly import random_distinct_roots
 
@@ -400,6 +401,94 @@ class TestSolve:
             isinstance(k, tuple) and len(k) == len(shape) and all(type(c) is int for c in k)
             for k in report.overflowed
         )
+
+
+class TestDistinctSymbols:
+    """The kernels are evaluated once per distinct symbol value of a grid."""
+
+    SPECS = [
+        CharacteristicSpec.first_order_product(roots=[1, 2]),
+        CharacteristicSpec.even_order_product([1, 2]),
+        CharacteristicSpec.repeated_root(2),
+    ]
+
+    @staticmethod
+    def laplacian_grid(shape, box):
+        return symbol_grid(SymbolPolynomial.laplacian(len(shape)), shape, box)
+
+    def test_kernel_work_scales_with_distinct_values(self, monkeypatch):
+        shape, box = (8, 8, 8), (2 * np.pi,) * 3
+        x = mesh(shape, box)
+        spec = CharacteristicSpec.first_order_product(roots=[1, 2])
+        phis = (Field(shape, box, np.sin(x[0]).astype(complex)), Field.zeros(shape, box))
+        times, nodes = (0.25, 0.5), 16
+        prob = CauchyProblem(
+            spec, SymbolPolynomial.laplacian(3), shape, box, phis,
+            lambda *args: np.cos(args[-1]) * np.sin(args[1]), times,
+        )
+        received = []
+        table = kernels._time_kernels
+
+        def spy(step, mu, t, lo, hi):
+            received.append(np.broadcast(mu, t).size)
+            return table(step, mu, t, lo, hi)
+
+        monkeypatch.setattr(kernels, "_time_kernels", spy)
+        solve(prob, nodes=nodes)
+        distinct = np.unique(self.laplacian_grid(shape, box)).size
+        groups = len(spec.roots)
+        assert distinct == 32 and np.prod(shape) == 512
+        # one homogeneous evaluation plus the Duhamel nodes, per output time
+        assert sum(received) == len(times) * (nodes + 1) * distinct * groups
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_equal_symbols_give_bitwise_equal_modes(self, spec):
+        pgrid = self.laplacian_grid((8, 8, 8), (2 * np.pi,) * 3)
+        t = 0.7
+        phis = [0.3 - 0.2j * r for r in range(spec.data_count)]
+        hom = homogeneous_mode(spec, pgrid, phis, t)
+        inh = inhomogeneous_mode(spec, pgrid, np.cos, t, nodes=24, measure=TAU_PRIME_MEASURE)
+        _, first, index = np.unique(pgrid, return_index=True, return_inverse=True)
+        assert first.size < pgrid.size
+        for out in (hom, inh):
+            # every mode equals the first mode with its symbol value
+            assert np.array_equal(out.ravel(), out.ravel()[first][index.ravel()])
+        # the gathered kernel table is bitwise the full grid's
+        lag = np.array([0.1, 0.45, 0.7]).reshape(-1, 1, 1, 1)
+        full = _kernel(spec, pgrid, lag, (0, 1, 2), TAU_PRIME_MEASURE)
+        values, gather = kernels._distinct(pgrid)
+        fewer = _kernel(spec, values, lag.reshape(-1, 1), (0, 1, 2), TAU_PRIME_MEASURE)
+        for a, b in zip(full, fewer):
+            assert np.array_equal(a, gather(b))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_matches_per_mode_calls(self, spec):
+        # off a 2 pi box, rounding leaves fewer exact duplicates of p
+        shape, box = (6, 5, 4), (1.0, 2.3, 3.7)
+        pgrid = self.laplacian_grid(shape, box)
+        rng = np.random.default_rng(61)
+        phis = [rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                for _ in range(spec.data_count)]
+        weights = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        t = 0.3
+        hom = homogeneous_mode(spec, pgrid, phis, t)
+        inh = inhomogeneous_mode(spec, pgrid, lambda tau: np.cos(tau) * weights, t, nodes=16,
+                                 measure=TAU_PRIME_MEASURE)
+        ref_h, ref_i = np.zeros(shape, complex), np.zeros(shape, complex)
+        for i in np.ndindex(shape):
+            p = complex(pgrid[i])
+            ref_h[i] = homogeneous_mode(spec, p, [phi[i] for phi in phis], t)
+            ref_i[i] = inhomogeneous_mode(spec, p, lambda tau: np.cos(tau) * weights[i], t,
+                                          nodes=16, measure=TAU_PRIME_MEASURE)
+        assert np.all(np.abs(hom - ref_h) <= 1e-14 * np.abs(ref_h))
+        # a one-mode call sums fewer series terms; on modes where the Duhamel
+        # sum cancels to 1e-5 of the largest, that roundoff is 2e-14 of the mode
+        assert np.max(np.abs(inh - ref_i)) <= 1e-14 * np.max(np.abs(ref_i))
+
+    def test_scalar_symbol_returns_complex(self):
+        spec = CharacteristicSpec.first_order_product(roots=[1, 2])
+        assert type(homogeneous_mode(spec, -1.0, [1.0, 0.0], 0.5)) is complex
+        assert type(inhomogeneous_mode(spec, -1.0, np.cos, 0.5)) is complex
 
 
 class TestStiffGrid:

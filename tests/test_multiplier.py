@@ -178,6 +178,6 @@ class TestApplyMultiplier:
         assert np.isfinite(out.data).all()  # growing modes saturate, not inf
         # the stability report of the same symbol grid names the flagged modes
         spec = CharacteristicSpec.first_order_product(roots=[-1])
-        flagged = stability_report(spec, symbol_grid(P, shape, box), shape, t).overflowed
+        flagged = stability_report(spec, symbol_grid(P, shape, box), shape, t, 0).overflowed
         assert flagged  # -p(k) is large positive for high k
         assert all(isinstance(k, tuple) for k in flagged)

@@ -150,6 +150,18 @@ class TestSymbolEval:
         with pytest.raises(ValueError):
             SymbolPolynomial(1, (((2,), 1.0), ((2,), 2.0)))
 
+    def test_negative_multi_index_rejected(self):
+        # k = 0 raised to a negative power would make the zero mode's symbol infinite
+        with pytest.raises(ValueError, match="negative"):
+            SymbolPolynomial(1, (((-2,), 1.0),))
+        with pytest.raises(ValueError, match="negative"):
+            SymbolPolynomial(2, (((2, 0), 1.0), ((0, -1), 1.0)))
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, complex(1, np.nan), complex(-np.inf, 0)])
+    def test_non_finite_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            SymbolPolynomial(1, (((2,), c),))
+
 
 class TestCharacteristicSpec:
     def test_first_order_from_roots(self):
@@ -183,3 +195,12 @@ class TestCharacteristicSpec:
     def test_degenerate_roots_rejected(self):
         with pytest.raises(DegenerateRoots):
             CharacteristicSpec.first_order_product(roots=[1, 1 + 1e-12])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(2, np.nan)])
+    def test_non_finite_roots_and_coeffs_rejected(self, bad):
+        with pytest.raises(ValueError, match="roots must be finite"):
+            CharacteristicSpec.first_order_product(roots=[bad, 2])
+        with pytest.raises(ValueError, match="roots must be finite"):
+            CharacteristicSpec.even_order_product([1, bad])
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            CharacteristicSpec.first_order_product(coeffs=[2, -3, bad])
