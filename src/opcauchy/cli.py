@@ -27,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import exprparse, oracle
-from .errors import InconclusiveProbe, OpcauchyError
+from .errors import (
+    ExprSyntaxError,
+    InconclusiveProbe,
+    NonIntegerExponent,
+    OpcauchyError,
+    UnknownVariable,
+)
 from .kernels import CauchyProblem, sinhc_sqrt, solve
 from .multiplier import Field, apply_multiplier, mesh
 from .spherical import SphereQuadrature, sinhc_spherical
@@ -123,12 +129,22 @@ def _validated(model, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+def _parse_expr(text, key, dim, allow_t):
+    """``exprparse.parse``; a parse error becomes a ConfigError naming ``key``."""
+    try:
+        return exprparse.parse(text, dim, allow_t)
+    except (ExprSyntaxError, NonIntegerExponent, UnknownVariable) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def load_problem(path):
     """Parse a problem file into a CauchyProblem.
 
-    Each expression is compiled once (``exprparse.Program``); the forcing
-    keeps its t-free values for the mesh it is sampled on, so a sample at a
-    new time computes only the t-dependent parts.
+    The initial fields are compiled into one ``exprparse.Program`` and
+    evaluated in one call, so a subtree they share is evaluated once.  The
+    forcing is a Program of its own: it keeps its t-free values for the
+    mesh it is sampled on, so a sample at a new time computes only the
+    t-dependent parts.
     """
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = cfg.read(path)
@@ -175,8 +191,7 @@ def load_problem(path):
         raise ConfigError("grid.shape: need at least 2 points per axis")
 
     init = _require(cfg, "initial")
-    grid_mesh = mesh(shape, box)
-    phis = []
+    trees = []
     for r in range(spec.data_count):
         key = f"phi{r}"
         if key not in init:
@@ -184,19 +199,22 @@ def load_problem(path):
                 f"missing initial.{key}: kind {kind.value} with m={m} needs "
                 f"phi0..phi{spec.data_count - 1}"
             )
-        program = exprparse.Program(exprparse.parse(init[key], dim, allow_t=False))
-        vals = exprparse.evaluate(program, grid_mesh)
+        trees.append(_parse_expr(init[key], f"initial.{key}", dim, allow_t=False))
+    phis = []
+    for r, vals in enumerate(exprparse.evaluate(exprparse.Program(trees), mesh(shape, box))):
         if not np.isfinite(vals).all():
-            raise ConfigError(f"initial.{key} is not finite at every grid point")
+            raise ConfigError(f"initial.phi{r} is not finite at every grid point")
         phis.append(_validated(Field, shape, box, np.broadcast_to(vals, shape).astype(complex)))
 
     forcing = None
     if cfg.has_section("forcing") and cfg.has_option("forcing", "f"):
-        fprogram = exprparse.Program(exprparse.parse(cfg["forcing"]["f"], dim, allow_t=True))
+        ftree = _parse_expr(cfg["forcing"]["f"], "forcing.f", dim, allow_t=True)
+        fprogram = exprparse.Program([ftree])
 
         def forcing(*args):
             *xs, t = args
-            return np.broadcast_to(exprparse.evaluate(fprogram, xs, t), shape)
+            (vals,) = exprparse.evaluate(fprogram, xs, t)
+            return np.broadcast_to(vals, shape)
 
     times = tuple(
         _number(v, "output.times")

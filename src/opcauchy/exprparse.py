@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the problem-file expression language.
+"""Parser and compiler for the problem-file expression language.
 
 Grammar:
 
@@ -12,11 +12,15 @@ Functions: sin cos exp sinh cosh sqrt abs.  Variables are x1..xn and
 (optionally) t; the bare identifier ``i`` is the imaginary unit, and a
 number may carry an ``i`` suffix (``3i``).  A factor takes at most one '^',
 whose exponent is a constant integer, so ``x1^2^3`` is a syntax error (write
-``(x1^2)^3``); unary minus binds tighter than the base of '^'.
+``(x1^2)^3``); unary minus binds tighter than the base of '^'.  Nesting of
+parentheses, calls and unary minuses deeper than ``MAX_NESTING`` levels is
+a syntax error.
 
-``evaluate`` walks a parsed tree.  ``Program`` compiles a tree into a DAG
-holding each distinct subtree once; ``evaluate`` runs it with the same numpy
-operations as the tree walk, so the values are bitwise equal.
+``parse`` reads an expression into a tree.  ``Program`` compiles a sequence
+of trees into one DAG holding each distinct subtree once, shared across the
+trees; ``evaluate`` runs it, one value per tree, with the numpy operations
+a walk of each tree would apply, so the values are bitwise equal to that
+walk's.
 """
 
 from __future__ import annotations
@@ -39,11 +43,13 @@ FUNCTIONS = {
     "abs": np.abs,
 }
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?i?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+#: A number, an identifier or an operator; whitespace between tokens is skipped.
+_TOKEN_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?i?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
+_AXIS_RE = re.compile(r"x(\d+)")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+#: Deepest nesting of parentheses, calls and unary minuses a parse accepts.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -81,130 +87,134 @@ class Pow:
 
 
 def _tokenize(src):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.end() == m.start():
-            stripped = src[pos:].lstrip()
-            if not stripped:
+    """The token texts of ``src`` from one regex pass, then "" for the end."""
+    tokens = _TOKEN_RE.findall(src)
+    if "".join(tokens) != "".join(src.split()):  # findall skipped a character
+        pos = 0
+        for m in _TOKEN_RE.finditer(src):
+            if src[pos : m.start()].strip():
                 break
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup is None:
             pos = m.end()
-            continue
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("end", "", len(src)))
+        raise ExprSyntaxError(f"unexpected character {src[pos:].lstrip()[0]!r}", pos)
+    tokens.append("")
     return tokens
 
 
 class _Parser:
+    """Precedence climbing over the token texts.
+
+    Sums and products are read in a loop; only parentheses, calls and
+    unary minus nest, and nesting deeper than ``MAX_NESTING`` is a syntax
+    error, so neither the parser nor ``Program`` recurses without bound.
+    """
+
     def __init__(self, src, dim, allow_t):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         self.dim = dim
         self.allow_t = allow_t
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, off = self.peek()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}", off)
-        self.advance()
+    def error(self, message, index=None):
+        """An ExprSyntaxError at the offset of token ``index`` (default: the
+        current one); offsets are found again only here, on failure."""
+        index = self.pos if index is None else index
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.src)] + [len(self.src)]
+        return ExprSyntaxError(message, starts[index])
 
     def parse(self):
-        node = self.expr()
-        kind, val, off = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"trailing input {val!r}", off)
+        node = self.expr(1)
+        if self.tokens[self.pos]:
+            raise self.error(f"trailing input {self.tokens[self.pos]!r}")
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
-
-    def term(self):
+    def expr(self, min_prec):
+        """Factors joined by binary operators of precedence >= min_prec,
+        left-associative."""
         node = self.factor()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.factor())
-            else:
+            op = self.tokens[self.pos]
+            prec = _PRECEDENCE.get(op, 0)
+            if prec < min_prec:
                 return node
+            self.pos += 1
+            node = BinOp(op, node, self.expr(prec + 1))
+
+    def nest(self, levels, index):
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nested deeper than {MAX_NESTING} levels", index)
 
     def factor(self):
-        node = self.unary()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
+        """unary ('^' integer)?, with the unary minuses counted, not recursed."""
+        tokens = self.tokens
+        start = self.pos
+        while tokens[self.pos] == "-":
+            self.pos += 1
+        negs = self.pos - start
+        self.nest(negs, start)
+        node = self.primary()
+        self.depth -= negs
+        for _ in range(negs):
+            node = Neg(node)
+        if tokens[self.pos] == "^":
+            self.pos += 1
             node = Pow(node, self.integer())
         return node
 
     def integer(self):
         sign = 1
-        kind, val, off = self.peek()
-        if kind == "op" and val == "-":
+        tok = self.tokens[self.pos]
+        if tok == "-":
             sign = -1
-            self.advance()
-            kind, val, off = self.peek()
-        if kind != "number" or not re.fullmatch(r"\d+", val):
-            raise NonIntegerExponent(f"'^' needs a constant integer exponent, got {val!r}")
-        self.advance()
-        return sign * int(val)
+            self.pos += 1
+            tok = self.tokens[self.pos]
+        if not tok.isdecimal():
+            raise NonIntegerExponent(f"'^' needs a constant integer exponent, got {tok!r}")
+        self.pos += 1
+        return sign * int(tok)
 
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.primary()
+    def group(self):
+        """'(' expr ')', one nesting level down."""
+        if self.tokens[self.pos] != "(":
+            raise self.error("expected '('")
+        self.nest(1, self.pos)
+        self.pos += 1
+        node = self.expr(1)
+        if self.tokens[self.pos] != ")":
+            raise self.error("expected ')'")
+        self.pos += 1
+        self.depth -= 1
+        return node
 
     def primary(self):
-        kind, val, off = self.advance()
-        if kind == "number":
-            if val.endswith("i"):
-                return Const(complex(0.0, float(val[:-1]) if val[:-1] else 1.0))
-            return Const(complex(float(val)))
-        if kind == "ident":
-            if val in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            if val == "i":
+        tok = self.tokens[self.pos]
+        if tok == "(":
+            return self.group()
+        self.pos += 1
+        lead = tok[:1]
+        if lead.isdecimal():
+            if tok[-1] == "i":
+                return Const(complex(0.0, float(tok[:-1])))
+            return Const(complex(float(tok)))
+        if lead.isalpha() or lead == "_":
+            if tok in FUNCTIONS:
+                return Call(tok, self.group())
+            if tok == "i":
                 return Const(1j)
-            if val == "t":
+            if tok == "t":
                 if not self.allow_t:
                     raise UnknownVariable("variable 't' not allowed here")
                 return Var("t")
-            m = re.fullmatch(r"x(\d+)", val)
+            m = _AXIS_RE.fullmatch(tok)
             if m:
                 axis = int(m.group(1))
                 if not 1 <= axis <= self.dim:
-                    raise UnknownVariable(f"variable {val!r} outside dimension {self.dim}")
-                return Var(val)
-            raise UnknownVariable(f"unknown identifier {val!r}")
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(f"unexpected token {val!r}", off)
+                    raise UnknownVariable(f"variable {tok!r} outside dimension {self.dim}")
+                return Var(tok)
+            raise UnknownVariable(f"unknown identifier {tok!r}")
+        raise self.error(f"unexpected token {tok!r}", self.pos - 1)
 
 
 def parse(src, dim, allow_t=False):
@@ -259,30 +269,38 @@ def _apply(node, operands, x, t):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate(node, x, t=None):
-    """Evaluate a parsed tree or a compiled ``Program``; x is a sequence of
-    coordinates (or arrays)."""
-    if isinstance(node, Program):
-        return node.run(x, t)
-    return _apply(node, [evaluate(c, x, t) for c in _parts(node)[0]], x, t)
-
-
 def _coords_key(x):
     """The coordinates' bytes: equal keys give bitwise-equal variable values."""
     arrays = [np.asarray(v) for v in x]
     return tuple((np.isscalar(v), a.dtype, a.shape, a.tobytes()) for v, a in zip(x, arrays))
 
 
-class Program:
-    """An expression tree compiled to a DAG of its distinct subtrees.
+def _sum_spine(tree):
+    """The tree's first term, then each '+'/'-' node of its left spine, in
+    the order the terms are read."""
+    spine = []
+    while isinstance(tree, BinOp) and tree.op in "+-":
+        spine.append(tree)
+        tree = tree.left
+    spine.append(tree)
+    return spine[::-1]
 
-    Hash-consing in one post-order pass gives each structurally equal
-    subtree one slot, evaluated once per call.  The t-free slots run before
-    the t-dependent ones, and each value is dropped after its last use.
-    A call given a time keeps the t-free values that a t-dependent slot or
-    the root reads, for the coordinates of that call; a later call whose
-    coordinates are byte for byte the same computes only the t-dependent
-    slots, and any other call evaluates afresh.
+
+class Program:
+    """Expression trees compiled to one DAG of their distinct subtrees.
+
+    Hash-consing in one post-order pass over all the trees gives each
+    structurally equal subtree one slot, evaluated once per call however
+    many trees share it.  The trees' sums are compiled term by term across
+    the trees (term i of every tree, then term i+1), so a value shared by
+    the trees' i-th terms is dropped right after its last reader; tree by
+    tree, every shared term would stay alive until the last tree.  The
+    t-free slots run before the t-dependent ones, and each value except a
+    root's is dropped after its last use.  A call given a time keeps the
+    t-free values that a t-dependent slot or a root reads, for the
+    coordinates of that call; a later call whose coordinates are byte for
+    byte the same computes only the t-dependent slots, and any other call
+    evaluates afresh.
 
     Cheap slots, a constant, a variable or one arithmetic operation on
     those (``7*x1``), are never kept: each reader recomputes them.  They are
@@ -291,9 +309,17 @@ class Program:
     whole expression.
     """
 
-    def __init__(self, tree):
+    def __init__(self, trees):
         self._nodes, self._args = [], []
-        self.root = self._visit(tree, {})
+        slot_of_key = {}
+        spines = [_sum_spine(tree) for tree in trees]
+        self.roots = [None] * len(spines)
+        for i in range(max(map(len, spines), default=0)):
+            for r, spine in enumerate(spines):
+                if i == 0:
+                    self.roots[r] = self._visit(spine[0], slot_of_key)
+                elif i < len(spine):
+                    self.roots[r] = self._join(spine[i], self.roots[r], slot_of_key)
         tdep, self._cheap = [], []
         for node, operands in zip(self._nodes, self._args):
             is_t = isinstance(node, Var) and node.name == "t"
@@ -308,6 +334,8 @@ class Program:
         for i in self._order:
             for a in self._args[i]:
                 self._last[a] = i
+        for r in self.roots:
+            self._last[r] = None
         self._held = None  # (coordinates key, slot values after the t-free pass)
 
     def _intern(self, node, key, operands, slot_of_key):
@@ -330,9 +358,13 @@ class Program:
         operands = tuple([self._visit(k, slot_of_key) for k in kids])
         slot = self._intern(node, (payload, operands), operands, slot_of_key)
         for b in reversed(spine):
-            operands = (slot, self._visit(b.right, slot_of_key))
-            slot = self._intern(b, ((BinOp, b.op), operands), operands, slot_of_key)
+            slot = self._join(b, slot, slot_of_key)
         return slot
+
+    def _join(self, b, left, slot_of_key):
+        """The slot of the BinOp ``b`` whose left operand has slot ``left``."""
+        operands = (left, self._visit(b.right, slot_of_key))
+        return self._intern(b, ((BinOp, b.op), operands), operands, slot_of_key)
 
     def _value(self, i, vals, x, t):
         """Slot i's value: kept in ``vals``, or recomputed if i is cheap."""
@@ -354,48 +386,20 @@ class Program:
                 if last[a] == i:
                     vals[a] = None
 
-    def run(self, x, t=None):
-        """The expression's value at coordinates ``x`` and time ``t``."""
-        if t is None:
-            vals = [None] * len(self._nodes)
-            self._exec(self._order, vals, x, t)
-        else:
-            key = _coords_key(x)
-            if self._held is None or self._held[0] != key:
-                self._held = None  # release the old mesh's values first
-                vals = [None] * len(self._nodes)
-                self._exec(self._t_free, vals, x, t)
-                self._held = (key, vals)
-            vals = list(self._held[1])
-            self._exec(self._t_dep, vals, x, t)
-        return self._value(self.root, vals, x, t)
 
-
-def pretty(node):
-    """Deterministic text form; parse(pretty(parse(s))) is a fixpoint."""
-    if isinstance(node, Const):
-        v = node.value
-        if v.imag == 0:
-            return _num(v.real)
-        if v.real == 0:
-            return f"{_num(v.imag)}i" if v.imag >= 0 else f"(-{_num(-v.imag)}i)"
-        raise ValueError("general complex constants are spelled a+bi in source")
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({pretty(node.arg)})"
-    if isinstance(node, Neg):
-        # unary minus binds tighter than '^', so a Pow child needs parens
-        inner = pretty(node.child)
-        if isinstance(node.child, Pow):
-            inner = f"({inner})"
-        return f"(-{inner})"
-    if isinstance(node, Pow):
-        return f"({pretty(node.base)})^{node.exponent}"
-    if isinstance(node, BinOp):
-        return f"({pretty(node.left)}{node.op}{pretty(node.right)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _num(v):
-    return repr(float(v))
+def evaluate(program, x, t=None):
+    """The values of a ``Program``'s trees at coordinates ``x`` (a sequence
+    of scalars or arrays) and time ``t``, one per tree, in the trees' order."""
+    if t is None:
+        vals = [None] * len(program._nodes)
+        program._exec(program._order, vals, x, t)
+    else:
+        key = _coords_key(x)
+        if program._held is None or program._held[0] != key:
+            program._held = None  # release the old mesh's values first
+            vals = [None] * len(program._nodes)
+            program._exec(program._t_free, vals, x, t)
+            program._held = (key, vals)
+        vals = list(program._held[1])
+        program._exec(program._t_dep, vals, x, t)
+    return [program._value(r, vals, x, t) for r in program.roots]

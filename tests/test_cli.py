@@ -351,6 +351,42 @@ class TestRunModes:
         assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("old,new,line", [
+        ("phi0 = sin(x1)", "phi0 = sin(x1) + $",
+         "error: initial.phi0: unexpected character '$' (at offset 9)"),
+        ("phi1 = 0", "phi1 = x2", "error: initial.phi1: variable 'x2' outside dimension 1"),
+        ("phi1 = 0", "phi1 = t", "error: initial.phi1: variable 't' not allowed here"),
+        ("phi0 = sin(x1)", "phi0 = x1^0.5",
+         "error: initial.phi0: '^' needs a constant integer exponent, got '0.5'"),
+        ("[output]", "[forcing]\nf = cos(t)*sin(x1\n\n[output]",
+         "error: forcing.f: expected ')' (at offset 13)"),
+        ("[output]", "[forcing]\nf = cos(s)\n\n[output]",
+         "error: forcing.f: unknown identifier 's'"),
+        ("phi1 = 0", "phi1 = 1/x1", "error: initial.phi1 is not finite at every grid point"),
+    ], ids=["syntax", "variable", "time", "exponent", "forcing-syntax", "forcing-variable",
+            "non-finite"])
+    def test_expression_errors_name_their_key(self, tmp_path, capsys, old, new, line):
+        problem = write_problem(tmp_path, HEAT_PRODUCT.replace(old, new))
+        out = tmp_path / "out"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            code = main(["--mode", "solve", "--problem", problem, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", [
+        "(" * 3000 + "x1" + ")" * 3000,
+        "-" * 3000 + "x1",
+    ], ids=["parentheses", "unary-minus"])
+    def test_deep_nesting_exit_2(self, tmp_path, capsys, field):
+        problem = write_problem(tmp_path, HEAT_PRODUCT.replace("phi0 = sin(x1)", f"phi0 = {field}"))
+        out = tmp_path / "out"
+        code = main(["--mode", "solve", "--problem", problem, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: initial.phi0: nested deeper than")
+        assert not out.exists()
+
     @pytest.mark.parametrize("old,new", [
         ("phi0 = sin(x1)", "phi0 = 1e308*sin(x1)"),
         ("[output]", "[forcing]\nf = 1e308*cos(t)*sin(x1)\n\n[output]"),

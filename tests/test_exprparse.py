@@ -1,5 +1,6 @@
 import copy
 import gc
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from opcauchy.cli import load_problem
 from opcauchy.errors import ExprSyntaxError, NonIntegerExponent, UnknownVariable
 from opcauchy.exprparse import (
     FUNCTIONS,
+    MAX_NESTING,
     BinOp,
     Call,
     Const,
@@ -18,16 +20,49 @@ from opcauchy.exprparse import (
     Pow,
     Program,
     Var,
+    _apply,
+    _parts,
     evaluate,
     parse,
-    pretty,
 )
 from opcauchy.multiplier import mesh
 
 
+def walk(node, x, t=None):
+    """The reference tree walk: each node's value from its operands' values."""
+    return _apply(node, [walk(c, x, t) for c in _parts(node)[0]], x, t)
+
+
+def pretty(node):
+    """Deterministic text form; parse(pretty(parse(s))) is a fixpoint."""
+    if isinstance(node, Const):
+        v = node.value
+        if v.imag == 0:
+            return repr(v.real)
+        if v.real == 0:
+            return f"{v.imag!r}i" if v.imag >= 0 else f"(-{-v.imag!r}i)"
+        raise ValueError("general complex constants are spelled a+bi in source")
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Call):
+        return f"{node.fn}({pretty(node.arg)})"
+    if isinstance(node, Neg):
+        # unary minus binds tighter than '^', so a Pow child needs parens
+        inner = pretty(node.child)
+        if isinstance(node.child, Pow):
+            inner = f"({inner})"
+        return f"(-{inner})"
+    if isinstance(node, Pow):
+        return f"({pretty(node.base)})^{node.exponent}"
+    if isinstance(node, BinOp):
+        return f"({pretty(node.left)}{node.op}{pretty(node.right)})"
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def ev(src, x, t=None, dim=None):
     dim = len(x) if dim is None else dim
-    return evaluate(parse(src, dim, allow_t=t is not None), x, t)
+    (value,) = evaluate(Program([parse(src, dim, allow_t=t is not None)]), x, t)
+    return value
 
 
 class TestParsing:
@@ -83,6 +118,39 @@ class TestParsing:
     def test_unknown_identifier(self):
         with pytest.raises(UnknownVariable):
             parse("tan(x1)", 1)
+
+    @pytest.mark.parametrize("src,error,message", [
+        ("x1 @ 2", ExprSyntaxError, "unexpected character '@' (at offset 2)"),
+        ("sin(x1)$", ExprSyntaxError, "unexpected character '$' (at offset 7)"),
+        ("  $", ExprSyntaxError, "unexpected character '$' (at offset 0)"),
+        ("x1 +\t@", ExprSyntaxError, "unexpected character '@' (at offset 4)"),
+        ("1.5.3", ExprSyntaxError, "unexpected character '.' (at offset 3)"),
+        ("(x1))", ExprSyntaxError, "trailing input ')' (at offset 4)"),
+        ("(x1^2^3)", ExprSyntaxError, "expected ')' (at offset 5)"),
+        ("sin x1", ExprSyntaxError, "expected '(' (at offset 4)"),
+        ("x1 * * 2", ExprSyntaxError, "unexpected token '*' (at offset 5)"),
+        ("   ", ExprSyntaxError, "unexpected token '' (at offset 3)"),
+        ("3e+", ExprSyntaxError, "trailing input 'e' (at offset 1)"),
+        ("x1^-", NonIntegerExponent, "'^' needs a constant integer exponent, got ''"),
+        ("x9", UnknownVariable, "variable 'x9' outside dimension 2"),
+    ])
+    def test_error_messages(self, src, error, message):
+        with pytest.raises(error) as exc:
+            parse(src, 2)
+        assert str(exc.value) == message
+
+    def test_nesting_limit(self):
+        for depth, ok in ((MAX_NESTING, True), (MAX_NESTING + 1, False)):
+            for src in ("(" * depth + "x1" + ")" * depth,
+                        "-" * depth + "x1",
+                        "sin(" * depth + "x1" + ")" * depth,
+                        "-(" * (depth // 2) + "-" * (depth % 2) + "x1" + ")" * (depth // 2)):
+                if ok:
+                    (value,) = evaluate(Program([parse(src, 1)]), [np.array([0.5])])
+                    assert np.isfinite(value).all()
+                else:
+                    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+                        parse(src, 1)
 
 
 class TestEvaluate:
@@ -160,8 +228,8 @@ class TestPretty:
             assert pretty(reparsed) == text
             x = [0.3, -0.7, 1.1]
             with np.errstate(divide="ignore", invalid="ignore"):
-                a = evaluate(tree, x, 0.9)
-                b = evaluate(reparsed, x, 0.9)
+                a = walk(tree, x, 0.9)
+                b = walk(reparsed, x, 0.9)
             if np.isfinite(a) and np.isfinite(b):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
@@ -205,13 +273,25 @@ def _grow(children):
 _subtrees = st.recursive(_leaves, _grow, max_leaves=6)
 
 
+def _built_over(pool):
+    """Trees over the subtrees in ``pool``, each reused as the same object
+    and as structurally equal copies."""
+    reused = st.sampled_from(pool)
+    return st.recursive(reused | reused.map(copy.deepcopy), _grow, max_leaves=8)
+
+
 @st.composite
 def trees_with_repeats(draw):
-    """Trees built over a few subtrees, each reused as the same object and
-    as structurally equal copies."""
+    """Trees built over a few subtrees."""
+    return draw(_built_over(draw(st.lists(_subtrees, min_size=1, max_size=3))))
+
+
+@st.composite
+def forests_with_repeats(draw):
+    """Lists of 1-6 trees built over one pool of a few subtrees, so the
+    trees share subtrees and sum terms."""
     pool = draw(st.lists(_subtrees, min_size=1, max_size=3))
-    reused = st.sampled_from(pool)
-    return draw(st.recursive(reused | reused.map(copy.deepcopy), _grow, max_leaves=8))
+    return draw(st.lists(_built_over(pool), min_size=1, max_size=6))
 
 
 # coordinates with signed zeros and values that overflow exp
@@ -245,16 +325,16 @@ class TestProgram:
         st.sampled_from([None, 0.0, -0.0, 0.3, 2.0, 710.0]), min_size=1, max_size=4))
     def test_bitwise_equal_to_tree_walk(self, tree, ts):
         # t = None evaluates in one pass; a time keeps the t-free values
-        program = Program(tree)
+        program = Program([tree])
         for t in ts:
-            expect = outcome(lambda: evaluate(tree, COORDS, t))
-            assert outcome(lambda: evaluate(program, COORDS, t)) == expect
+            expect = outcome(lambda: walk(tree, COORDS, t))
+            assert outcome(lambda: evaluate(program, COORDS, t)[0]) == expect
 
     def test_repeated_subtree_runs_once(self, trig_calls):
         tree = parse("cos(7*x1+7*x2)*2+sin(7*x1+7*x2)-cos(7*x1+7*x2)", 2)
-        got = evaluate(Program(tree), COORDS[:2])
+        (got,) = evaluate(Program([tree]), COORDS[:2])
         assert trig_calls == {"cos": 1, "sin": 1}
-        assert bits(got) == bits(evaluate(tree, COORDS[:2]))
+        assert bits(got) == bits(walk(tree, COORDS[:2]))
 
     def test_forcing_samples_t_free_parts_once(self, tmp_path, trig_calls):
         path = tmp_path / "forced.ini"
@@ -278,21 +358,21 @@ class TestProgram:
         # sin(x1) and x2/x1+x1 are kept between calls; t*sin(x1) carries
         # the sign of a zero x1
         tree = parse("t*sin(x1)", 2, allow_t=True)
-        program = Program(tree)
+        program = Program([tree])
         first = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)]
         second = [np.linspace(-3.0, 3.0, 5), np.linspace(0.5, 0.7, 5)]
         for xs, t in ((first, 0.1), (second, 0.2), (first, 0.3)):
-            assert bits(evaluate(program, xs, t)) == bits(evaluate(tree, xs, t))
+            assert bits(evaluate(program, xs, t)[0]) == bits(walk(tree, xs, t))
         # coordinates changed in place: a value, then only the sign of a zero
         first[0][2] = 7.0
-        assert bits(evaluate(program, first, 0.3)) == bits(evaluate(tree, first, 0.3))
+        assert bits(evaluate(program, first, 0.3)[0]) == bits(walk(tree, first, 0.3))
         first[0][0] = -0.0
-        assert bits(evaluate(program, first, 0.3)) == bits(evaluate(tree, first, 0.3))
+        assert bits(evaluate(program, first, 0.3)[0]) == bits(walk(tree, first, 0.3))
         # scalars, then 0-d arrays of the same bytes, which the tree walk types apart
         tree = parse("(x2/x1+x1)*t", 2, allow_t=True)
-        program = Program(tree)
+        program = Program([tree])
         for xs in ([2.0, 3.0], [np.array(2.0), np.array(3.0)]):
-            assert bits(evaluate(program, xs, 0.3)) == bits(evaluate(tree, xs, 0.3))
+            assert bits(evaluate(program, xs, 0.3)[0]) == bits(walk(tree, xs, 0.3))
 
     def test_compile_and_run_leave_no_reference_cycles(self):
         # intermediates and compile tables must be freed at once, not whenever
@@ -301,7 +381,7 @@ class TestProgram:
         gc.collect()
         gc.disable()
         try:
-            program = Program(tree)
+            program = Program([tree])
             evaluate(program, COORDS[:2], 0.5)
             evaluate(program, COORDS[:2])
             del program
@@ -313,4 +393,73 @@ class TestProgram:
         n = 3000
         tree = parse("+".join(f"{k}*x1" for k in range(n)), 1)
         x = [np.array([1.0, 2.0])]
-        assert np.array_equal(evaluate(Program(tree), x), n * (n - 1) // 2 * x[0])
+        assert np.array_equal(evaluate(Program([tree]), x)[0], n * (n - 1) // 2 * x[0])
+
+
+def _trig_field(coeffs, waves):
+    """sum_j coeffs[j] * (cos or sin, alternating)(waves[j // 2]) as text."""
+    return "+".join(
+        f"{c!r}*{'sin' if j % 2 else 'cos'}({waves[j // 2]})" for j, c in enumerate(coeffs)
+    )
+
+
+class TestMultiRoot:
+    """One Program over several trees: every field of a problem file."""
+
+    _A = BinOp("+", Call("sin", Var("x1")), BinOp("*", Var("x2"), Var("x3")))
+    _B = Call("cos", BinOp("-", Var("x3"), Const(2j)))
+
+    @settings(max_examples=200, deadline=None)
+    @example(  # a root is also a term and a left operand of other roots
+        trees=[_A, BinOp("+", _A, _B), BinOp("-", _B, _A), _A.left], ts=[None, 0.5])
+    @given(trees=forests_with_repeats(), ts=st.lists(
+        st.sampled_from([None, 0.0, -0.0, 0.3, 710.0]), min_size=1, max_size=3))
+    def test_bitwise_equal_to_each_tree_walk(self, trees, ts):
+        program = Program(trees)
+        for t in ts:
+            expect = [outcome(lambda tree=tree: walk(tree, COORDS, t)) for tree in trees]
+            try:
+                with np.errstate(all="ignore"):
+                    got = [bits(v) for v in evaluate(program, COORDS, t)]
+            except ArithmeticError:
+                # which error comes first may differ: t-free slots run first
+                assert any(isinstance(e, type) for e in expect)
+            else:
+                assert got == expect
+
+    def test_fields_evaluate_shared_trig_once(self, tmp_path, trig_calls):
+        waves = ["x1+2*x2", "3*x1-x2"]
+        fields = [_trig_field([0.5 / (r + 1), -0.25, 1.0 + r, 2.0], waves) for r in range(6)]
+        path = tmp_path / "even.ini"
+        path.write_text(
+            "[equation]\nkind = even_order_product\nm = 3\nroots = 1 1.5 2\n"
+            "[operator]\ndim = 2\nterms = alpha=2 0: coeff=1 ; alpha=0 2: coeff=1\n"
+            "[grid]\nshape = 8 8\nbox = 6.283185307179586 6.283185307179586\n"
+            "[initial]\n" + "".join(f"phi{r} = {f}\n" for r, f in enumerate(fields))
+            + "[output]\ntimes = 1\n"
+        )
+        problem = load_problem(str(path))
+        assert trig_calls == {"cos": 2, "sin": 2}
+        x = mesh(problem.shape, problem.box)
+        for field, text in zip(problem.phi, fields):
+            assert bits(field.data) == bits(walk(parse(text, 2), x))
+
+    def test_shared_terms_released_term_by_term(self):
+        # tree by tree, all 25 shared trig values would stay alive until the
+        # last field read them
+        shape = (16, 16, 16)
+        x = mesh(shape, (2 * np.pi,) * 3)
+        waves = [f"{j + 1}*x1+{j + 2}*x2-{j + 3}*x3" for j in range(13)]
+        program = Program([
+            parse(_trig_field([(j + 1) / (r + 1) for j in range(25)], waves), 3)
+            for r in range(6)
+        ])
+        grid_bytes = np.empty(shape, complex).nbytes
+        tracemalloc.start()
+        try:
+            values = evaluate(program, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == 6 and all(v.shape == shape for v in values)
+        assert peak < (6 + 6) * grid_bytes
