@@ -18,9 +18,9 @@ from .kernels import (
     sinhc_sqrt,
     solve,
 )
-from .multiplier import Field, SpectralField, apply_multiplier, from_spectral, to_spectral
+from .multiplier import Field, apply_multiplier, from_spectral, to_spectral
 from .oracle import kernel_discrepancy_probe, mode_ode_solve, residual_check
-from .spherical import SphereQuadrature, sinhc_spherical, sphere_mean
+from .spherical import SphereQuadrature, sinhc_spherical
 from .symbol_poly import (
     CharacteristicSpec,
     Kind,
@@ -41,7 +41,6 @@ __all__ = [
     "NonFiniteForcing",
     "NonmonicZero",
     "OpcauchyError",
-    "SpectralField",
     "SphereQuadrature",
     "StabilityReport",
     "SymbolPolynomial",
@@ -60,7 +59,6 @@ __all__ = [
     "sinhc_spherical",
     "sinhc_sqrt",
     "solve",
-    "sphere_mean",
     "to_spectral",
 ]
 __version__ = "0.1.0"

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import enum
 import itertools
 import struct
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,25 +40,6 @@ from .symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial
 
 VERDICT_FILENAME = "probe_verdict.txt"
 MAGIC = b"OPC1"
-
-
-class Mode(enum.Enum):
-    SOLVE = "solve"
-    VERIFY = "verify"
-    PROBE = "probe"
-    CONVERGENCE = "convergence"
-    COMPARE_SPHERICAL = "compare-spherical"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: Mode
-    problem: str = None
-    quad_nodes: int = 64
-    sphere_order: int = 29
-    out: str = "out"
-    seed: int = 0
-    permissive_overflow: bool = False
 
 
 class ConfigError(OpcauchyError):
@@ -142,9 +122,9 @@ def load_problem(path):
 
     The initial fields are compiled into one ``exprparse.Program`` and
     evaluated in one call, so a subtree they share is evaluated once.  The
-    forcing is a Program of its own: it keeps its t-free values for the
-    mesh it is sampled on, so a sample at a new time computes only the
-    t-dependent parts.
+    forcing is a Program of its own, bound to the problem's mesh here: its
+    t-free parts are evaluated once, and a sample at a time t computes only
+    the t-dependent parts.
     """
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = cfg.read(path)
@@ -200,8 +180,9 @@ def load_problem(path):
                 f"phi0..phi{spec.data_count - 1}"
             )
         trees.append(_parse_expr(init[key], f"initial.{key}", dim, allow_t=False))
+    grid_mesh = mesh(shape, box)
     phis = []
-    for r, vals in enumerate(exprparse.evaluate(exprparse.Program(trees), mesh(shape, box))):
+    for r, vals in enumerate(exprparse.evaluate(exprparse.Program(trees), grid_mesh)):
         if not np.isfinite(vals).all():
             raise ConfigError(f"initial.phi{r} is not finite at every grid point")
         phis.append(_validated(Field, shape, box, np.broadcast_to(vals, shape).astype(complex)))
@@ -209,11 +190,10 @@ def load_problem(path):
     forcing = None
     if cfg.has_section("forcing") and cfg.has_option("forcing", "f"):
         ftree = _parse_expr(cfg["forcing"]["f"], "forcing.f", dim, allow_t=True)
-        fprogram = exprparse.Program([ftree])
+        sample = exprparse.sampler(exprparse.Program([ftree]), grid_mesh)
 
-        def forcing(*args):
-            *xs, t = args
-            (vals,) = exprparse.evaluate(fprogram, xs, t)
+        def forcing(t):
+            (vals,) = sample(t)
             return np.broadcast_to(vals, shape)
 
     times = tuple(
@@ -435,18 +415,14 @@ def _run_compare_spherical(config):
     return 0
 
 
-def run(config: RunConfig) -> int:
-    if config.mode is not Mode.PROBE and config.problem is None:
-        raise ConfigError("--problem is required for this mode")
-    if config.mode is Mode.SOLVE:
-        return _run_solve(config)
-    if config.mode is Mode.VERIFY:
-        return _run_verify(config)
-    if config.mode is Mode.PROBE:
-        return _run_probe(config)
-    if config.mode is Mode.CONVERGENCE:
-        return _run_convergence(config)
-    return _run_compare_spherical(config)
+#: The run of each ``--mode``; each takes the parsed command line as its config.
+_MODES = {
+    "solve": _run_solve,
+    "verify": _run_verify,
+    "probe": _run_probe,
+    "convergence": _run_convergence,
+    "compare-spherical": _run_compare_spherical,
+}
 
 
 def _integer_at_least(least):
@@ -466,7 +442,7 @@ def build_parser():
         prog="opcauchy",
         description="closed-form solver for higher-order linear Cauchy problems",
     )
-    ap.add_argument("--mode", required=True, choices=[m.value for m in Mode])
+    ap.add_argument("--mode", required=True, choices=list(_MODES))
     ap.add_argument("--problem", default=None, help="problem definition file")
     ap.add_argument("--quad-nodes", type=_integer_at_least(1), default=64)
     ap.add_argument("--sphere-order", type=_integer_at_least(0), default=29)
@@ -478,17 +454,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        mode=Mode(args.mode),
-        problem=args.problem,
-        quad_nodes=args.quad_nodes,
-        sphere_order=args.sphere_order,
-        out=args.out,
-        seed=args.seed,
-        permissive_overflow=args.permissive_overflow,
-    )
     try:
-        return run(config)
+        if args.mode != "probe" and args.problem is None:
+            raise ConfigError("--problem is required for this mode")
+        return _MODES[args.mode](args)
     except InconclusiveProbe as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -18,9 +18,10 @@ a syntax error.
 
 ``parse`` reads an expression into a tree.  ``Program`` compiles a sequence
 of trees into one DAG holding each distinct subtree once, shared across the
-trees; ``evaluate`` runs it, one value per tree, with the numpy operations
-a walk of each tree would apply, so the values are bitwise equal to that
-walk's.
+trees.  ``sampler`` binds a Program to coordinates and runs its t-free parts
+once; the sampler then gives the trees' values at any time.  ``evaluate``
+is one such sample.  Both apply the numpy operations a walk of each tree
+would apply, so the values are bitwise equal to that walk's.
 """
 
 from __future__ import annotations
@@ -269,12 +270,6 @@ def _apply(node, operands, x, t):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _coords_key(x):
-    """The coordinates' bytes: equal keys give bitwise-equal variable values."""
-    arrays = [np.asarray(v) for v in x]
-    return tuple((np.isscalar(v), a.dtype, a.shape, a.tobytes()) for v, a in zip(x, arrays))
-
-
 def _sum_spine(tree):
     """The tree's first term, then each '+'/'-' node of its left spine, in
     the order the terms are read."""
@@ -296,11 +291,9 @@ class Program:
     the trees' i-th terms is dropped right after its last reader; tree by
     tree, every shared term would stay alive until the last tree.  The
     t-free slots run before the t-dependent ones, and each value except a
-    root's is dropped after its last use.  A call given a time keeps the
-    t-free values that a t-dependent slot or a root reads, for the
-    coordinates of that call; a later call whose coordinates are byte for
-    byte the same computes only the t-dependent slots, and any other call
-    evaluates afresh.
+    root's is dropped after its last use.  A Program holds no values: a
+    ``sampler`` keeps the t-free values that a t-dependent slot or a root
+    reads.
 
     Cheap slots, a constant, a variable or one arithmetic operation on
     those (``7*x1``), are never kept: each reader recomputes them.  They are
@@ -329,14 +322,12 @@ class Program:
         kept = [i for i, cheap in enumerate(self._cheap) if not cheap]
         self._t_free = [i for i in kept if not tdep[i]]
         self._t_dep = [i for i in kept if tdep[i]]
-        self._order = self._t_free + self._t_dep
         self._last = [None] * len(self._nodes)  # the slot that reads each slot last
-        for i in self._order:
+        for i in self._t_free + self._t_dep:
             for a in self._args[i]:
                 self._last[a] = i
         for r in self.roots:
             self._last[r] = None
-        self._held = None  # (coordinates key, slot values after the t-free pass)
 
     def _intern(self, node, key, operands, slot_of_key):
         slot = slot_of_key.get(key)
@@ -387,19 +378,26 @@ class Program:
                     vals[a] = None
 
 
-def evaluate(program, x, t=None):
-    """The values of a ``Program``'s trees at coordinates ``x`` (a sequence
-    of scalars or arrays) and time ``t``, one per tree, in the trees' order."""
-    if t is None:
-        vals = [None] * len(program._nodes)
-        program._exec(program._order, vals, x, t)
-    else:
-        key = _coords_key(x)
-        if program._held is None or program._held[0] != key:
-            program._held = None  # release the old mesh's values first
-            vals = [None] * len(program._nodes)
-            program._exec(program._t_free, vals, x, t)
-            program._held = (key, vals)
-        vals = list(program._held[1])
+def sampler(program, x):
+    """A callable t -> the values of a ``Program``'s trees at coordinates ``x``
+    (a sequence of scalars or arrays, not changed afterwards) and time ``t``,
+    one per tree, in the trees' order.
+
+    The t-free slots run here, once; each call runs only the t-dependent
+    slots.
+    """
+    held = [None] * len(program._nodes)
+    program._exec(program._t_free, held, x, None)
+
+    def sample(t):
+        vals = list(held)
         program._exec(program._t_dep, vals, x, t)
-    return [program._value(r, vals, x, t) for r in program.roots]
+        return [program._value(r, vals, x, t) for r in program.roots]
+
+    return sample
+
+
+def evaluate(program, x, t=None):
+    """The values of a ``Program``'s trees at coordinates ``x`` and time
+    ``t``: one sample of ``sampler(program, x)``."""
+    return sampler(program, x)(t)

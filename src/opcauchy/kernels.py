@@ -29,7 +29,7 @@ from math import comb, factorial, perm
 import numpy as np
 
 from .errors import NonFiniteForcing, UnresolvedKernel
-from .multiplier import Field, SpectralField, from_spectral, mesh, to_spectral
+from .multiplier import Field, from_spectral, to_spectral
 from .quadrature import gauss_rule
 from .symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial, symbol_grid, wavevectors
 
@@ -39,8 +39,7 @@ TAU_PRIME_MEASURE = "tau_prime"
 #: Real part of the exponent beyond which results saturate and are flagged.
 OVERFLOW_LIMIT = 700.0
 
-#: (node, mode) values per temporary of the Duhamel sum.  Nodes are batched
-#: up to this budget, so a grid this large is summed one node at a time.
+#: (node, distinct symbol value) entries per kernel table of the Duhamel sum.
 _DUHAMEL_BATCH = 1 << 12
 
 
@@ -55,19 +54,21 @@ def _sat_exp(w):
 
 
 @lru_cache(maxsize=None)
-def _series_coeffs(step, k):
-    """Taylor coefficients 1/(s i + k + s - 1)! of f_k, i < 64."""
-    return [1 / factorial(step * i + k + step - 1) for i in range(64)]
-
-
-def _series(z, step, k, reach):
-    """f_k(z) by Horner's rule, with the terms |z| <= reach needs for roundoff."""
-    coeffs = _series_coeffs(step, k)
+def _series_coeffs(step, k, radius):
+    """Taylor coefficients 1/(s i + k + s - 1)! of f_k, i < 64, as many as
+    |z| < radius needs for roundoff."""
+    coeffs = [1 / factorial(step * i + k + step - 1) for i in range(64)]
     n = 1
-    while n < len(coeffs) and reach**n * coeffs[n] > 1e-18 * coeffs[0]:
+    while n < len(coeffs) and radius**n * coeffs[n] > 1e-18 * coeffs[0]:
         n += 1
-    acc = np.full_like(z, coeffs[n - 1])
-    for c in coeffs[n - 2 :: -1]:
+    return coeffs[:n]
+
+
+def _series(z, step, k, radius):
+    """f_k(z) on the disc |z| < radius by Horner's rule."""
+    coeffs = _series_coeffs(step, k, radius)
+    acc = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
         acc *= z
         acc += c
     return acc
@@ -103,11 +104,10 @@ def _time_kernels(step, mu, t, lo, hi):
         f[k] *= inverse
     zs = z[near]
     if zs.size:
-        reach = np.abs(zs).max()
         inside = {}
         for k in range(hi, max(lo, 1 - step) - 1, -1):
             if k + step > hi:
-                inside[k] = _series(zs, step, k, reach)
+                inside[k] = _series(zs, step, k, radius)
             else:
                 inside[k] = zs * inside[k + step] + 1 / factorial(k + step - 1)
             f[k][near] = inside[k]
@@ -163,15 +163,13 @@ def _repeated_root_weights(m, measure):
 def _kernel_terms(spec, measure):
     """G as groups (scale, terms) and their terms (w, a, k): the sum of
     w t^a T_k(t; scale * p) with s = ``spec.step``."""
-    m = spec.m
-    if spec.kind is Kind.FIRST_ORDER_PRODUCT:
-        # sum_j c_j t^(m-1) phi_{m-1}(a_j p t)
-        return [(a, [(c, 0, m - 1)]) for c, a in zip(spec.pf, spec.roots)]
-    if spec.kind is Kind.EVEN_ORDER_PRODUCT:
-        # sum_j d_j t^(2m-1) sigma_{2m-2}(a_j^2 p t^2)
-        return [(a * a, [(d, 0, 2 * m - 2)]) for d, a in zip(spec.pf, spec.roots)]
-    e, gammas = _repeated_root_weights(m, measure)
-    return [(1.0, [(float(g), j, e - 1 - j) for j, g in enumerate(gammas)])]
+    m, s = spec.m, spec.step
+    if spec.kind is Kind.REPEATED_ROOT:
+        e, gammas = _repeated_root_weights(m, measure)
+        return [(1.0, [(float(g), j, e - 1 - j) for j, g in enumerate(gammas)])]
+    # sum_j c_j T_{s(m-1)}(t; a_j^s p): phi_{m-1} for s = 1, sigma_{2m-2} for
+    # s = 2; a * a, not a**2, which can flip the sign of a zero imaginary part
+    return [(a * a if s == 2 else a, [(c, 0, s * (m - 1))]) for c, a in zip(spec.pf, spec.roots)]
 
 
 def _kernel(spec, p, t, orders, measure=TAU_PRIME_MEASURE):
@@ -198,9 +196,8 @@ def _distinct(modes):
     (trailing axes ``modes.shape``).
 
     The kernels depend on a mode through p alone and elementwise, so they are
-    evaluated on ``values`` only.  The series term count follows the largest
-    |z| of a call, which the distinct values share with the modes, so every
-    gathered value is bitwise the one the full grid would give.
+    evaluated on ``values`` only, and every gathered value is bitwise the one
+    the full grid, or the mode alone, would give.
     """
     values, index = np.unique(modes.ravel(), return_inverse=True)
     index = index.reshape(modes.shape)
@@ -227,8 +224,11 @@ def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None):
     Gauss-Legendre sum.
 
     ``fhat`` is a callable tau -> forcing coefficient (scalar or an array of
-    p's shape).  For the repeated-root kind G is the kernel of ``measure``,
-    which the discrepancy probe decides.
+    p's shape).  G is tabulated on chunks of nodes over the distinct symbol
+    values, and the nodes are added one at a time in node order, so a mode's
+    value does not depend on the other modes of the call.  For the
+    repeated-root kind G is the kernel of ``measure``, which the discrepancy
+    probe decides.
     """
     modes = _modes(p)
     total = np.zeros(modes.shape, dtype=complex)
@@ -240,15 +240,12 @@ def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None):
             )
         tau, w = gauss_rule(nodes, t)
         values, gather = _distinct(modes)
-        batch = max(1, _DUHAMEL_BATCH // modes.size)
+        batch = max(1, _DUHAMEL_BATCH // values.size)
         for lo in range(0, nodes, batch):
-            taus, ws = tau[lo : lo + batch], w[lo : lo + batch]
-            forcing = np.stack(
-                [wi * np.broadcast_to(fhat(x), modes.shape) for x, wi in zip(taus, ws)]
-            )
-            lag = (t - taus)[:, None]
-            kernel = gather(_kernel(spec, values, lag, (0,), measure)[0])
-            total += np.sum(kernel * forcing, axis=0)
+            taus = tau[lo : lo + batch]
+            table = _kernel(spec, values, (t - taus)[:, None], (0,), measure)[0]
+            for row, x, wi in zip(table, taus, w[lo : lo + batch]):
+                total += gather(row) * (wi * fhat(x))
     return _like(p, total / spec.lead)
 
 
@@ -288,7 +285,7 @@ def homogeneous_mode(spec, p, phihat, t):
 class CauchyProblem:
     """A periodic-grid Cauchy problem for one of the three operator kinds.
 
-    ``forcing`` is a callable (mesh arrays..., t) -> samples, or None.
+    ``forcing`` is a callable t -> samples on the problem's grid, or None.
     ``measure`` selects the repeated-root forcing kernel ('plain' or
     'tau_prime', as the discrepancy probe decides); it is needed only when a
     repeated-root problem is forced.
@@ -318,6 +315,14 @@ class CauchyProblem:
         if self.measure not in (None, PLAIN_MEASURE, TAU_PRIME_MEASURE):
             raise ValueError(f"unknown measure {self.measure!r}")
 
+    def forcing_hat(self, t):
+        """Fourier coefficients of the forcing at time t; a sample that is not
+        finite raises NonFiniteForcing."""
+        samples = np.asarray(self.forcing(t), dtype=complex)
+        if not np.isfinite(samples).all():
+            raise NonFiniteForcing(f"forcing is not finite at t = {float(t):.17g}")
+        return to_spectral(samples)
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -330,12 +335,13 @@ class StabilityReport:
 
 
 def _growth_rates(spec, pgrid):
-    """Re(lambda) of the fastest-growing mode eigenvalue, per root."""
-    if spec.kind is Kind.FIRST_ORDER_PRODUCT:
-        return [np.real(a * pgrid) for a in spec.roots]
-    if spec.kind is Kind.EVEN_ORDER_PRODUCT:
-        return [np.abs(np.real(a * np.sqrt(pgrid.astype(complex)))) for a in spec.roots]
-    return [np.abs(np.real(np.sqrt(pgrid.astype(complex))))]
+    """Re(lambda) of the fastest-growing mode eigenvalue, per kernel group:
+    Re(mu p) for the first-order kind, |Re sqrt(mu p)| otherwise."""
+    p = pgrid.astype(complex)
+    return [
+        np.real(mu * p) if spec.step == 1 else np.abs(np.real(np.sqrt(mu * p)))
+        for mu, _ in _kernel_terms(spec, TAU_PRIME_MEASURE)
+    ]
 
 
 def stability_report(spec, pgrid, shape, t_max, nonfinite):
@@ -367,17 +373,7 @@ def solve(problem: CauchyProblem, nodes=64):
     """
     spec = problem.spec
     pgrid = symbol_grid(problem.P, problem.shape, problem.box)
-    phihat = [to_spectral(f).data for f in problem.phi]
-    grid_mesh = mesh(problem.shape, problem.box)
-    size = int(np.prod(problem.shape))
-
-    fhat_at = None
-    if problem.forcing is not None:
-        def fhat_at(tau):
-            samples = np.asarray(problem.forcing(*grid_mesh, tau), dtype=complex)
-            if not np.isfinite(samples).all():
-                raise NonFiniteForcing(f"forcing is not finite at t = {float(tau):.17g}")
-            return np.fft.fftn(samples) / size
+    phihat = [to_spectral(f.data) for f in problem.phi]
 
     snapshots = []
     nonfinite = 0
@@ -385,13 +381,12 @@ def solve(problem: CauchyProblem, nodes=64):
         # saturated modes may hit inf/nan; they are reported, not suppressed
         with np.errstate(over="ignore", invalid="ignore"):
             uhat = homogeneous_mode(spec, pgrid, phihat, t)
-            if fhat_at is not None:
+            if problem.forcing is not None:
                 uhat = uhat + inhomogeneous_mode(
-                    spec, pgrid, fhat_at, t, nodes=nodes, measure=problem.measure
+                    spec, pgrid, problem.forcing_hat, t, nodes=nodes, measure=problem.measure
                 )
         nonfinite += int(np.count_nonzero(~np.isfinite(uhat)))
-        u = from_spectral(SpectralField(problem.shape, problem.box, uhat))
-        snapshots.append((t, u))
+        snapshots.append((t, Field(problem.shape, problem.box, from_spectral(uhat))))
 
     t_max = max(problem.t_points) if problem.t_points else 0.0
     report = stability_report(spec, pgrid, problem.shape, t_max, nonfinite)

@@ -44,29 +44,21 @@ class Field:
         return cls(tuple(shape), tuple(box), np.zeros(tuple(shape), dtype=complex))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Fourier coefficients u(x) = sum_k c_k exp(i 2 pi k.x / L)."""
-
-    shape: tuple
-    box: tuple
-    data: np.ndarray
-
-
 def mesh(shape, box):
     """Coordinate arrays of the periodic grid, endpoint excluded."""
     axes = [box[d] * np.arange(shape[d]) / shape[d] for d in range(len(shape))]
     return np.meshgrid(*axes, indexing="ij")
 
 
-def to_spectral(u: Field) -> SpectralField:
-    coeffs = np.fft.fftn(u.data) / u.data.size
-    return SpectralField(u.shape, u.box, coeffs)
+def to_spectral(samples):
+    """The Fourier coefficients c_k of grid samples of
+    u(x) = sum_k c_k exp(i 2 pi k.x / L), in FFT order."""
+    return np.fft.fftn(samples) / samples.size
 
 
-def from_spectral(s: SpectralField) -> Field:
-    data = np.fft.ifftn(s.data * s.data.size)
-    return Field(s.shape, s.box, data)
+def from_spectral(coeffs):
+    """The grid samples of the Fourier coefficients ``coeffs``."""
+    return np.fft.ifftn(coeffs * coeffs.size)
 
 
 def apply_multiplier(u: Field, g, P):

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 from . import kernels
 from .errors import InconclusiveProbe, InsufficientSnapshots
-from .multiplier import Field, mesh
+from .multiplier import to_spectral
 from .quadrature import gauss_rule
 from .symbol_poly import CharacteristicSpec, symbol_grid
 
@@ -192,8 +192,7 @@ def residual_check(snapshots, problem, fd_order=6):
         raise InsufficientSnapshots("snapshots must be uniformly spaced")
 
     spec = problem.spec
-    size = int(np.prod(problem.shape))
-    uhat = np.stack([np.fft.fftn(f.data) / size for _, f in snapshots])
+    uhat = np.stack([to_spectral(f.data) for _, f in snapshots])
     pgrid = symbol_grid(problem.P, problem.shape, problem.box)
     terms = _operator_orders(spec)
     d_max = max(d for d, _, _ in terms)
@@ -205,13 +204,6 @@ def residual_check(snapshots, problem, fd_order=6):
             f"need at least {width} snapshots for order-{d_max} time derivatives"
         )
     half = width // 2
-
-    grid_mesh = mesh(problem.shape, problem.box)
-
-    def fhat_at(t):
-        if problem.forcing is None:
-            return np.zeros(problem.shape, dtype=complex)
-        return np.fft.fftn(np.asarray(problem.forcing(*grid_mesh, t), complex)) / size
 
     residual_times, per_time = [], []
     for i in range(half, nt - half):
@@ -225,13 +217,13 @@ def residual_check(snapshots, problem, fd_order=6):
             term = b * pgrid**ppow * du
             total = total + term
             scale = max(scale, float(np.linalg.norm(term)))
-        fh = fhat_at(ts[i])
+        fh = 0.0 if problem.forcing is None else problem.forcing_hat(ts[i])
         scale = max(scale, float(np.linalg.norm(fh)), 1e-300)
         rel = float(np.linalg.norm(total - fh)) / scale
         residual_times.append(float(ts[i]))
         per_time.append(rel)
 
-    phihat = [np.fft.fftn(f.data) / size for f in problem.phi]
+    phihat = [to_spectral(f.data) for f in problem.phi]
     ic_errors = []
     for r in range(spec.data_count):
         npts = min(nt, r + fd_order + 1)

@@ -56,39 +56,14 @@ class SphereQuadrature:
         return cls(nodes, weights, order)
 
 
-def _require_3d(u: Field):
-    if u.dim != 3:
-        raise ValueError("spherical means are implemented for 3-D fields only")
-
-
-def sphere_mean(u: Field, center, radius, q: SphereQuadrature):
-    """Mean of u over the sphere of given center and radius (periodic wrap).
-
-    Off-grid samples use trigonometric interpolation, exact for band-limited
-    fields.  radius = 0 returns the interpolated value at the center.
-    """
-    _require_3d(u)
-    center = np.asarray(center, dtype=float)
-    uhat = (np.fft.fftn(u.data) / u.data.size).ravel()
-    kmesh = wavevectors(u.shape)
-    kflat = np.stack([k.ravel() for k in kmesh], axis=1)  # (modes, 3)
-    if radius == 0:
-        phase = np.exp(1j * 2 * np.pi * kflat @ (center / np.asarray(u.box)))
-        return complex(uhat @ phase)
-    pts = center[None, :] + radius * q.nodes  # (M, 3)
-    scaled = 2 * np.pi * pts / np.asarray(u.box)[None, :]
-    phases = np.exp(1j * (kflat @ scaled.T))  # (modes, M)
-    vals = uhat @ phases
-    return complex(np.sum(q.weights * vals) / FULL_SOLID_ANGLE)
-
-
 def sinhc_spherical(u: Field, a, t, q: SphereQuadrature) -> Field:
     """t times the spherical mean of u at radius a t, at every grid point.
 
     This is the three-dimensional integral realization of the sine-type
     propagator applied to u.
     """
-    _require_3d(u)
+    if u.dim != 3:
+        raise ValueError("spherical means are implemented for 3-D fields only")
     if a <= 0:
         raise ValueError("propagation speed a must be positive")
     if t < 0:

@@ -98,10 +98,9 @@ def roots_from_coeffs(b):
     return tuple(complex(r) for r in roots[order])
 
 
-def partial_fraction_first(roots):
-    """Weights c_j = a_j^{m-1} / prod_{i != j} (a_j - a_i)."""
-    roots = [complex(r) for r in roots]
-    _check_distinct(roots)
+def _first_order_weights(roots, label):
+    """c_j = a_j^{m-1} / prod_{i != j} (a_j - a_i) of distinct ``roots``."""
+    _check_distinct(roots, label)
     m = len(roots)
     out = []
     for j, aj in enumerate(roots):
@@ -110,18 +109,19 @@ def partial_fraction_first(roots):
     return tuple(out)
 
 
+def partial_fraction_first(roots):
+    """Weights c_j = a_j^{m-1} / prod_{i != j} (a_j - a_i)."""
+    return _first_order_weights([complex(r) for r in roots], "roots")
+
+
 def partial_fraction_even(roots):
-    """Weights d_j = a_j^{2m-2} / prod_{i != j} (a_j^2 - a_i^2)."""
+    """Weights d_j = a_j^{2m-2} / prod_{i != j} (a_j^2 - a_i^2): the
+    first-order weights of the squared roots (CPython raises a complex to an
+    integer power by squaring, so (a_j^2)^{m-1} is bitwise a_j^{2m-2})."""
     roots = [complex(r) for r in roots]
     if any(r == 0 for r in roots):
         raise ZeroRoot("zero root: the sinh kernel divides by a_j")
-    _check_distinct([r * r for r in roots], label="squared roots")
-    m = len(roots)
-    out = []
-    for j, aj in enumerate(roots):
-        denom = np.prod([aj * aj - ai * ai for i, ai in enumerate(roots) if i != j])
-        out.append(aj ** (2 * m - 2) / denom)
-    return tuple(out)
+    return _first_order_weights([r * r for r in roots], "squared roots")
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ def test_criterion_5_residual_substitution():
             Field.zeros(shape1, box1),
             Field.zeros(shape1, box1),
         ],
-        forcing=lambda x, t: np.cos(t) * np.sin(x),
+        forcing=lambda t: np.cos(t) * np.sin(x),
         t_points=(1.0,),
     )
     rep1 = _dense_solve_and_check(wave_1d, 65)

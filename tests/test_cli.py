@@ -4,12 +4,9 @@ import pytest
 from opcauchy import cli
 from opcauchy.cli import (
     ConfigError,
-    Mode,
-    RunConfig,
     load_problem,
     main,
     read_opc1,
-    run,
     write_csv,
     write_opc1,
 )
@@ -150,7 +147,7 @@ class TestLoadProblem:
     def test_forcing_with_time(self, tmp_path):
         problem = load_problem(write_problem(tmp_path, REPEATED_FORCED))
         x = mesh(problem.shape, problem.box)[0]
-        vals = problem.forcing(x, 0.25)
+        vals = problem.forcing(0.25)
         assert np.max(np.abs(vals - np.cos(0.25) * np.sin(x))) < 1e-14
 
 
@@ -291,9 +288,10 @@ class TestRunModes:
         assert "error:" in err and "forcing" in err
         assert not (out / "solution.opc").exists()
 
-    def test_problem_required(self):
-        with pytest.raises(ConfigError):
-            run(RunConfig(mode=Mode.SOLVE))
+    def test_problem_required(self, capsys):
+        assert main(["--mode", "solve"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--problem" in err[0]
 
     def test_main_maps_config_error_to_2(self, tmp_path, capsys):
         code = main(["--mode", "solve", "--problem", str(tmp_path / "missing.ini")])

@@ -7,7 +7,6 @@ from opcauchy.spherical import (
     FULL_SOLID_ANGLE,
     SphereQuadrature,
     sinhc_spherical,
-    sphere_mean,
 )
 from opcauchy.symbol_poly import SymbolPolynomial
 
@@ -67,37 +66,6 @@ class TestQuadrature:
             SphereQuadrature(q.nodes, 0.5 * q.weights, 5)
 
 
-class TestSphereMean:
-    def test_constant_field(self):
-        shape = (8, 8, 8)
-        u = Field(shape, BOX3, np.full(shape, 2.5, dtype=complex))
-        q = SphereQuadrature.gauss_product(7)
-        assert sphere_mean(u, (0.3, 1.0, 2.0), 0.8, q) == pytest.approx(2.5)
-
-    def test_zero_radius_interpolates(self):
-        shape = (16, 16, 16)
-        u = Field.from_function(shape, BOX3, lambda x, y, z: np.cos(x + 2 * y))
-        q = SphereQuadrature.gauss_product(7)
-        c = (0.123, 0.456, 0.789)
-        assert sphere_mean(u, c, 0.0, q) == pytest.approx(np.cos(c[0] + 2 * c[1]))
-
-    def test_cosine_mean_is_sinc(self):
-        # mean of cos(x) over a sphere of radius r is cos(x0) sin(r)/r
-        shape = (16, 16, 16)
-        u = Field.from_function(shape, BOX3, lambda x, y, z: np.cos(x))
-        q = SphereQuadrature.gauss_product(21)
-        for r in (0.4, 1.0, 1.7):
-            for c in ((0.0, 0.0, 0.0), (1.1, 0.2, 2.5)):
-                got = sphere_mean(u, c, r, q)
-                assert got == pytest.approx(np.cos(c[0]) * np.sin(r) / r, abs=1e-10)
-
-    def test_requires_3d(self):
-        u = Field((8, 8), (2 * np.pi, 2 * np.pi), np.zeros((8, 8), dtype=complex))
-        q = SphereQuadrature.gauss_product(5)
-        with pytest.raises(ValueError):
-            sphere_mean(u, (0, 0), 1.0, q)
-
-
 class TestSinhcSpherical:
     def test_constant_field_gives_t(self):
         shape = (8, 8, 8)
@@ -151,3 +119,6 @@ class TestSinhcSpherical:
             sinhc_spherical(u, -1.0, 0.5, q)
         with pytest.raises(ValueError):
             sinhc_spherical(u, 1.0, -0.5, q)
+        flat = Field((8, 8), (2 * np.pi, 2 * np.pi), np.zeros((8, 8), dtype=complex))
+        with pytest.raises(ValueError, match="3-D"):
+            sinhc_spherical(flat, 1.0, 0.5, q)

@@ -79,6 +79,9 @@ class TestPartialFractions:
     def test_even_coincident_rejected(self):
         with pytest.raises(DegenerateRoots):
             partial_fraction_even([1, 1])
+        # distinct roots whose squares coincide are named as such
+        with pytest.raises(DegenerateRoots, match="squared roots"):
+            partial_fraction_even([1, -1])
 
     def test_even_zero_root_rejected(self):
         with pytest.raises(ZeroRoot):
