@@ -122,9 +122,11 @@ def load_problem(path):
 
     The initial fields are compiled into one ``exprparse.Program`` and
     evaluated in one call, so a subtree they share is evaluated once.  The
-    forcing is a Program of its own, bound to the problem's mesh here: its
-    t-free parts are evaluated once, and a sample at a time t computes only
-    the t-dependent parts.
+    forcing is split by ``exprparse.separate`` into pairs g_j(t) h_j(x) and
+    a rest.  All h_j are one Program, evaluated here on the mesh; all g_j
+    are one Program of t alone.  The rest is a Program bound to the mesh
+    here: its t-free parts are evaluated once, and a sample at a time t
+    computes only the t-dependent parts.
     """
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = cfg.read(path)
@@ -181,20 +183,27 @@ def load_problem(path):
             )
         trees.append(_parse_expr(init[key], f"initial.{key}", dim, allow_t=False))
     grid_mesh = mesh(shape, box)
-    phis = []
-    for r, vals in enumerate(exprparse.evaluate(exprparse.Program(trees), grid_mesh)):
-        if not np.isfinite(vals).all():
-            raise ConfigError(f"initial.phi{r} is not finite at every grid point")
-        phis.append(_validated(Field, shape, box, np.broadcast_to(vals, shape).astype(complex)))
+    keys = [f"initial.phi{r}" for r in range(spec.data_count)]
+    phis = [
+        _validated(Field, shape, box, vals)
+        for vals in _grid_values(trees, keys, grid_mesh, shape)
+    ]
 
-    forcing = None
+    forcing, time_profiles, spatial_profiles = None, None, ()
     if cfg.has_section("forcing") and cfg.has_option("forcing", "f"):
         ftree = _parse_expr(cfg["forcing"]["f"], "forcing.f", dim, allow_t=True)
-        sample = exprparse.sampler(exprparse.Program([ftree]), grid_mesh)
+        pairs, rest = exprparse.separate(ftree)
+        if pairs:
+            spatial_profiles = tuple(
+                _grid_values([h for _, h in pairs], ["forcing.f"] * len(pairs), grid_mesh, shape)
+            )
+            time_profiles = exprparse.sampler(exprparse.Program([g for g, _ in pairs]), ())
+        if rest is not None:
+            sample = exprparse.sampler(exprparse.Program([rest]), grid_mesh)
 
-        def forcing(t):
-            (vals,) = sample(t)
-            return np.broadcast_to(vals, shape)
+            def forcing(t):
+                (vals,) = sample(t)
+                return np.broadcast_to(vals, shape)
 
     times = tuple(
         _number(v, "output.times")
@@ -203,7 +212,22 @@ def load_problem(path):
     if not times:
         raise ConfigError("output.times: need at least one time")
 
-    return _validated(CauchyProblem, spec, P, shape, box, tuple(phis), forcing, times)
+    return _validated(
+        CauchyProblem, spec, P, shape, box, tuple(phis), forcing, times,
+        time_profiles=time_profiles, spatial_profiles=spatial_profiles,
+    )
+
+
+def _grid_values(trees, keys, grid_mesh, shape):
+    """The t-free ``trees`` evaluated together on the grid, one complex array
+    of ``shape`` each; a value that is not finite at some grid point is a
+    ConfigError naming the tree's key."""
+    out = []
+    for key, vals in zip(keys, exprparse.evaluate(exprparse.Program(trees), grid_mesh)):
+        if not np.isfinite(vals).all():
+            raise ConfigError(f"{key} is not finite at every grid point")
+        out.append(np.broadcast_to(vals, shape).astype(complex))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +316,7 @@ def _verdict_path(config):
 
 def _with_measure(problem, config):
     """The problem with its repeated-root measure read from this run's verdict."""
-    if problem.spec.kind is not Kind.REPEATED_ROOT or problem.forcing is None:
+    if problem.spec.kind is not Kind.REPEATED_ROOT or not problem.forced:
         return problem
     path = _verdict_path(config)
     if not path.exists():

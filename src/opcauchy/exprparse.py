@@ -16,12 +16,14 @@ whose exponent is a constant integer, so ``x1^2^3`` is a syntax error (write
 parentheses, calls and unary minuses deeper than ``MAX_NESTING`` levels is
 a syntax error.
 
-``parse`` reads an expression into a tree.  ``Program`` compiles a sequence
-of trees into one DAG holding each distinct subtree once, shared across the
-trees.  ``sampler`` binds a Program to coordinates and runs its t-free parts
-once; the sampler then gives the trees' values at any time.  ``evaluate``
-is one such sample.  Both apply the numpy operations a walk of each tree
-would apply, so the values are bitwise equal to that walk's.
+``parse`` reads an expression into a tree, and ``separate`` views a tree as
+a sum of products g_j(t) h_j(x) plus a rest that mixes t and x.
+``Program`` compiles a sequence of trees into one DAG holding each distinct
+subtree once, shared across the trees.  ``sampler`` binds a Program to
+coordinates and runs its t-free parts once; the sampler then gives the
+trees' values at any time.  ``evaluate`` is one such sample.  Both apply
+the numpy operations a walk of each tree would apply, so the values are
+bitwise equal to that walk's.
 """
 
 from __future__ import annotations
@@ -270,6 +272,92 @@ def _apply(node, operands, x, t):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _terms(tree):
+    """(sign, term) for each '+'/'-' term of ``tree`` in reading order, with
+    negations and parenthesised sums opened."""
+    terms, stack = [], [(1, tree)]
+    while stack:
+        sign, node = stack.pop()
+        if isinstance(node, BinOp) and node.op in "+-":
+            stack.append((-sign if node.op == "-" else sign, node.right))
+            stack.append((sign, node.left))
+        elif isinstance(node, Neg):
+            stack.append((-sign, node.child))
+        else:
+            terms.append((sign, node))
+    return terms
+
+
+def _factors(term):
+    """(sign, [(op, factor), ...]) with ``term`` = sign * (1 op factor ...):
+    its '*'/'/' factors in reading order, with negations and parenthesised
+    products opened."""
+    sign, factors, stack = 1, [], [("*", term)]
+    while stack:
+        op, node = stack.pop()
+        if isinstance(node, BinOp) and node.op in "*/":
+            inverse = {"*": "/", "/": "*"}[op]
+            stack.append((op if node.op == "*" else inverse, node.right))
+            stack.append((op, node.left))
+        elif isinstance(node, Neg):
+            sign = -sign
+            stack.append((op, node.child))
+        else:
+            factors.append((op, node))
+    return sign, factors
+
+
+def _reads_t_or_x(node):
+    """(whether the subtree reads t, whether it reads some x_i)."""
+    reads_t = reads_x = False
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            reads_t |= node.name == "t"
+            reads_x |= node.name != "t"
+        else:
+            stack.extend(_parts(node)[0])
+    return reads_t, reads_x
+
+
+def _product(factors):
+    """The tree of 1 op factor ..., left-deep; a Const 1 for no factors."""
+    node = None
+    for op, factor in factors:
+        if node is None:
+            node = factor if op == "*" else BinOp("/", Const(1 + 0j), factor)
+        else:
+            node = BinOp(op, node, factor)
+    return Const(1 + 0j) if node is None else node
+
+
+def separate(tree):
+    """``tree`` as sum_j g_j h_j + rest: (the (g_j, h_j) pairs, rest).
+
+    Each '+'/'-' term of the tree is split along its '*'/'/' factors into
+    the factors that read t alone, whose product is g_j, and the factors that
+    read no t, constants included, whose product is h_j; either is 1 when
+    it has no factors, and h_j carries the term's sign.  A term with a
+    factor that reads both t and x goes whole into ``rest``, the sum of
+    such terms (None when there is none).
+    """
+    pairs, rest = [], None
+    for sign, term in _terms(tree):
+        fsign, factors = _factors(term)
+        reads = [_reads_t_or_x(factor) for _, factor in factors]
+        if any(reads_t and reads_x for reads_t, reads_x in reads):
+            if rest is None:
+                rest = term if sign > 0 else Neg(term)
+            else:
+                rest = BinOp("+" if sign > 0 else "-", rest, term)
+            continue
+        g = _product([f for f, (reads_t, _) in zip(factors, reads) if reads_t])
+        h = _product([f for f, (reads_t, _) in zip(factors, reads) if not reads_t])
+        pairs.append((g, h if sign * fsign > 0 else Neg(h)))
+    return pairs, rest
+
+
 def _sum_spine(tree):
     """The tree's first term, then each '+'/'-' node of its left spine, in
     the order the terms are read."""
@@ -384,15 +472,18 @@ def sampler(program, x):
     one per tree, in the trees' order.
 
     The t-free slots run here, once; each call runs only the t-dependent
-    slots.
+    slots.  Overflow and division by zero raise no numpy warning: the
+    callers check the values for finiteness.
     """
     held = [None] * len(program._nodes)
-    program._exec(program._t_free, held, x, None)
+    with np.errstate(all="ignore"):
+        program._exec(program._t_free, held, x, None)
 
     def sample(t):
         vals = list(held)
-        program._exec(program._t_dep, vals, x, t)
-        return [program._value(r, vals, x, t) for r in program.roots]
+        with np.errstate(all="ignore"):
+            program._exec(program._t_dep, vals, x, t)
+            return [program._value(r, vals, x, t) for r in program.roots]
 
     return sample
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, perm
 
 import numpy as np
@@ -218,15 +218,23 @@ def sinhc_sqrt(z):
 # Kernel operators
 
 
-def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None):
+def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None, separable=None):
     """Forced part of the mode solution, the Duhamel convolution
-    int_0^t G(t - tau) fhat(tau) dtau / b_m as one ``nodes``-point
-    Gauss-Legendre sum.
+    int_0^t G(t - tau) f(tau) dtau / b_m as one ``nodes``-point
+    Gauss-Legendre sum, for f(tau) = sum_j g_j(tau) c_j + fhat(tau).
 
-    ``fhat`` is a callable tau -> forcing coefficient (scalar or an array of
-    p's shape).  G is tabulated on chunks of nodes over the distinct symbol
-    values, and the nodes are added one at a time in node order, so a mode's
-    value does not depend on the other modes of the call.  For the
+    ``fhat``, the rest, is a callable tau -> forcing coefficient (scalar or
+    an array of p's shape), or None.  ``separable`` is None or the pairs
+    (profiles, coefficients): ``profiles`` takes the array of nodes to the
+    array (J, nodes) of the time profiles g_j, and ``coefficients`` holds
+    the J coefficient arrays c_j of p's shape.
+
+    G is tabulated on chunks of nodes over the distinct symbol values.  The
+    table is contracted with the weighted profile samples w_i g_j(tau_i)
+    into W_j on the distinct values, which are gathered to the modes and
+    multiply c_j; each node's row of the table is gathered and multiplies
+    w_i fhat(tau_i).  The nodes are added one at a time in node order, so a
+    mode's value does not depend on the other modes of the call.  For the
     repeated-root kind G is the kernel of ``measure``, which the discrepancy
     probe decides.
     """
@@ -240,12 +248,22 @@ def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None):
             )
         tau, w = gauss_rule(nodes, t)
         values, gather = _distinct(modes)
+        if separable:
+            profiles, coefficients = separable
+            weighted = w * profiles(tau)
+            W = np.zeros((len(coefficients), values.size), dtype=complex)
         batch = max(1, _DUHAMEL_BATCH // values.size)
         for lo in range(0, nodes, batch):
             taus = tau[lo : lo + batch]
             table = _kernel(spec, values, (t - taus)[:, None], (0,), measure)[0]
-            for row, x, wi in zip(table, taus, w[lo : lo + batch]):
-                total += gather(row) * (wi * fhat(x))
+            for i, row in enumerate(table, lo):
+                if separable:
+                    W += weighted[:, i, None] * row
+                if fhat is not None:
+                    total += gather(row) * (w[i] * fhat(tau[i]))
+        if separable:
+            for Wj, c in zip(W, coefficients):
+                total += gather(Wj) * c
     return _like(p, total / spec.lead)
 
 
@@ -281,14 +299,28 @@ def homogeneous_mode(spec, p, phihat, t):
 # Full-grid problems
 
 
+def _finite(values, t):
+    """``values``, sampled at the times ``t`` (broadcast against them); a
+    value that is not finite raises NonFiniteForcing at its earliest time."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        first = np.min(np.broadcast_to(t, bad.shape)[bad])
+        raise NonFiniteForcing(f"forcing is not finite at t = {float(first):.17g}")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class CauchyProblem:
     """A periodic-grid Cauchy problem for one of the three operator kinds.
 
-    ``forcing`` is a callable t -> samples on the problem's grid, or None.
-    ``measure`` selects the repeated-root forcing kernel ('plain' or
-    'tau_prime', as the discrepancy probe decides); it is needed only when a
-    repeated-root problem is forced.
+    The forcing is sum_j g_j(t) h_j(x) + rest(t, x).  ``spatial_profiles``
+    holds the h_j as samples on the problem's grid, and ``time_profiles`` is
+    a callable taking t (a number or an array) to the sequence of the g_j(t),
+    each a number or an array of t's shape.  ``forcing``, the rest, is a
+    callable t -> samples on the problem's grid, or None.  ``measure``
+    selects the repeated-root forcing kernel ('plain' or 'tau_prime', as
+    the discrepancy probe decides); it is needed only when a repeated-root
+    problem is forced.
     """
 
     spec: CharacteristicSpec
@@ -299,6 +331,8 @@ class CauchyProblem:
     forcing: object = None
     t_points: tuple = ()
     measure: str = None
+    time_profiles: object = None
+    spatial_profiles: tuple = ()
 
     def __post_init__(self):
         if len(self.phi) != self.spec.data_count:
@@ -314,14 +348,40 @@ class CauchyProblem:
             raise ValueError("t_points must be finite, nonnegative and increasing")
         if self.measure not in (None, PLAIN_MEASURE, TAU_PRIME_MEASURE):
             raise ValueError(f"unknown measure {self.measure!r}")
+        if any(np.shape(h) != tuple(self.shape) for h in self.spatial_profiles):
+            raise ValueError("all spatial profiles must be samples on the problem grid")
+        if self.spatial_profiles and not callable(self.time_profiles):
+            raise ValueError("spatial profiles need their time profiles")
+
+    @property
+    def forced(self):
+        """Whether the problem has a forcing: separable pairs, a rest or both."""
+        return self.forcing is not None or bool(self.spatial_profiles)
+
+    def _profiles(self, t):
+        """The time profiles at t as an array (J, *shape(t)), finite."""
+        rows = [np.broadcast_to(g, np.shape(t)) for g in self.time_profiles(t)]
+        return _finite(np.array(rows, dtype=complex), t)
+
+    @cached_property
+    def _spatial_hat(self):
+        """The Fourier coefficients of each spatial profile, transformed once
+        per problem."""
+        return [to_spectral(np.asarray(h, dtype=complex)) for h in self.spatial_profiles]
+
+    def _rest_hat(self, t):
+        """The Fourier coefficients of the rest at time t."""
+        return to_spectral(_finite(np.asarray(self.forcing(t), dtype=complex), t))
 
     def forcing_hat(self, t):
-        """Fourier coefficients of the forcing at time t; a sample that is not
-        finite raises NonFiniteForcing."""
-        samples = np.asarray(self.forcing(t), dtype=complex)
-        if not np.isfinite(samples).all():
-            raise NonFiniteForcing(f"forcing is not finite at t = {float(t):.17g}")
-        return to_spectral(samples)
+        """Fourier coefficients of the forcing at time t: sum_j g_j(t) times
+        the coefficients of h_j, plus the transformed rest.  A value that is
+        not finite raises NonFiniteForcing."""
+        total = self._rest_hat(t) if self.forcing is not None else 0.0
+        if self.spatial_profiles:
+            for g, c in zip(self._profiles(t), self._spatial_hat):
+                total = total + g * c
+        return total
 
 
 @dataclass(frozen=True)
@@ -374,6 +434,9 @@ def solve(problem: CauchyProblem, nodes=64):
     spec = problem.spec
     pgrid = symbol_grid(problem.P, problem.shape, problem.box)
     phihat = [to_spectral(f.data) for f in problem.phi]
+    # the parts of forcing_hat: each spatial profile is transformed once
+    fhat = problem._rest_hat if problem.forcing is not None else None
+    separable = (problem._profiles, problem._spatial_hat) if problem.spatial_profiles else None
 
     snapshots = []
     nonfinite = 0
@@ -381,9 +444,10 @@ def solve(problem: CauchyProblem, nodes=64):
         # saturated modes may hit inf/nan; they are reported, not suppressed
         with np.errstate(over="ignore", invalid="ignore"):
             uhat = homogeneous_mode(spec, pgrid, phihat, t)
-            if problem.forcing is not None:
+            if problem.forced:
                 uhat = uhat + inhomogeneous_mode(
-                    spec, pgrid, problem.forcing_hat, t, nodes=nodes, measure=problem.measure
+                    spec, pgrid, fhat, t, nodes=nodes, measure=problem.measure,
+                    separable=separable,
                 )
         nonfinite += int(np.count_nonzero(~np.isfinite(uhat)))
         snapshots.append((t, Field(problem.shape, problem.box, from_spectral(uhat))))

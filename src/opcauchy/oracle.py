@@ -217,7 +217,7 @@ def residual_check(snapshots, problem, fd_order=6):
             term = b * pgrid**ppow * du
             total = total + term
             scale = max(scale, float(np.linalg.norm(term)))
-        fh = 0.0 if problem.forcing is None else problem.forcing_hat(ts[i])
+        fh = problem.forcing_hat(ts[i]) if problem.forced else 0.0
         scale = max(scale, float(np.linalg.norm(fh)), 1e-300)
         rel = float(np.linalg.norm(total - fh)) / scale
         residual_times.append(float(ts[i]))

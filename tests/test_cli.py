@@ -1,7 +1,12 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opcauchy import cli
+from opcauchy import cli, kernels
 from opcauchy.cli import (
     ConfigError,
     load_problem,
@@ -10,8 +15,10 @@ from opcauchy.cli import (
     write_csv,
     write_opc1,
 )
-from opcauchy.multiplier import Field, mesh
-from opcauchy.symbol_poly import Kind
+from opcauchy.kernels import solve
+from opcauchy.multiplier import Field, mesh, to_spectral
+from opcauchy.oracle import mode_ode_solve
+from opcauchy.symbol_poly import Kind, symbol_grid
 
 HEAT_PRODUCT = """
 [equation]
@@ -147,8 +154,13 @@ class TestLoadProblem:
     def test_forcing_with_time(self, tmp_path):
         problem = load_problem(write_problem(tmp_path, REPEATED_FORCED))
         x = mesh(problem.shape, problem.box)[0]
-        vals = problem.forcing(0.25)
-        assert np.max(np.abs(vals - np.cos(0.25) * np.sin(x))) < 1e-14
+        # cos(t)*sin(x1) is one separable pair and leaves no rest
+        assert problem.forced and problem.forcing is None
+        (g,) = problem.time_profiles(0.25)
+        (h,) = problem.spatial_profiles
+        assert np.max(np.abs(g * h - np.cos(0.25) * np.sin(x))) < 1e-14
+        expect = to_spectral(np.cos(0.25) * np.sin(x).astype(complex))
+        assert np.max(np.abs(problem.forcing_hat(0.25) - expect)) < 1e-14
 
 
 class TestOpc1Format:
@@ -242,6 +254,16 @@ class TestRunModes:
         assert "probe" in capsys.readouterr().err
         assert not (tmp_path / "b" / "solution.opc").exists()
 
+    @pytest.mark.parametrize("forcing", ["sin(x1)", "exp(-t)", "cos(t*x1)"],
+                             ids=["x-only", "t-only", "mixed"])
+    def test_any_forcing_needs_verdict(self, tmp_path, capsys, forcing):
+        # a forcing with no rest, or no separable pair, still makes the problem forced
+        problem = write_problem(tmp_path, REPEATED_FORCED.replace("cos(t)*sin(x1)", forcing))
+        code = main(["--mode", "solve", "--problem", problem, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "probe" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "solution.opc").exists()
+
     def test_verify_mode(self, tmp_path):
         problem = write_problem(tmp_path, HEAT_PRODUCT)
         out = tmp_path / "out"
@@ -286,6 +308,25 @@ class TestRunModes:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "forcing" in err
+        assert not (out / "solution.opc").exists()
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("[output]", "[forcing]\nf = exp(1000*x1)*cos(t)\n\n[output]", "forcing"),
+        ("[output]", "[forcing]\nf = exp(1000*t)*sin(x1)\n\n[output]", "forcing"),
+        ("[output]", "[forcing]\nf = exp(1000*t*x1)\n\n[output]", "forcing"),
+        ("phi0 = sin(x1)", "phi0 = 1/x1", "initial.phi0"),
+    ], ids=["spatial-profile", "time-profile", "rest", "data"])
+    def test_overflow_prints_only_the_error(self, tmp_path, capsys, old, new, named):
+        # no errstate here: a numpy warning would be printed next to the error
+        problem = write_problem(tmp_path, HEAT_PRODUCT.replace(old, new))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--mode", "solve", "--problem", problem, "--out", str(out)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
         assert not (out / "solution.opc").exists()
 
     def test_problem_required(self, capsys):
@@ -426,3 +467,113 @@ class TestRunModes:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+
+#: The three kinds on a 1-D Laplacian, with zero data and a forcing to fill in.
+FORCED_KINDS = {
+    "first": "kind = first_order_product\nm = 2\nroots = 1 2\n",
+    "even": "kind = even_order_product\nm = 2\nroots = 1 2\n",
+    "repeated": "kind = repeated_root\nm = 2\n",
+}
+
+
+def forced_problem(directory, kind, forcing, n=32, times="0.5"):
+    """A loaded problem of ``kind`` on an n-point 1-D grid, zero data, the
+    given forcing, and the tau' measure for the repeated root."""
+    count = 2 if kind == "first" else 4
+    text = (
+        f"[equation]\n{FORCED_KINDS[kind]}\n"
+        "[operator]\ndim = 1\nterms = alpha=2: coeff=1\n\n"
+        f"[grid]\nshape = {n}\nbox = 6.283185307179586\n\n[initial]\n"
+        + "".join(f"phi{r} = 0\n" for r in range(count))
+        + f"\n[forcing]\nf = {forcing}\n\n[output]\ntimes = {times}\n"
+    )
+    path = directory / f"{kind}.ini"
+    path.write_text(text)
+    return dataclasses.replace(load_problem(str(path)), measure="tau_prime")
+
+
+def spectra(problem):
+    """The Fourier coefficients of every snapshot of ``solve(problem)``."""
+    return [to_spectral(u.data) for _, u in solve(problem)[0]]
+
+
+class TestSeparableForcing:
+    """The forcing split into pairs g_j(t) h_j(x) and a rest, end to end."""
+
+    CASES = {
+        "rest-only": ("cos(t*x1)", lambda x, t: np.cos(t * x)),
+        "mixed": ("cos(2*t)*sin(3*x1) + cos(t*x1) + exp(-t) + sin(x1)",
+                  lambda x, t: np.cos(2 * t) * np.sin(3 * x) + np.cos(t * x) + np.exp(-t)
+                  + np.sin(x)),
+        "divided": ("cos(t)/(2+cos(x1))", lambda x, t: np.cos(t) / (2 + np.cos(x))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("kind", list(FORCED_KINDS))
+    def test_every_mode_matches_oracle(self, tmp_path, kind, case):
+        text, f = self.CASES[case]
+        problem = forced_problem(tmp_path, kind, text)
+        (uhat,) = spectra(problem)
+        x = mesh(problem.shape, problem.box)[0]
+        pgrid = symbol_grid(problem.P, problem.shape, problem.box)
+        zeros = [0j] * problem.spec.data_count
+        ref = np.array([
+            mode_ode_solve(problem.spec, complex(pgrid[k]), zeros,
+                           lambda tau, k=k: to_spectral(f(x, tau).astype(complex))[k], 0.5)
+            for k in range(x.size)
+        ])
+        assert np.max(np.abs(uhat - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case,pairs,rest", [
+        ("cos(2*t)*sin(3*x1) + exp(-t) + sin(x1)", 3, False),
+        ("cos(2*t)*sin(3*x1) + cos(t*x1) + exp(-t) + sin(x1)", 3, True),
+    ], ids=["separable", "with-rest"])
+    def test_each_spatial_profile_transformed_once(self, tmp_path, monkeypatch, case, pairs,
+                                                   rest):
+        problem = forced_problem(tmp_path, "first", case, times="0.1, 0.25, 0.5")
+        assert len(problem.spatial_profiles) == pairs and (problem.forcing is not None) == rest
+        transforms = []
+        to_spectral_ = kernels.to_spectral
+        monkeypatch.setattr(kernels, "to_spectral",
+                            lambda a: transforms.append(a.shape) or to_spectral_(a))
+        solve(problem, nodes=64)
+        # the data, each profile once, and the rest at every node of every time
+        per_node = 3 * 64 if rest else 0
+        assert len(transforms) == problem.spec.data_count + pairs + per_node
+
+    def test_traced_rest_leaves_solve_unchanged(self, tmp_path):
+        # a tracer replaces the rest by a pass-through wrapper of it
+        problem = forced_problem(tmp_path, "even", self.CASES["mixed"][0],
+                                 times="0.1, 0.25, 0.5")
+        rest = problem.forcing
+        traced = dataclasses.replace(problem, forcing=lambda *a, **k: rest(*a, **k))
+        for (_, u), (_, v) in zip(solve(problem)[0], solve(traced)[0]):
+            assert np.array_equal(u.data, v.data)
+
+    TERMS = st.sampled_from([
+        "{a}*cos({k}*t)*sin({n}*x1)",  # separable
+        "{a}*sin({n}*x1)/(2+cos(x1))",  # x-only
+        "{a}*exp(-{k}*t)",  # t-only
+        "{a}*cos({k}*t*x1)",  # mixed
+        "{a}*(1+t)*cos({n}*x1+t)",  # a t-only factor times a mixed one
+    ])
+    FORCINGS = st.lists(
+        st.builds(lambda term, a, k, n: term.format(a=a, k=k, n=n), TERMS,
+                  st.sampled_from(["0.5", "-1.25", "2", "(1+2i)"]),
+                  st.integers(1, 3), st.integers(0, 4)),
+        min_size=1, max_size=4,
+    ).map("+".join)
+
+    @pytest.mark.parametrize("kind", list(FORCED_KINDS))
+    @settings(max_examples=20, deadline=None)
+    @given(f1=FORCINGS, f2=FORCINGS, c=st.sampled_from([-2.5, 0.75, 3.0]))
+    def test_solution_is_linear_in_the_forcing(self, tmp_path_factory, kind, f1, f2, c):
+        directory = tmp_path_factory.mktemp("linear")
+        u1, u2, u12, uc = (
+            spectra(forced_problem(directory, kind, f, n=16))[0]
+            for f in (f1, f2, f"{f1}+{f2}", f"{c}*({f1})")
+        )
+        scale = max(np.max(np.abs(u)) for u in (u1, u2, u12, c * u1))
+        assert np.max(np.abs(u12 - (u1 + u2))) <= 1e-13 * scale
+        assert np.max(np.abs(uc - c * u1)) <= 1e-13 * scale

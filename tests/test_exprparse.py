@@ -24,6 +24,7 @@ from opcauchy.exprparse import (
     _parts,
     evaluate,
     parse,
+    separate,
 )
 from opcauchy.multiplier import mesh
 
@@ -355,10 +356,13 @@ class TestProgram:
         problem = load_problem(str(path))
         x = mesh(problem.shape, problem.box)
         taus = np.linspace(0.0, 1.0, 64)
-        samples = [problem.forcing(tau) for tau in taus]
+        for tau in taus:
+            problem.forcing_hat(tau)
         assert trig_calls == {"sin": 1, "cos": 64}
-        for tau, got in zip(taus, samples):
-            assert bits(got) == bits(np.cos(2 * complex(tau)) * np.sin(x[0].astype(complex)))
+        (h,) = problem.spatial_profiles
+        for tau in taus:
+            (g,) = problem.time_profiles(tau)
+            assert bits(g * h) == bits(np.cos(2 * complex(tau)) * np.sin(x[0].astype(complex)))
 
     def test_new_coordinates_are_not_served_stale(self):
         # each call evaluates afresh at its own coordinates; t*sin(x1)
@@ -469,3 +473,73 @@ class TestMultiRoot:
             tracemalloc.stop()
         assert len(values) == 6 and all(v.shape == shape for v in values)
         assert peak < (6 + 6) * grid_bytes
+
+
+def reads(node):
+    """The variable names a tree reads."""
+    if isinstance(node, Var):
+        return {node.name}
+    return set().union(*[reads(c) for c in _parts(node)[0]])
+
+
+def recombined(pairs, rest, x, t):
+    """sum_j g_j h_j + rest at (x, t), from one Program of all the parts."""
+    trees = [g for g, _ in pairs] + [h for _, h in pairs] + ([rest] if rest else [])
+    values = evaluate(Program(trees), x, t)
+    n = len(pairs)
+    total = sum(values[j] * values[n + j] for j in range(n))
+    return total + (values[-1] if rest else 0)
+
+
+_mild_leaves = st.one_of(
+    st.sampled_from([0.5, 2.0, -1.5, 0.5j, 3.0]).map(lambda v: Const(complex(v))),
+    st.sampled_from(["x1", "x2", "t"]).map(Var),
+)
+MILD_COORDS = [np.array([0.0, 0.5, -2.0, 1.3]), np.array([1.0, -0.25, 2.0, 0.75])]
+
+
+class TestSeparate:
+    def test_each_kind_of_term(self):
+        tree = parse(
+            "cos(2*t)*sin(3*x1) - cos(t*x1) + exp(-t) - 2*sin(x1)/(2+cos(x1)) + -(t+x1)*3", 1,
+            allow_t=True)
+        pairs, rest = separate(tree)
+        assert len(pairs) == 3
+        assert [reads(g) for g, _ in pairs] == [{"t"}, {"t"}, set()]
+        assert [reads(h) for _, h in pairs] == [{"x1"}, set(), {"x1"}]
+        assert reads(rest) == {"t", "x1"}
+        x = [np.linspace(0.0, 6.0, 7)]
+        for t in (0.0, 0.3, 2.0):
+            expect = evaluate(Program([tree]), x, t)[0]
+            assert np.allclose(recombined(pairs, rest, x, t), expect, rtol=1e-14, atol=1e-14)
+
+    def test_no_rest_and_no_pairs(self):
+        pairs, rest = separate(parse("t*x1*t/(x1+1)", 1, allow_t=True))
+        assert rest is None and len(pairs) == 1
+        pairs, rest = separate(parse("cos(t*x1) - sin(x1+t)", 1, allow_t=True))
+        assert pairs == [] and reads(rest) == {"t", "x1"}
+
+    def test_3000_factors_and_terms(self):
+        # long products and sums are split without recursion
+        n = 3000
+        pairs, rest = separate(parse("*".join(["t", "x1"] * (n // 2)), 1, allow_t=True))
+        assert rest is None and len(pairs) == 1
+        pairs, rest = separate(parse("+".join(f"{k}*x1*t" for k in range(n)), 1, allow_t=True))
+        assert rest is None and len(pairs) == n
+        assert recombined(pairs, rest, [np.array([2.0])], 0.5) == n * (n - 1) // 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=st.recursive(_mild_leaves, _grow, max_leaves=10),
+           t=st.sampled_from([0.0, 0.3, 1.7]))
+    def test_parts_read_their_variables_and_add_up(self, tree, t):
+        pairs, rest = separate(tree)
+        assert all(reads(g) <= {"t"} and "t" not in reads(h) for g, h in pairs)
+        try:
+            with np.errstate(all="ignore"):
+                expect = evaluate(Program([tree]), MILD_COORDS, t)[0]
+                got = recombined(pairs, rest, MILD_COORDS, t)
+        except ArithmeticError:
+            return  # a constant divided by zero or overflowed
+        finite = np.isfinite(expect) & np.isfinite(got)
+        scale = np.broadcast_to(1.0 + np.abs(expect), finite.shape)
+        assert np.all(np.abs(got - expect)[finite] <= 1e-9 * scale[finite])

@@ -484,19 +484,29 @@ class TestDistinctSymbols:
         phis = [rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 for _ in range(spec.data_count)]
         weights = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        coefficients = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)]
+
+        def profiles(tau):
+            return np.array([np.cos(tau), np.exp(-tau), 1 + tau * tau])
+
         t = 0.3
         hom = homogeneous_mode(spec, pgrid, phis, t)
         inh = inhomogeneous_mode(spec, pgrid, lambda tau: np.cos(tau) * weights, t, nodes=16,
                                  measure=TAU_PRIME_MEASURE)
-        ref_h, ref_i = np.zeros(shape, complex), np.zeros(shape, complex)
+        sep = inhomogeneous_mode(spec, pgrid, None, t, nodes=16, measure=TAU_PRIME_MEASURE,
+                                 separable=(profiles, coefficients))
+        ref_h, ref_i, ref_s = (np.zeros(shape, complex) for _ in range(3))
         for i in np.ndindex(shape):
             p = complex(pgrid[i])
             ref_h[i] = homogeneous_mode(spec, p, [phi[i] for phi in phis], t)
             ref_i[i] = inhomogeneous_mode(spec, p, lambda tau: np.cos(tau) * weights[i], t,
                                           nodes=16, measure=TAU_PRIME_MEASURE)
+            ref_s[i] = inhomogeneous_mode(spec, p, None, t, nodes=16, measure=TAU_PRIME_MEASURE,
+                                          separable=(profiles, [c[i] for c in coefficients]))
         # a mode's value does not depend on the other modes of the call
         assert np.array_equal(hom, ref_h)
         assert np.array_equal(inh, ref_i)
+        assert np.array_equal(sep, ref_s)
 
     def test_scalar_symbol_returns_complex(self):
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])
