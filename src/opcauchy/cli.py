@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import struct
 import sys
 from dataclasses import replace
@@ -235,31 +234,141 @@ def _grid_values(trees, keys, grid_mesh, shape):
 
 
 #: Rows formatted per write in ``write_csv``; bounds the text held at once.
-CSV_CHUNK_ROWS = 1024
+CSV_CHUNK_ROWS = 2048
+
+#: Longest ``"%.17e"`` text of a float64: "-d.ddddddddddddddddde-ddd".
+_E17_WIDTH = 25
+
+
+def _format_e17(x):
+    """The ``"%.17e"`` text of each float64 in ``x``: a (len(x), 25) uint8
+    array, each row the text's bytes padded with zeros.
+
+    |x| = f 2**a (``np.frexp``, exact) is scaled by 10**(17 - e), with e the
+    decimal exponent, to y in [1e17, 1e18), whose rounding is the 18 digits.
+    10**k is held as (hi + lo) 2**s with hi + lo in [1, 2), built from Python
+    integers for the distinct k of this call only, and f (hi + lo) is a
+    double-double from Dekker's exact product.  Its error is about 1e-13 on
+    y, so round(y) is exact unless y lies within 1e-6 of a half-integer.
+    Such values (exact ties among them), the values whose e does not settle,
+    nan and infinities are formatted by Python's ``"%.17e"`` one at a time;
+    zeros are copied from a template.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    ax = np.abs(x)
+    finite = np.isfinite(x)
+    zero = np.flatnonzero(ax == 0)
+    ax[~finite] = 1.0  # stand-ins: the rows of zeros and of the fallback are rewritten
+    ax[zero] = 1.0
+    frac, expo = np.frexp(ax)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+
+    def halves(v):
+        c = 134217729.0 * v  # Veltkamp's splitter 2**27 + 1
+        high = c - (c - v)
+        return high, v - high
+
+    def scaled(f, a, k):
+        """|x| 10**k = f (10**k 2**-s) 2**(a + s) as a normalised pair."""
+        base = int(k.min())
+        table = np.zeros((3, int(k.max()) - base + 1))
+        for j in np.flatnonzero(np.bincount(k - base)):
+            power = base + int(j)
+            n, d = (10**power, 1) if power >= 0 else (1, 10**-power)
+            s = n.bit_length() - d.bit_length()
+            if (n << max(-s, 0)) < (d << max(s, 0)):
+                s -= 1
+            # N = floor(10**power 2**(120 - s)), in [2**120, 2**121)
+            N = (n << max(120 - s, 0)) // (d << max(s - 120, 0))
+            top = N >> 68
+            table[:, j] = top * 2.0**-52, (N - (top << 68)) * 2.0**-120, s
+        p_hi, p_lo, s = table.take(k - base, axis=1)
+        prod = f * p_hi
+        fh, fl = halves(f)
+        ph, pl = halves(p_hi)
+        tail = (((fh * ph - prod) + fh * pl + fl * ph) + fl * pl) + f * p_lo
+        hi = prod + tail
+        shift = a + s.astype(np.int64)
+        return np.ldexp(hi, shift), np.ldexp(tail - (hi - prod), shift)
+
+    hi, lo = scaled(frac, expo, 17 - e)
+    for rounds in range(3):
+        # the decimal exponent is off by one where y is outside [1e17, 1e18)
+        step = ((hi > 1e18) | ((hi == 1e18) & (lo >= 0))).astype(np.int64)
+        step -= (hi < 1e17) | ((hi == 1e17) & (lo < 0))
+        redo = np.flatnonzero(step)
+        if not redo.size or rounds == 2:
+            break
+        e[redo] += step[redo]
+        hi[redo], lo[redo] = scaled(frac[redo], expo[redo], 17 - e[redo])
+    floor = np.floor(lo)
+    rest = lo - floor
+    q = hi.astype(np.int64) + floor.astype(np.int64) + (rest > 0.5)
+    carry = q == 10**18
+    q[carry] = 10**17
+    e += carry
+
+    # one row per byte of "-d.ddddddddddddddddde+ddd", transposed at the end;
+    # the digits go to rows 2-19 and the first then moves before the point
+    text = np.empty((_E17_WIDTH, x.size), np.uint8)
+    text[0] = np.where(np.signbit(x), ord("-"), 0)
+    nines = np.array(np.divmod(q, 10**9), np.int32)  # the first and last nine digits
+    for j in range(9):
+        tens = nines // 10
+        text[[10 - j, 19 - j]] = nines - 10 * tens
+        nines = tens
+    text[1] = text[2]
+    text[1:20] += ord("0")
+    text[2] = ord(".")
+    text[20] = ord("e")
+    low = int(e.min())
+    p = np.arange(low, int(e.max()) + 1)
+    ap, three = np.abs(p), np.abs(p) >= 100
+    exponents = [
+        np.where(p < 0, ord("-"), ord("+")),
+        np.where(three, ap // 100, ap // 10 % 10) + ord("0"),
+        np.where(three, ap // 10 % 10, ap % 10) + ord("0"),
+        np.where(three, ap % 10 + ord("0"), 0),
+    ]
+    text[21:] = np.array(exponents, np.uint8).take(e - low, axis=1)
+    text[1:, zero] = np.frombuffer(b"0.00000000000000000e+00\0", np.uint8)[:, None]
+
+    fallback = ~finite
+    fallback[np.abs(rest - 0.5) < 1e-6] = True
+    fallback[redo] = True
+    fallback[zero] = False
+    for i in np.flatnonzero(fallback):
+        chars = ("%.17e" % x[i]).encode()
+        text[:, i] = 0
+        text[: len(chars), i] = np.frombuffer(chars, np.uint8)
+    return text.T
 
 
 def write_csv(path, u: Field, t):
     """One row per grid point: coordinates, Re u, Im u, in row-major order.
 
     The bytes are those of ``np.savetxt(fmt="%.17e", delimiter=",")`` with
-    the same two-line header; each axis's coordinates are formatted once.
+    the same two-line header.  Each axis's coordinates are formatted once;
+    each chunk of rows is one uint8 matrix of zero-padded fields, written
+    with the padding removed.
     """
     header = ",".join([f"x{d + 1}" for d in range(u.dim)] + ["re_u", "im_u"])
-    axes = [
-        ["%.17e," % v for v in L * np.arange(n) / n] for n, L in zip(u.shape, u.box)
-    ]
-    prefixes = map("".join, itertools.product(*axes))
-    re_u, im_u = u.data.real.ravel(), u.data.imag.ravel()
-    with open(path, "w") as fh:
-        fh.write(f"# t = {t!r}\n# {header}\n")
-        for lo in range(0, re_u.size, CSV_CHUNK_ROWS):
-            hi = lo + CSV_CHUNK_ROWS
-            rows = zip(
-                itertools.islice(prefixes, CSV_CHUNK_ROWS),
-                re_u[lo:hi].tolist(),
-                im_u[lo:hi].tolist(),
-            )
-            fh.write("".join(["%s%.17e,%.17e\n" % row for row in rows]))
+    axes = [_format_e17(L * np.arange(n) / n) for n, L in zip(u.shape, u.box)]
+    # Re and Im of each point, side by side
+    values = np.ascontiguousarray(u.data, np.complex128).reshape(-1).view(np.float64)
+    size = values.size // 2
+    with open(path, "wb") as fh:
+        fh.write(f"# t = {t!r}\n# {header}\n".encode())
+        for lo in range(0, size, CSV_CHUNK_ROWS):
+            hi = min(lo + CSV_CHUNK_ROWS, size)
+            text = bytearray((hi - lo) * (u.dim + 2) * (_E17_WIDTH + 1))
+            rows = np.frombuffer(text, np.uint8).reshape(hi - lo, u.dim + 2, -1)
+            rows[:, :, -1] = ord(",")
+            rows[:, -1, -1] = ord("\n")
+            for d, index in enumerate(np.unravel_index(np.arange(lo, hi), u.shape)):
+                rows[:, d, :-1] = axes[d][index]
+            rows[:, -2:, :-1] = _format_e17(values[2 * lo : 2 * hi]).reshape(hi - lo, 2, -1)
+            fh.write(text.translate(None, b"\0"))
 
 
 def write_opc1(path, snapshots, box):
@@ -274,13 +383,11 @@ def write_opc1(path, snapshots, box):
         fh.write(struct.pack("<I", len(snapshots)))
         fh.write(struct.pack(f"<{len(snapshots)}d", *[t for t, _ in snapshots]))
         for _, u in snapshots:
-            inter = np.empty(u.data.size * 2)
-            inter[0::2] = u.data.real.ravel()
-            inter[1::2] = u.data.imag.ravel()
-            fh.write(inter.astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(u.data, "<c16"))
 
 
 def read_opc1(path):
+    """The (t, Field) snapshots ``write_opc1`` wrote, each value bit for bit."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError("bad magic")
@@ -292,8 +399,8 @@ def read_opc1(path):
         size = int(np.prod(shape))
         out = []
         for t in times:
-            raw = np.frombuffer(fh.read(16 * size), dtype="<f8")
-            data = (raw[0::2] + 1j * raw[1::2]).reshape(shape)
+            raw = np.frombuffer(fh.read(16 * size), dtype="<c16")
+            data = raw.reshape(shape).astype(np.complex128)
             out.append((t, Field(tuple(shape), tuple(box), data)))
     return out
 

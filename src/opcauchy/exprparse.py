@@ -227,15 +227,16 @@ def parse(src, dim, allow_t=False):
 
 def _parts(node):
     """(operand nodes, payload); the payload and the operands' slots are the
-    node's structural key, so the key never hashes a subtree."""
+    node's structural key, so the key never hashes a subtree.  The payload
+    is all ``_apply`` needs of the node besides its operands' values."""
     if isinstance(node, BinOp):
         return (node.left, node.right), (BinOp, node.op)
     if isinstance(node, Const):
         v = node.value
         if v != v:  # a NaN constant is never merged
-            return (), (Const, id(node))
+            return (), (Const, v, id(node))
         # the signs tell -0.0 from 0.0, which compare equal
-        return (), (Const, type(v), v, copysign(1.0, v.real), copysign(1.0, v.imag))
+        return (), (Const, v, type(v), copysign(1.0, v.real), copysign(1.0, v.imag))
     if isinstance(node, Call):
         return (node.arg,), (Call, node.fn)
     if isinstance(node, Var):
@@ -247,29 +248,33 @@ def _parts(node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _apply(node, operands, x, t):
-    """The value of ``node`` from its operands' values."""
-    if isinstance(node, BinOp):
+def _apply(payload, operands, x, t):
+    """The value of the node with ``_parts`` payload ``payload`` from its
+    operands' values."""
+    kind = payload[0]
+    if kind is BinOp:
         a, b = operands
-        if node.op == "+":
+        op = payload[1]
+        if op == "+":
             return a + b
-        if node.op == "-":
+        if op == "-":
             return a - b
-        if node.op == "*":
+        if op == "*":
             return a * b
         return a / b
-    if isinstance(node, Call):
-        return FUNCTIONS[node.fn](operands[0])
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        v = t if node.name == "t" else x[int(node.name[1:]) - 1]
+    if kind is Call:
+        return FUNCTIONS[payload[1]](operands[0])
+    if kind is Const:
+        return payload[1]
+    if kind is Var:
+        name = payload[1]
+        v = t if name == "t" else x[int(name[1:]) - 1]
         return complex(v) if np.isscalar(v) else np.asarray(v, complex)
-    if isinstance(node, Neg):
+    if kind is Neg:
         return -operands[0]
-    if isinstance(node, Pow):
-        return operands[0] ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
+    if kind is Pow:
+        return operands[0] ** payload[2]
+    raise TypeError(f"not a node payload: {payload!r}")
 
 
 def _terms(tree):
@@ -381,7 +386,8 @@ class Program:
     t-free slots run before the t-dependent ones, and each value except a
     root's is dropped after its last use.  A Program holds no values: a
     ``sampler`` keeps the t-free values that a t-dependent slot or a root
-    reads.
+    reads.  Nor does it hold the trees: a slot keeps its ``_parts`` payload
+    and its operands' slots, so a tree is freed once its caller drops it.
 
     Cheap slots, a constant, a variable or one arithmetic operation on
     those (``7*x1``), are never kept: each reader recomputes them.  They are
@@ -391,7 +397,7 @@ class Program:
     """
 
     def __init__(self, trees):
-        self._nodes, self._args = [], []
+        self._payloads, self._args = [], []
         slot_of_key = {}
         spines = [_sum_spine(tree) for tree in trees]
         self.roots = [None] * len(spines)
@@ -402,26 +408,26 @@ class Program:
                 elif i < len(spine):
                     self.roots[r] = self._join(spine[i], self.roots[r], slot_of_key)
         tdep, self._cheap = [], []
-        for node, operands in zip(self._nodes, self._args):
-            is_t = isinstance(node, Var) and node.name == "t"
-            tdep.append(is_t or any([tdep[a] for a in operands]))
+        for payload, operands in zip(self._payloads, self._args):
+            tdep.append(payload == (Var, "t") or any([tdep[a] for a in operands]))
             leaves = all([not self._args[a] for a in operands])
-            self._cheap.append(leaves and not isinstance(node, Call))
+            self._cheap.append(leaves and payload[0] is not Call)
         kept = [i for i, cheap in enumerate(self._cheap) if not cheap]
         self._t_free = [i for i in kept if not tdep[i]]
         self._t_dep = [i for i in kept if tdep[i]]
-        self._last = [None] * len(self._nodes)  # the slot that reads each slot last
+        self._last = [None] * len(self._payloads)  # the slot that reads each slot last
         for i in self._t_free + self._t_dep:
             for a in self._args[i]:
                 self._last[a] = i
         for r in self.roots:
             self._last[r] = None
 
-    def _intern(self, node, key, operands, slot_of_key):
+    def _intern(self, payload, operands, slot_of_key):
+        key = (payload, operands)
         slot = slot_of_key.get(key)
         if slot is None:
-            slot = slot_of_key[key] = len(self._nodes)
-            self._nodes.append(node)
+            slot = slot_of_key[key] = len(self._payloads)
+            self._payloads.append(payload)
             self._args.append(operands)
         return slot
 
@@ -435,7 +441,7 @@ class Program:
             node = node.left
         kids, payload = _parts(node)
         operands = tuple([self._visit(k, slot_of_key) for k in kids])
-        slot = self._intern(node, (payload, operands), operands, slot_of_key)
+        slot = self._intern(payload, operands, slot_of_key)
         for b in reversed(spine):
             slot = self._join(b, slot, slot_of_key)
         return slot
@@ -443,20 +449,20 @@ class Program:
     def _join(self, b, left, slot_of_key):
         """The slot of the BinOp ``b`` whose left operand has slot ``left``."""
         operands = (left, self._visit(b.right, slot_of_key))
-        return self._intern(b, ((BinOp, b.op), operands), operands, slot_of_key)
+        return self._intern((BinOp, b.op), operands, slot_of_key)
 
     def _value(self, i, vals, x, t):
         """Slot i's value: kept in ``vals``, or recomputed if i is cheap."""
         if not self._cheap[i]:
             return vals[i]
-        return _apply(self._nodes[i], [self._value(a, vals, x, t) for a in self._args[i]], x, t)
+        return _apply(self._payloads[i], [self._value(a, vals, x, t) for a in self._args[i]], x, t)
 
     def _exec(self, order, vals, x, t):
-        nodes, args, last, cheap = self._nodes, self._args, self._last, self._cheap
+        payloads, args, last, cheap = self._payloads, self._args, self._last, self._cheap
         for i in order:
             operands = args[i]
             vals[i] = _apply(
-                nodes[i],
+                payloads[i],
                 [self._value(a, vals, x, t) if cheap[a] else vals[a] for a in operands],
                 x,
                 t,
@@ -475,7 +481,7 @@ def sampler(program, x):
     slots.  Overflow and division by zero raise no numpy warning: the
     callers check the values for finiteness.
     """
-    held = [None] * len(program._nodes)
+    held = [None] * len(program._payloads)
     with np.errstate(all="ignore"):
         program._exec(program._t_free, held, x, None)
 

@@ -1,4 +1,7 @@
 import dataclasses
+import io
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from opcauchy import cli, kernels
 from opcauchy.cli import (
+    MAGIC,
     ConfigError,
     load_problem,
     main,
@@ -180,11 +184,72 @@ class TestOpc1Format:
             assert u1.shape == shape and u1.box == box
             assert np.array_equal(u0.data, u1.data)
 
+    def test_round_trip_is_bitwise_for_special_values(self, tmp_path):
+        parts = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-310, 1.5, -3e300]
+        re, im = np.meshgrid(parts, parts, indexing="ij")
+        data = np.empty(re.shape, complex)
+        data.real, data.imag = re, im
+        box = (1.0, 2.0)
+        snaps = [(0.25, Field(data.shape, box, data)),
+                 (0.5, Field(data.shape, box, data[::-1].copy()))]
+        path = tmp_path / "special.opc"
+        write_opc1(path, snaps, box)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_opc1(path)
+        for (t0, u0), (t1, u1) in zip(snaps, back):
+            assert t1 == t0 and u1.data.flags.writeable
+            assert np.array_equal(u1.data.view(np.uint64), u0.data.view(np.uint64))
+        # the file layout: the header, then per time interleaved little-endian Re, Im
+        header = MAGIC + struct.pack("<I2I2dI2d", 2, *data.shape, *box, 2, 0.25, 0.5)
+        body = [np.column_stack([u.data.real.ravel(), u.data.imag.ravel()]).astype("<f8")
+                for _, u in snaps]
+        assert path.read_bytes() == header + b"".join(b.tobytes() for b in body)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.opc"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             read_opc1(path)
+
+
+_TENS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+
+#: Values whose 18 digits are hard to get right, by kind; each is also
+#: written negated.
+TARGETED = {
+    "next_to_powers_of_ten": np.concatenate(
+        [np.nextafter(_TENS, 0), _TENS, np.nextafter(_TENS, np.inf)]
+    ),
+    # 1e153 is the double just below 10**153, and its 18 digits round up to
+    # 1.00000000000000000e+153; the others end in 9s without carrying
+    "decade_carries": np.array(
+        [1e153, 9.999999999999999e17, 9.9999999999999999e16]
+        + [float(f"9.999999999999999e{k}") for k in range(-308, 308, 7)]
+    ),
+    # m 2**-21 for odd m has 19 significant digits, the last a 5: a tie at 18
+    "exact_ties": np.arange(2099, 20972, 2) * 2.0**-21,
+    "extremes": np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0]),
+}
+
+
+def pairs_field(values):
+    """A 1-D field whose Re, Im are ``values`` in turn, padded with zeros."""
+    values = np.asarray(values, np.float64)
+    padded = np.zeros(max(4, values.size + values.size % 2))
+    padded[: values.size] = values
+    return Field((padded.size // 2,), (3.0,), padded.view(np.complex128))
+
+
+def savetxt_bytes(u, t):
+    """The bytes ``np.savetxt(fmt="%.17e")`` writes for ``u``, with the header
+    ``write_csv`` writes."""
+    cols = [c.ravel() for c in mesh(u.shape, u.box)] + [u.data.real.ravel(), u.data.imag.ravel()]
+    header = ",".join([f"x{d + 1}" for d in range(u.dim)] + ["re_u", "im_u"])
+    buf = io.BytesIO()
+    np.savetxt(buf, np.column_stack(cols), delimiter=",", header=f"t = {t!r}\n{header}",
+               fmt="%.17e")
+    return buf.getvalue()
 
 
 class TestCsv:
@@ -195,13 +260,46 @@ class TestCsv:
         rng = np.random.default_rng(62)
         box = tuple(2.0 + d for d in range(len(shape)))
         data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        data.flat[:4] = [complex(-0.0, -0.0), 1e-300, -1e300, complex(5e-324, -2.5e-310)]
+        data.flat[:6] = [complex(-0.0, -0.0), 1e-300, -1e300, complex(5e-324, -2.5e-310),
+                         complex(np.nan, -np.inf), complex(np.inf, 1.5e-123)]
         write_csv(tmp_path / "fast.csv", Field(shape, box, data), 0.25)
         cols = [c.ravel() for c in mesh(shape, box)] + [data.real.ravel(), data.imag.ravel()]
         header = ",".join([f"x{d + 1}" for d in range(len(shape))] + ["re_u", "im_u"])
         np.savetxt(tmp_path / "ref.csv", np.column_stack(cols), delimiter=",",
                    header=f"t = {0.25!r}\n{header}", fmt="%.17e")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(TARGETED))
+    def test_targeted_values_match_savetxt(self, tmp_path, case):
+        values = np.concatenate([TARGETED[case], -TARGETED[case]])
+        u = pairs_field(values)
+        write_csv(tmp_path / "u.csv", u, 0.5)
+        assert (tmp_path / "u.csv").read_bytes() == savetxt_bytes(u, 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64))),
+        min_size=1, max_size=64,
+    ))
+    def test_any_float_matches_savetxt(self, tmp_path_factory, values):
+        u = pairs_field(values)
+        path = tmp_path_factory.mktemp("csv") / "u.csv"
+        write_csv(path, u, 0.5)
+        assert path.read_bytes() == savetxt_bytes(u, 0.5)
+
+    def test_peak_memory_of_a_32_cubed_write(self, tmp_path):
+        # the text is built one chunk of rows at a time
+        rng = np.random.default_rng(63)
+        shape = (32, 32, 32)
+        u = Field(shape, (2 * np.pi,) * 3, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "u.csv", u, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
 
 class TestRunModes:

@@ -1,6 +1,7 @@
 import copy
 import gc
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -31,7 +32,8 @@ from opcauchy.multiplier import mesh
 
 def walk(node, x, t=None):
     """The reference tree walk: each node's value from its operands' values."""
-    return _apply(node, [walk(c, x, t) for c in _parts(node)[0]], x, t)
+    kids, payload = _parts(node)
+    return _apply(payload, [walk(c, x, t) for c in kids], x, t)
 
 
 def pretty(node):
@@ -398,6 +400,19 @@ class TestProgram:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_program_keeps_no_tree(self):
+        # a slot keeps its payload, not its node: a compiled tree is freed
+        # once its caller drops it, and the Program still runs bitwise alike
+        sources = ["exp(-t)*cos(2*x1)+sin(2*x1)*x2", "(x2*x1+x1)*t-(-0.0)*x1", "cos(2*x1)^3"]
+        trees = [parse(s, 2, allow_t=True) for s in sources]
+        expect = [walk(tree, COORDS[:2], 0.5) for tree in trees]
+        program = Program(trees)
+        roots = [weakref.ref(tree) for tree in trees]
+        del trees
+        assert [root() for root in roots] == [None] * len(sources)
+        for got, want in zip(evaluate(program, COORDS[:2], 0.5), expect):
+            assert bits(got) == bits(want)
 
     def test_3000_term_sum(self):
         n = 3000
