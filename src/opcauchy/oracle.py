@@ -1,18 +1,19 @@
 """Independent ground truth for the closed-form assemblies.
 
 Each Fourier mode of every problem kind satisfies a constant-coefficient
-linear ODE in time.  The oracle integrates that ODE directly -- by
+linear ODE in time.  The oracle solves that ODE directly -- by
 eigendecomposition of the companion matrix when the eigenvalues are well
-separated, by high-order adaptive explicit integration otherwise -- and
-never touches the kernel-synthesis code paths.
+separated, otherwise by the exponential of the balanced companion matrix in
+extended precision, stepped over panels for the Duhamel term -- and never
+touches the kernel-synthesis code paths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import kernels
 from .errors import InconclusiveProbe, InsufficientSnapshots
@@ -20,7 +21,8 @@ from .multiplier import to_spectral
 from .quadrature import gauss_rule
 from .symbol_poly import CharacteristicSpec, symbol_grid
 
-#: Relative eigenvalue gap below which the adaptive integrator takes over.
+#: Relative eigenvalue gap below which the extended-precision propagator
+#: takes over from the eigendecomposition.
 EIG_GAP_RTOL = 1e-6
 
 
@@ -90,31 +92,63 @@ def _eigen_solve(sys: CompanionSystem, phihat, fhat, t, nodes):
     return complex(hom + np.sum(w * ker * fvals) / sys.lead)
 
 
-def _adaptive_solve(sys: CompanionSystem, phihat, fhat, t):
-    """Real-stacked DOP853 fallback for (near-)repeated eigenvalues."""
+#: Gauss-Legendre nodes per panel of the propagator's Duhamel sum.
+_PANEL_NODES = 16
+#: Taylor terms of exp(M) at ||M||_1 <= 1/2; the first term left out,
+#: 2^-21/21!, is below the 2^-64 roundoff of np.clongdouble.
+_TAYLOR_TERMS = 20
+
+
+def _expm(M):
+    """exp of every matrix of a (n, q, q) np.clongdouble stack.
+
+    Each M is scaled by 2^-j to 1-norm at most 1/2, its Taylor series is
+    summed by Horner, and the result is squared j times.
+    """
+    _, j = np.frexp(2 * np.abs(M).sum(axis=-2).max(axis=-1))
+    j = np.maximum(j, 0)
+    S = M * np.ldexp(np.longdouble(1), -j)[:, None, None]
+    eye = np.eye(M.shape[-1], dtype=M.dtype)
+    E = eye
+    for n in range(_TAYLOR_TERMS, 0, -1):
+        E = eye + (S @ E) / n
+    for s in range(int(j.max())):
+        sel = j > s
+        E[sel] = E[sel] @ E[sel]
+    return E
+
+
+def _propagator_solve(sys: CompanionSystem, phihat, fhat, t, nodes):
+    """Exact state-transition propagator for the modes the eigen path rejects.
+
+    The companion state is balanced by D = diag(rho^i), rho the power of two
+    at or above the spectral radius, and propagated in np.clongdouble.  The
+    Duhamel term takes K equal panels of width h with a 16-point Gauss rule
+    each: state <- e^{Ah} state + sum_i w_i f(tau_i) e^{A(h - x_i)} e_{q-1}.
+    K keeps rho h <= 2 and at least ``nodes`` nodes in all.
+    """
     q = sys.order
-    Ar = np.block([[sys.A.real, -sys.A.imag], [sys.A.imag, sys.A.real]])
-    y0 = np.concatenate([np.real(phihat), np.imag(phihat)]).astype(float)
-    lead = sys.lead
+    mant, expo = math.frexp(max(1.0, float(np.max(np.abs(sys.eig()[0])))))
+    rho = math.ldexp(1.0, expo - (mant == 0.5))
+    d = np.longdouble(rho) ** np.arange(q)
+    A = sys.A.astype(np.clongdouble) * (d[None, :] / d[:, None])
+    state = np.asarray(phihat, dtype=np.clongdouble) / d
+    if fhat is None:
+        return complex((_expm(A[None] * np.longdouble(t))[0] @ state)[0])
 
-    def rhs(tt, y):
-        dy = Ar @ y
-        if fhat is not None:
-            f = complex(fhat(tt)) / lead
-            dy[q - 1] += f.real
-            dy[2 * q - 1] += f.imag
-        return dy
-
-    # max_step guards against the step-size heuristics coasting over the
-    # forcing when the state starts at exactly zero.
-    sol = solve_ivp(
-        rhs, (0.0, t), y0, method="DOP853",
-        rtol=1e-13, atol=1e-14, max_step=max(t / 64.0, 1e-6),
-    )
-    if not sol.success:
-        raise RuntimeError(f"adaptive oracle integration failed: {sol.message}")
-    yf = sol.y[:, -1]
-    return complex(yf[0] + 1j * yf[q])
+    panels = max(math.ceil(rho * t / 2), math.ceil(nodes / _PANEL_NODES))
+    h = np.longdouble(t) / panels
+    x, w = (np.asarray(v, dtype=np.longdouble) * h for v in gauss_rule(_PANEL_NODES, 1.0))
+    E = _expm(A[None] * np.concatenate([[h], h - x])[:, None, None])
+    step, cols = E[0], E[1:, :, q - 1] * (w / (sys.lead * d[q - 1]))[:, None]
+    # 1024 panels at a time bound the forcing samples held at once
+    for first in range(0, panels, 1024):
+        starts = np.arange(first, min(panels, first + 1024)) * h
+        tau = (starts[:, None] + x).ravel().astype(float)
+        f = np.array([fhat(tt) for tt in tau], dtype=complex)
+        for kick in f.reshape(-1, _PANEL_NODES) @ cols:
+            state = step @ state + kick
+    return complex(state[0])
 
 
 def mode_ode_solve(spec, p, phihat, fhat, t, nodes=64):
@@ -129,7 +163,7 @@ def mode_ode_solve(spec, p, phihat, fhat, t, nodes=64):
         raise ValueError(f"expected {sys.order} initial values, got {len(phihat)}")
     if sys.well_separated():
         return _eigen_solve(sys, phihat, fhat, t, nodes)
-    return _adaptive_solve(sys, phihat, fhat, t)
+    return _propagator_solve(sys, phihat, fhat, t, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +296,9 @@ def kernel_discrepancy_probe(m, samples=9, seed=7, nodes=96):
     """Decide the repeated-root forcing measure empirically.
 
     For random (p, t, forcing) both candidate kernels are compared against
-    the adaptive mode ODE oracle with zero initial data; the winner must
-    beat the loser by at least 10^3 on every sample.
+    the mode ODE oracle with zero initial data (a repeated-root mode is
+    defective, so the oracle's propagator solves it); the winner must beat
+    the loser by at least 10^3 on every sample.
     """
     rng = np.random.default_rng(seed)
     spec = CharacteristicSpec.repeated_root(m)

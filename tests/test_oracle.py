@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,8 +13,8 @@ from opcauchy.oracle import (
     mode_ode_solve,
     residual_check,
     save_verdict,
-    _adaptive_solve,
     _eigen_solve,
+    _propagator_solve,
 )
 from opcauchy.symbol_poly import CharacteristicSpec, SymbolPolynomial
 
@@ -78,7 +79,7 @@ class TestModeOdeSolve:
         with pytest.raises(ValueError):
             mode_ode_solve(spec, -1.0, [1.0, 0.0], None, 0.5)
 
-    def test_eigen_adaptive_agree(self):
+    def test_eigen_propagator_agree(self):
         # both back ends solve the same ODE; cross-check on generic data
         rng = np.random.default_rng(31)
         for _ in range(10):
@@ -90,8 +91,8 @@ class TestModeOdeSolve:
             t = rng.uniform(0.3, 1.0)
             sys = CompanionSystem.from_spec(spec, p)
             a = _eigen_solve(sys, phihat, fhat, t, 64)
-            b = _adaptive_solve(sys, phihat, fhat, t)
-            assert abs(a - b) < 1e-8 * (1 + abs(a))
+            b = _propagator_solve(sys, phihat, fhat, t, 64)
+            assert abs(a - b) < 1e-12 * (1 + abs(a))
 
     def test_duhamel_linearity(self):
         spec = CharacteristicSpec.first_order_product(roots=[1.0, -2.0])
@@ -102,6 +103,73 @@ class TestModeOdeSolve:
         u2 = mode_ode_solve(spec, p, zeros, np.sin, t)
         u12 = mode_ode_solve(spec, p, zeros, lambda tau: 2 * np.cos(tau) - np.sin(tau), t)
         assert u12 == pytest.approx(2 * u1 - u2, abs=1e-11)
+
+
+def _exact_mode(sys, phihat, omega, t, dps=45):
+    """e_0^T exp(B t) y_0 in mpmath, with cos(omega tau) forcing if omega is given.
+
+    B is the companion matrix, augmented by the 2x2 rotation block whose first
+    component is cos(omega tau) and which drives the last state equation.
+    """
+    q = sys.order
+    n = q if omega is None else q + 2
+    with mpmath.workdps(dps):
+        B = mpmath.zeros(n, n)
+        for i in range(q):
+            for j in range(q):
+                B[i, j] = mpmath.mpc(sys.A[i, j])
+        y0 = [mpmath.mpc(v) for v in phihat]
+        if omega is not None:
+            B[q - 1, q] = 1 / mpmath.mpc(sys.lead)
+            B[q, q + 1] = -omega
+            B[q + 1, q] = omega
+            y0 += [1, 0]
+        return complex((mpmath.expm(B * mpmath.mpf(t)) * mpmath.matrix(y0))[0])
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63,
+    reason="np.longdouble is not the 64-bit-mantissa extended type here, "
+    "so the propagator runs at double precision",
+)
+class TestPropagatorAccuracy:
+    """The fallback for modes the eigen path cannot take, against mpmath."""
+
+    @pytest.mark.parametrize("spec", [
+        CharacteristicSpec.repeated_root(2),
+        CharacteristicSpec.repeated_root(3),
+        CharacteristicSpec.even_order_product([1, 1.5, 2]),
+        CharacteristicSpec.first_order_product(roots=[1, 1 + 1e-7, 2]),
+    ], ids=["repeated-2", "repeated-3", "even", "first-near-coincident"])
+    def test_matches_exact_exponential(self, spec):
+        checked = 0
+        for k in (1, 30, 90, 127):
+            p = -float(k * k)
+            sys = CompanionSystem.from_spec(spec, p)
+            if sys.well_separated():
+                continue
+            phihat = [np.exp(0.7j * k) / (k * (r + 1)) for r in range(sys.order)]
+            for t in (0.1, 0.5):
+                for omega in (None, 2):
+                    fhat = None if omega is None else (lambda tau: np.cos(omega * tau))
+                    got = mode_ode_solve(spec, p, phihat, fhat, t)
+                    ref = _exact_mode(sys, phihat, omega, t)
+                    # a free mode decayed to e^-450 of its data is measured
+                    # against the data; a forced one against its own size
+                    scale = abs(ref) if omega else max(abs(ref), abs(phihat[0]))
+                    assert abs(got - ref) <= 1e-14 * scale, (k, t, omega, got, ref)
+                    checked += 1
+        assert checked >= 12
+
+    def test_fast_forcing_resolved_at_default_nodes(self):
+        # the spectral radius alone asks for one panel (rho t / 2 = 1); the
+        # floor of nodes / 16 = 4 panels is what resolves cos(60 tau)
+        spec = CharacteristicSpec.repeated_root(2)
+        sys = CompanionSystem.from_spec(spec, -1.0)
+        zeros = [0j] * 4
+        got = mode_ode_solve(spec, -1.0, zeros, lambda tau: np.cos(60 * tau), 1.0)
+        ref = _exact_mode(sys, zeros, 60, 1.0)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 class TestFdWeights:
