@@ -1,9 +1,8 @@
 """Independent ground truth for the closed-form assemblies.
 
 Each Fourier mode of every problem kind satisfies a constant-coefficient
-linear ODE in time.  The oracle solves that ODE directly -- by
-eigendecomposition of the companion matrix when the eigenvalues are well
-separated, otherwise by the exponential of the balanced companion matrix in
+linear ODE in time.  The oracle solves that ODE directly, on every mode
+the same way -- by the exponential of the balanced companion matrix in
 extended precision, stepped over panels for the Duhamel term -- and never
 touches the kernel-synthesis code paths.
 """
@@ -21,10 +20,6 @@ from .multiplier import to_spectral
 from .quadrature import gauss_rule
 from .symbol_poly import CharacteristicSpec, symbol_grid
 
-#: Relative eigenvalue gap below which the extended-precision propagator
-#: takes over from the eigendecomposition.
-EIG_GAP_RTOL = 1e-6
-
 
 def _s_poly_coeffs(spec: CharacteristicSpec, p):
     """Ascending coefficients of the mode ODE's characteristic polynomial in s."""
@@ -38,58 +33,6 @@ def _s_poly_coeffs(spec: CharacteristicSpec, p):
 def _operator_orders(spec):
     """(time-derivative order, coefficient b, power of p) triples."""
     return [(spec.step * k, spec.b[k], spec.m - k) for k in range(spec.m + 1)]
-
-
-@dataclass(eq=False)
-class CompanionSystem:
-    """Companion form of the per-mode ODE with a cached eigendecomposition."""
-
-    order: int
-    A: np.ndarray
-    lead: complex
-    _eig: tuple = None
-
-    @classmethod
-    def from_spec(cls, spec, p):
-        coeffs = _s_poly_coeffs(spec, p)
-        q = len(coeffs) - 1
-        A = np.zeros((q, q), dtype=complex)
-        A[np.arange(q - 1), np.arange(1, q)] = 1.0
-        A[-1, :] = -coeffs[:q] / coeffs[q]
-        return cls(order=q, A=A, lead=complex(coeffs[q]))
-
-    def eig(self):
-        if self._eig is None:
-            vals, vecs = np.linalg.eig(self.A)
-            self._eig = (vals, vecs)
-        return self._eig
-
-    def well_separated(self):
-        # A defective eigenvalue of multiplicity k scatters numerically by
-        # ~eps^(1/k), which can clear the gap threshold for k >= 3; the
-        # eigenvector conditioning catches those cases.
-        vals, vecs = self.eig()
-        scale = 1.0 + np.max(np.abs(vals))
-        diffs = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        if diffs.min() < EIG_GAP_RTOL * scale:
-            return False
-        return np.linalg.cond(vecs) < 1e6
-
-
-def _eigen_solve(sys: CompanionSystem, phihat, fhat, t, nodes):
-    vals, vecs = sys.eig()
-    winv = np.linalg.inv(vecs)
-    y0 = np.asarray(phihat, dtype=complex)
-    hom = vecs[0, :] @ (np.exp(vals * t) * (winv @ y0))
-    if fhat is None:
-        return complex(hom)
-    # Duhamel with the propagator row e_0^T V e^{L(t-tau)} V^{-1} e_{q-1}.
-    row = vecs[0, :] * winv[:, sys.order - 1]
-    tau, w = gauss_rule(nodes, t)
-    ker = np.exp(np.outer(t - tau, vals)) @ row
-    fvals = np.array([fhat(tt) for tt in tau], dtype=complex)
-    return complex(hom + np.sum(w * ker * fvals) / sys.lead)
 
 
 #: Gauss-Legendre nodes per panel of the propagator's Duhamel sum.
@@ -118,20 +61,31 @@ def _expm(M):
     return E
 
 
-def _propagator_solve(sys: CompanionSystem, phihat, fhat, t, nodes):
-    """Exact state-transition propagator for the modes the eigen path rejects.
+def mode_ode_solve(spec, p, phihat, fhat, t, nodes=64):
+    """Solve the scalar mode ODE sum_k b_k p^{m-k} u^{(k)} = fhat at time t.
+
+    ``phihat`` gives u^{(r)}(0); ``fhat`` is a callable of tau or None.
 
     The companion state is balanced by D = diag(rho^i), rho the power of two
-    at or above the spectral radius, and propagated in np.clongdouble.  The
-    Duhamel term takes K equal panels of width h with a 16-point Gauss rule
-    each: state <- e^{Ah} state + sum_i w_i f(tau_i) e^{A(h - x_i)} e_{q-1}.
+    at or above the spectral radius, and propagated by its exact
+    state-transition matrix in np.clongdouble.  The Duhamel term takes K
+    equal panels of width h with a 16-point Gauss rule each:
+    state <- e^{Ah} state + sum_i w_i f(tau_i) e^{A(h - x_i)} e_{q-1}.
     K keeps rho h <= 2 and at least ``nodes`` nodes in all.
     """
-    q = sys.order
-    mant, expo = math.frexp(max(1.0, float(np.max(np.abs(sys.eig()[0])))))
+    coeffs = _s_poly_coeffs(spec, p)
+    q = len(coeffs) - 1
+    if len(phihat) != q:
+        raise ValueError(f"expected {q} initial values, got {len(phihat)}")
+    if t == 0:
+        return complex(phihat[0])
+    A = np.zeros((q, q), dtype=complex)
+    A[np.arange(q - 1), np.arange(1, q)] = 1.0
+    A[-1, :] = -coeffs[:q] / coeffs[q]
+    mant, expo = math.frexp(max(1.0, float(np.max(np.abs(np.linalg.eigvals(A))))))
     rho = math.ldexp(1.0, expo - (mant == 0.5))
     d = np.longdouble(rho) ** np.arange(q)
-    A = sys.A.astype(np.clongdouble) * (d[None, :] / d[:, None])
+    A = A.astype(np.clongdouble) * (d[None, :] / d[:, None])
     state = np.asarray(phihat, dtype=np.clongdouble) / d
     if fhat is None:
         return complex((_expm(A[None] * np.longdouble(t))[0] @ state)[0])
@@ -140,7 +94,7 @@ def _propagator_solve(sys: CompanionSystem, phihat, fhat, t, nodes):
     h = np.longdouble(t) / panels
     x, w = (np.asarray(v, dtype=np.longdouble) * h for v in gauss_rule(_PANEL_NODES, 1.0))
     E = _expm(A[None] * np.concatenate([[h], h - x])[:, None, None])
-    step, cols = E[0], E[1:, :, q - 1] * (w / (sys.lead * d[q - 1]))[:, None]
+    step, cols = E[0], E[1:, :, q - 1] * (w / (coeffs[q] * d[q - 1]))[:, None]
     # 1024 panels at a time bound the forcing samples held at once
     for first in range(0, panels, 1024):
         starts = np.arange(first, min(panels, first + 1024)) * h
@@ -149,21 +103,6 @@ def _propagator_solve(sys: CompanionSystem, phihat, fhat, t, nodes):
         for kick in f.reshape(-1, _PANEL_NODES) @ cols:
             state = step @ state + kick
     return complex(state[0])
-
-
-def mode_ode_solve(spec, p, phihat, fhat, t, nodes=64):
-    """Solve the scalar mode ODE sum_k b_k p^{m-k} u^{(k)} = fhat at time t.
-
-    ``phihat`` gives u^{(r)}(0); ``fhat`` is a callable of tau or None.
-    """
-    if t == 0:
-        return complex(phihat[0])
-    sys = CompanionSystem.from_spec(spec, p)
-    if len(phihat) != sys.order:
-        raise ValueError(f"expected {sys.order} initial values, got {len(phihat)}")
-    if sys.well_separated():
-        return _eigen_solve(sys, phihat, fhat, t, nodes)
-    return _propagator_solve(sys, phihat, fhat, t, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +235,9 @@ def kernel_discrepancy_probe(m, samples=9, seed=7, nodes=96):
     """Decide the repeated-root forcing measure empirically.
 
     For random (p, t, forcing) both candidate kernels are compared against
-    the mode ODE oracle with zero initial data (a repeated-root mode is
-    defective, so the oracle's propagator solves it); the winner must beat
-    the loser by at least 10^3 on every sample.
+    the mode ODE oracle with zero initial data (the oracle's propagator is
+    exact on the defective repeated-root modes as on every other); the
+    winner must beat the loser by at least 10^3 on every sample.
     """
     rng = np.random.default_rng(seed)
     spec = CharacteristicSpec.repeated_root(m)

@@ -81,9 +81,7 @@ def roots_from_coeffs(b):
     safe = np.abs(dv) > 1e-30
     roots[safe] = roots[safe] - pv[safe] / dv[safe]
 
-    scale = 1.0 + np.max(np.abs(roots))
-    if _min_gap(roots) < DISTINCT_ROOT_RTOL * scale:
-        raise DegenerateRoots("coincident roots: closed-form kernels divide by root gaps")
+    _check_distinct(roots)
 
     bound = 1.0 + np.max(np.abs(b[:m] / b[m]))
     angles = np.pi * (2 * np.arange(m + 1) + 1) / (2 * (m + 1))

@@ -556,5 +556,5 @@ class TestSeparate:
         except ArithmeticError:
             return  # a constant divided by zero or overflowed
         finite = np.isfinite(expect) & np.isfinite(got)
-        scale = np.broadcast_to(1.0 + np.abs(expect), finite.shape)
-        assert np.all(np.abs(got - expect)[finite] <= 1e-9 * scale[finite])
+        got, expect = (np.broadcast_to(v, finite.shape)[finite] for v in (got, expect))
+        assert np.all(np.abs(got - expect) <= 1e-9 * (1.0 + np.abs(expect)))

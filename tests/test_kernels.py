@@ -359,10 +359,15 @@ class TestSolve:
             expect = (4 / 3 * np.cos(t) - 1 / 3 * np.cos(2 * t)) * np.cos(x)
             assert np.max(np.abs(u.data - expect)) < 1e-8
 
-    def test_linearity(self):
+    @pytest.mark.parametrize("spec", [
+        CharacteristicSpec.first_order_product(roots=[1, 2]),
+        CharacteristicSpec.even_order_product([1, 2]),
+        CharacteristicSpec.repeated_root(2),
+    ], ids=["first", "even", "repeated"])
+    def test_linearity(self, spec):
+        # unforced, so the repeated root needs no measure
         shape, box = (32,), (2 * np.pi,)
         rng = np.random.default_rng(51)
-        spec = CharacteristicSpec.first_order_product(roots=[1, 2])
         P = SymbolPolynomial.laplacian(1)
 
         def band_limited():
@@ -371,8 +376,8 @@ class TestSolve:
                 data += rng.normal() * np.exp(2j * np.pi * k * np.arange(32) / 32)
             return Field(shape, box, data)
 
-        phi_a = (band_limited(), band_limited())
-        phi_b = (band_limited(), band_limited())
+        phi_a = tuple(band_limited() for _ in range(spec.data_count))
+        phi_b = tuple(band_limited() for _ in range(spec.data_count))
         alpha = 0.7 - 0.3j
         t_pts = (0.6,)
         sa, _ = solve(CauchyProblem(spec, P, shape, box, phi_a, None, t_pts))

@@ -6,52 +6,38 @@ from opcauchy.errors import InconclusiveProbe, InsufficientSnapshots
 from opcauchy.kernels import PLAIN_MEASURE, TAU_PRIME_MEASURE, CauchyProblem
 from opcauchy.multiplier import Field, mesh
 from opcauchy.oracle import (
-    CompanionSystem,
     fd_weights,
     kernel_discrepancy_probe,
     load_verdict,
     mode_ode_solve,
     residual_check,
     save_verdict,
-    _eigen_solve,
-    _propagator_solve,
+    _s_poly_coeffs,
 )
 from opcauchy.symbol_poly import CharacteristicSpec, SymbolPolynomial
 
 from test_symbol_poly import random_distinct_roots
 
 
-class TestCompanionSystem:
-    def test_first_order_eigenvalues(self):
+class TestModePolynomial:
+    def test_first_order_roots(self):
         # the mode ODE prod_j (d/dt - a_j p) has exponents a_j p
         roots = [1.0, 2.0, -0.5 + 1j]
         p = -0.7 + 0.3j
         spec = CharacteristicSpec.first_order_product(roots=roots)
-        sys = CompanionSystem.from_spec(spec, p)
-        vals = np.sort_complex(sys.eig()[0])
+        got = np.sort_complex(np.roots(_s_poly_coeffs(spec, p)[::-1]))
         expect = np.sort_complex(np.array(roots) * p)
-        assert np.max(np.abs(vals - expect)) < 1e-10
+        assert np.max(np.abs(got - expect)) < 1e-10
 
-    def test_even_order_eigenvalues(self):
+    def test_even_order_roots(self):
         # prod_j (d^2/dt^2 - a_j^2 p) has exponents +/- a_j sqrt(p)
         roots = [1.0, 2.0]
         p = -1.3 + 0.4j
         spec = CharacteristicSpec.even_order_product(roots)
-        sys = CompanionSystem.from_spec(spec, p)
-        vals = np.sort_complex(sys.eig()[0])
+        got = np.sort_complex(np.roots(_s_poly_coeffs(spec, p)[::-1]))
         w = np.sqrt(complex(p))
         expect = np.sort_complex(np.array([w, -w, 2 * w, -2 * w]))
-        assert np.max(np.abs(vals - expect)) < 1e-10
-
-    def test_repeated_root_not_well_separated(self):
-        spec = CharacteristicSpec.repeated_root(3)
-        sys = CompanionSystem.from_spec(spec, -1.0 + 0.5j)
-        assert not sys.well_separated()
-
-    def test_distinct_roots_well_separated(self):
-        spec = CharacteristicSpec.first_order_product(roots=[1.0, 2.0, -1.0])
-        sys = CompanionSystem.from_spec(spec, -1.0)
-        assert sys.well_separated()
+        assert np.max(np.abs(got - expect)) < 1e-10
 
 
 class TestModeOdeSolve:
@@ -76,23 +62,22 @@ class TestModeOdeSolve:
 
     def test_wrong_data_count_rejected(self):
         spec = CharacteristicSpec.even_order_product([1.0, 2.0])
-        with pytest.raises(ValueError):
-            mode_ode_solve(spec, -1.0, [1.0, 0.0], None, 0.5)
+        for t in (0.0, 0.5):
+            with pytest.raises(ValueError):
+                mode_ode_solve(spec, -1.0, [1.0, 0.0], None, t)
 
     def test_eigen_propagator_agree(self):
-        # both back ends solve the same ODE; cross-check on generic data
+        # the propagator against the exact exponential on generic data
         rng = np.random.default_rng(31)
         for _ in range(10):
             roots = random_distinct_roots(rng, 3)
             spec = CharacteristicSpec.first_order_product(roots=roots)
             p = complex(-abs(rng.normal()), rng.normal())
             phihat = rng.normal(size=3) + 1j * rng.normal(size=3)
-            fhat = lambda tau: np.cos(tau)
             t = rng.uniform(0.3, 1.0)
-            sys = CompanionSystem.from_spec(spec, p)
-            a = _eigen_solve(sys, phihat, fhat, t, 64)
-            b = _propagator_solve(sys, phihat, fhat, t, 64)
-            assert abs(a - b) < 1e-12 * (1 + abs(a))
+            got = mode_ode_solve(spec, p, phihat, np.cos, t)
+            ref = _exact_mode(spec, p, phihat, 1, t)
+            assert abs(got - ref) <= 1e-14 * (1 + abs(ref))
 
     def test_duhamel_linearity(self):
         spec = CharacteristicSpec.first_order_product(roots=[1.0, -2.0])
@@ -105,22 +90,25 @@ class TestModeOdeSolve:
         assert u12 == pytest.approx(2 * u1 - u2, abs=1e-11)
 
 
-def _exact_mode(sys, phihat, omega, t, dps=45):
+def _exact_mode(spec, p, phihat, omega, t, dps=45):
     """e_0^T exp(B t) y_0 in mpmath, with cos(omega tau) forcing if omega is given.
 
-    B is the companion matrix, augmented by the 2x2 rotation block whose first
+    B is the companion matrix of the mode polynomial (its last row rounded to
+    double, as the oracle's), augmented by the 2x2 rotation block whose first
     component is cos(omega tau) and which drives the last state equation.
     """
-    q = sys.order
+    coeffs = _s_poly_coeffs(spec, p)
+    q = len(coeffs) - 1
     n = q if omega is None else q + 2
     with mpmath.workdps(dps):
         B = mpmath.zeros(n, n)
-        for i in range(q):
-            for j in range(q):
-                B[i, j] = mpmath.mpc(sys.A[i, j])
+        for i in range(q - 1):
+            B[i, i + 1] = 1
+        for j in range(q):
+            B[q - 1, j] = mpmath.mpc(-coeffs[j] / coeffs[q])
         y0 = [mpmath.mpc(v) for v in phihat]
         if omega is not None:
-            B[q - 1, q] = 1 / mpmath.mpc(sys.lead)
+            B[q - 1, q] = 1 / mpmath.mpc(coeffs[q])
             B[q, q + 1] = -omega
             B[q + 1, q] = omega
             y0 += [1, 0]
@@ -133,42 +121,36 @@ def _exact_mode(sys, phihat, omega, t, dps=45):
     "so the propagator runs at double precision",
 )
 class TestPropagatorAccuracy:
-    """The fallback for modes the eigen path cannot take, against mpmath."""
+    """The oracle on every mode kind, stiff and near-coincident, against mpmath."""
 
     @pytest.mark.parametrize("spec", [
         CharacteristicSpec.repeated_root(2),
         CharacteristicSpec.repeated_root(3),
         CharacteristicSpec.even_order_product([1, 1.5, 2]),
         CharacteristicSpec.first_order_product(roots=[1, 1 + 1e-7, 2]),
-    ], ids=["repeated-2", "repeated-3", "even", "first-near-coincident"])
+        CharacteristicSpec.first_order_product(roots=[1, 2, 3]),
+    ], ids=["repeated-2", "repeated-3", "even", "first-near-coincident", "first"])
     def test_matches_exact_exponential(self, spec):
-        checked = 0
         for k in (1, 30, 90, 127):
             p = -float(k * k)
-            sys = CompanionSystem.from_spec(spec, p)
-            if sys.well_separated():
-                continue
-            phihat = [np.exp(0.7j * k) / (k * (r + 1)) for r in range(sys.order)]
+            phihat = [np.exp(0.7j * k) / (k * (r + 1)) for r in range(spec.data_count)]
             for t in (0.1, 0.5):
                 for omega in (None, 2):
                     fhat = None if omega is None else (lambda tau: np.cos(omega * tau))
                     got = mode_ode_solve(spec, p, phihat, fhat, t)
-                    ref = _exact_mode(sys, phihat, omega, t)
+                    ref = _exact_mode(spec, p, phihat, omega, t)
                     # a free mode decayed to e^-450 of its data is measured
                     # against the data; a forced one against its own size
                     scale = abs(ref) if omega else max(abs(ref), abs(phihat[0]))
                     assert abs(got - ref) <= 1e-14 * scale, (k, t, omega, got, ref)
-                    checked += 1
-        assert checked >= 12
 
     def test_fast_forcing_resolved_at_default_nodes(self):
         # the spectral radius alone asks for one panel (rho t / 2 = 1); the
         # floor of nodes / 16 = 4 panels is what resolves cos(60 tau)
         spec = CharacteristicSpec.repeated_root(2)
-        sys = CompanionSystem.from_spec(spec, -1.0)
         zeros = [0j] * 4
         got = mode_ode_solve(spec, -1.0, zeros, lambda tau: np.cos(60 * tau), 1.0)
-        ref = _exact_mode(sys, zeros, 60, 1.0)
+        ref = _exact_mode(spec, -1.0, zeros, 60, 1.0)
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
