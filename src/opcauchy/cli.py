@@ -28,6 +28,7 @@ from . import exprparse, oracle
 from .errors import (
     ExprSyntaxError,
     InconclusiveProbe,
+    NonFiniteForcing,
     NonIntegerExponent,
     OpcauchyError,
     UnknownVariable,
@@ -196,13 +197,12 @@ def load_problem(path):
             spatial_profiles = tuple(
                 _grid_values([h for _, h in pairs], ["forcing.f"] * len(pairs), grid_mesh, shape)
             )
-            time_profiles = exprparse.sampler(exprparse.Program([g for g, _ in pairs]), ())
+            time_profiles = _forcing_sampler([g for g, _ in pairs], ())
         if rest is not None:
-            sample = exprparse.sampler(exprparse.Program([rest]), grid_mesh)
+            sample = _forcing_sampler([rest], grid_mesh)
 
             def forcing(t):
-                (vals,) = sample(t)
-                return np.broadcast_to(vals, shape)
+                return sample(t)[0]
 
     times = tuple(
         _number(v, "output.times")
@@ -218,15 +218,36 @@ def load_problem(path):
 
 
 def _grid_values(trees, keys, grid_mesh, shape):
-    """The t-free ``trees`` evaluated together on the grid, one complex array
-    of ``shape`` each; a value that is not finite at some grid point is a
-    ConfigError naming the tree's key."""
+    """The t-free ``trees`` evaluated together on the mesh's axes, one complex
+    array of ``shape`` each; a value that is not finite at some grid point,
+    or arithmetic on Python numbers that faults (``1/0``), is a ConfigError."""
+    try:
+        values = exprparse.evaluate(exprparse.Program(trees), grid_mesh)
+    except ArithmeticError as exc:
+        raise ConfigError(f"{', '.join(dict.fromkeys(keys))}: {exc}") from None
     out = []
-    for key, vals in zip(keys, exprparse.evaluate(exprparse.Program(trees), grid_mesh)):
+    for key, vals in zip(keys, values):
         if not np.isfinite(vals).all():
             raise ConfigError(f"{key} is not finite at every grid point")
         out.append(np.broadcast_to(vals, shape).astype(complex))
     return out
+
+
+def _forcing_sampler(trees, x):
+    """``exprparse.sampler`` of forcing ``trees`` at ``x``; arithmetic on Python numbers
+    that faults is a ConfigError here, and NonFiniteForcing in a sample at t."""
+    try:
+        sample = exprparse.sampler(exprparse.Program(trees), x)
+    except ArithmeticError as exc:
+        raise ConfigError(f"forcing.f: {exc}") from None
+
+    def at(t):
+        try:
+            return sample(t)
+        except ArithmeticError:
+            raise NonFiniteForcing(f"forcing is not finite at t = {np.min(t):.17g}") from None
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +374,7 @@ def write_csv(path, u: Field, t):
     with the padding removed.
     """
     header = ",".join([f"x{d + 1}" for d in range(u.dim)] + ["re_u", "im_u"])
-    axes = [_format_e17(L * np.arange(n) / n) for n, L in zip(u.shape, u.box)]
+    axes = [_format_e17(x.ravel()) for x in mesh(u.shape, u.box)]
     # Re and Im of each point, side by side
     values = np.ascontiguousarray(u.data, np.complex128).reshape(-1).view(np.float64)
     size = values.size // 2

@@ -383,17 +383,12 @@ class Program:
     the trees (term i of every tree, then term i+1), so a value shared by
     the trees' i-th terms is dropped right after its last reader; tree by
     tree, every shared term would stay alive until the last tree.  The
-    t-free slots run before the t-dependent ones, and each value except a
-    root's is dropped after its last use.  A Program holds no values: a
-    ``sampler`` keeps the t-free values that a t-dependent slot or a root
-    reads.  Nor does it hold the trees: a slot keeps its ``_parts`` payload
-    and its operands' slots, so a tree is freed once its caller drops it.
-
-    Cheap slots, a constant, a variable or one arithmetic operation on
-    those (``7*x1``), are never kept: each reader recomputes them.  They are
-    the most widely shared subtrees (every ``k*x1`` of one wavenumber), and
-    keeping them would hold a grid-sized array per distinct one for the
-    whole expression.
+    t-free slots run before the t-dependent ones; every slot is computed
+    once per call, kept, and each value except a root's is dropped after
+    its last use.  A Program holds no values: a ``sampler`` keeps the t-free
+    values that a t-dependent slot or a root reads.  Nor does it hold the
+    trees: a slot keeps its ``_parts`` payload and its operands' slots, so a
+    tree is freed once its caller drops it.
     """
 
     def __init__(self, trees):
@@ -407,14 +402,11 @@ class Program:
                     self.roots[r] = self._visit(spine[0], slot_of_key)
                 elif i < len(spine):
                     self.roots[r] = self._join(spine[i], self.roots[r], slot_of_key)
-        tdep, self._cheap = [], []
+        tdep = []
         for payload, operands in zip(self._payloads, self._args):
             tdep.append(payload == (Var, "t") or any([tdep[a] for a in operands]))
-            leaves = all([not self._args[a] for a in operands])
-            self._cheap.append(leaves and payload[0] is not Call)
-        kept = [i for i, cheap in enumerate(self._cheap) if not cheap]
-        self._t_free = [i for i in kept if not tdep[i]]
-        self._t_dep = [i for i in kept if tdep[i]]
+        self._t_free = [i for i, dep in enumerate(tdep) if not dep]
+        self._t_dep = [i for i, dep in enumerate(tdep) if dep]
         self._last = [None] * len(self._payloads)  # the slot that reads each slot last
         for i in self._t_free + self._t_dep:
             for a in self._args[i]:
@@ -451,22 +443,11 @@ class Program:
         operands = (left, self._visit(b.right, slot_of_key))
         return self._intern((BinOp, b.op), operands, slot_of_key)
 
-    def _value(self, i, vals, x, t):
-        """Slot i's value: kept in ``vals``, or recomputed if i is cheap."""
-        if not self._cheap[i]:
-            return vals[i]
-        return _apply(self._payloads[i], [self._value(a, vals, x, t) for a in self._args[i]], x, t)
-
     def _exec(self, order, vals, x, t):
-        payloads, args, last, cheap = self._payloads, self._args, self._last, self._cheap
+        payloads, args, last = self._payloads, self._args, self._last
         for i in order:
             operands = args[i]
-            vals[i] = _apply(
-                payloads[i],
-                [self._value(a, vals, x, t) if cheap[a] else vals[a] for a in operands],
-                x,
-                t,
-            )
+            vals[i] = _apply(payloads[i], [vals[a] for a in operands], x, t)
             for a in operands:
                 if last[a] == i:
                     vals[a] = None
@@ -489,7 +470,7 @@ def sampler(program, x):
         vals = list(held)
         with np.errstate(all="ignore"):
             program._exec(program._t_dep, vals, x, t)
-            return [program._value(r, vals, x, t) for r in program.roots]
+        return [vals[r] for r in program.roots]
 
     return sample
 

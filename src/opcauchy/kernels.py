@@ -69,8 +69,7 @@ def _series(z, step, k, radius):
     coeffs = _series_coeffs(step, k, radius)
     acc = np.full_like(z, coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc *= z
-        acc += c
+        acc = acc * z + c
     return acc
 
 
@@ -95,13 +94,10 @@ def _time_kernels(step, mu, t, lo, hi):
         w = np.sqrt(outside)
         e = _sat_exp(w)
         inverse_e = 1 / e
-        f = {-1: e + inverse_e, 0: e - inverse_e}
-        f[-1] *= 0.5
-        f[0] /= 2 * w
+        f = {-1: (e + inverse_e) * 0.5, 0: (e - inverse_e) / (2 * w)}
     inverse = 1 / outside
     for k in range(1, hi + 1):
-        f[k] = f[k - step] - 1 / factorial(k - 1)
-        f[k] *= inverse
+        f[k] = (f[k - step] - 1 / factorial(k - 1)) * inverse
     zs = z[near]
     if zs.size:
         inside = {}
@@ -112,7 +108,7 @@ def _time_kernels(step, mu, t, lo, hi):
                 inside[k] = zs * inside[k + step] + 1 / factorial(k + step - 1)
             f[k][near] = inside[k]
     for k in range(max(lo, 2 - step), hi + 1):
-        f[k] *= t ** (k + step - 1)
+        f[k] = f[k] * t ** (k + step - 1)
     for k in range(-step, lo - 1, -1):
         f[k] = mu * f[k + step]
     return {k: f[k] for k in range(lo, hi + 1)}
@@ -317,7 +313,7 @@ class CauchyProblem:
     holds the h_j as samples on the problem's grid, and ``time_profiles`` is
     a callable taking t (a number or an array) to the sequence of the g_j(t),
     each a number or an array of t's shape.  ``forcing``, the rest, is a
-    callable t -> samples on the problem's grid, or None.  ``measure``
+    callable t -> samples that broadcast to the problem's grid, or None.  ``measure``
     selects the repeated-root forcing kernel ('plain' or 'tau_prime', as
     the discrepancy probe decides); it is needed only when a repeated-root
     problem is forced.
@@ -370,8 +366,14 @@ class CauchyProblem:
         return [to_spectral(np.asarray(h, dtype=complex)) for h in self.spatial_profiles]
 
     def _rest_hat(self, t):
-        """The Fourier coefficients of the rest at time t."""
-        return to_spectral(_finite(np.asarray(self.forcing(t), dtype=complex), t))
+        """The Fourier coefficients of the rest at time t, its samples broadcast to the grid."""
+        samples = np.asarray(self.forcing(t), dtype=complex)
+        try:
+            samples = np.broadcast_to(samples, self.shape)
+        except ValueError:
+            message = f"forcing samples {samples.shape} do not broadcast to the grid {self.shape}"
+            raise ValueError(message) from None
+        return to_spectral(_finite(samples, t))
 
     def forcing_hat(self, t):
         """Fourier coefficients of the forcing at time t: sum_j g_j(t) times
@@ -406,14 +408,10 @@ def _growth_rates(spec, pgrid):
 
 def stability_report(spec, pgrid, shape, t_max, nonfinite):
     rates = _growth_rates(spec, pgrid)
-    kmesh = wavevectors(shape)
-    over = np.zeros(pgrid.shape, dtype=bool)
-    for rate in rates:
-        over |= rate * t_max > OVERFLOW_LIMIT
-    flagged = tuple(
-        tuple(int(kmesh[d][tuple(i)]) for d in range(len(shape)))
-        for i in np.argwhere(over)
-    )
+    over = np.any([rate * t_max > OVERFLOW_LIMIT for rate in rates], axis=0)
+    # the integer wavevector of each flagged mode, in row-major order
+    columns = zip(wavevectors(shape), np.nonzero(over))
+    flagged = tuple(zip(*[k.ravel()[i].astype(int).tolist() for k, i in columns]))
     cond = max((abs(c) for c in spec.pf), default=1.0)
     return StabilityReport(
         max_growth=tuple(float(np.max(r)) for r in rates),

@@ -36,8 +36,9 @@ class Field:
 
     @classmethod
     def from_function(cls, shape, box, fn):
-        """Sample fn on the grid; fn takes the mesh coordinate arrays."""
-        return cls(tuple(shape), tuple(box), np.asarray(fn(*mesh(shape, box)), dtype=complex))
+        """Sample fn on the grid; fn takes the axes of ``mesh``, its value is broadcast."""
+        data = np.broadcast_to(fn(*mesh(shape, box)), tuple(shape)).astype(complex)
+        return cls(tuple(shape), tuple(box), data)
 
     @classmethod
     def zeros(cls, shape, box):
@@ -45,9 +46,8 @@ class Field:
 
 
 def mesh(shape, box):
-    """Coordinate arrays of the periodic grid, endpoint excluded."""
-    axes = [box[d] * np.arange(shape[d]) / shape[d] for d in range(len(shape))]
-    return np.meshgrid(*axes, indexing="ij")
+    """The grid's coordinates, endpoint excluded, as broadcast axes: (n,1,1), (1,n,1), (1,1,n)."""
+    return np.ix_(*[box[d] * np.arange(shape[d]) / shape[d] for d in range(len(shape))])
 
 
 def to_spectral(samples):

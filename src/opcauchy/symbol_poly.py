@@ -226,9 +226,8 @@ class SymbolPolynomial:
 
 
 def wavevectors(shape):
-    """Integer wavevector meshes in FFT ordering, one array per axis."""
-    axes = [np.fft.fftfreq(n, d=1.0 / n) for n in shape]
-    return np.meshgrid(*axes, indexing="ij")
+    """Integer wavevectors in FFT ordering, as broadcast axes like ``multiplier.mesh``'s."""
+    return np.ix_(*[np.fft.fftfreq(n, d=1.0 / n) for n in shape])
 
 
 def symbol_grid(P, shape, box):

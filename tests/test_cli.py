@@ -244,7 +244,8 @@ def pairs_field(values):
 def savetxt_bytes(u, t):
     """The bytes ``np.savetxt(fmt="%.17e")`` writes for ``u``, with the header
     ``write_csv`` writes."""
-    cols = [c.ravel() for c in mesh(u.shape, u.box)] + [u.data.real.ravel(), u.data.imag.ravel()]
+    points = np.broadcast_arrays(*mesh(u.shape, u.box))
+    cols = [c.ravel() for c in points] + [u.data.real.ravel(), u.data.imag.ravel()]
     header = ",".join([f"x{d + 1}" for d in range(u.dim)] + ["re_u", "im_u"])
     buf = io.BytesIO()
     np.savetxt(buf, np.column_stack(cols), delimiter=",", header=f"t = {t!r}\n{header}",
@@ -263,7 +264,8 @@ class TestCsv:
         data.flat[:6] = [complex(-0.0, -0.0), 1e-300, -1e300, complex(5e-324, -2.5e-310),
                          complex(np.nan, -np.inf), complex(np.inf, 1.5e-123)]
         write_csv(tmp_path / "fast.csv", Field(shape, box, data), 0.25)
-        cols = [c.ravel() for c in mesh(shape, box)] + [data.real.ravel(), data.imag.ravel()]
+        points = np.broadcast_arrays(*mesh(shape, box))
+        cols = [c.ravel() for c in points] + [data.real.ravel(), data.imag.ravel()]
         header = ",".join([f"x{d + 1}" for d in range(len(shape))] + ["re_u", "im_u"])
         np.savetxt(tmp_path / "ref.csv", np.column_stack(cols), delimiter=",",
                    header=f"t = {0.25!r}\n{header}", fmt="%.17e")
@@ -426,6 +428,31 @@ class TestRunModes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
         assert not (out / "solution.opc").exists()
+
+    @pytest.mark.parametrize("mode,old,new,line", [
+        ("solve", "phi0 = sin(x1)", "phi0 = 1/0",
+         "error: initial.phi0, initial.phi1: complex division by zero"),
+        ("solve", "phi0 = sin(x1)", "phi0 = 0^-1",
+         "error: initial.phi0, initial.phi1: 0.0 to a negative or complex power"),
+        ("solve", "[output]", "[forcing]\nf = (1/0)*cos(t)*sin(x1)\n\n[output]",
+         "error: forcing.f: complex division by zero"),
+        ("solve", "[output]", "[forcing]\nf = cos(t+1/0)*sin(x1)\n\n[output]",
+         "error: forcing.f: complex division by zero"),
+        ("solve", "[output]", "[forcing]\nf = cos(x1-t)*(t*1e300)^3\n\n[output]",
+         "error: forcing is not finite at t = "),
+        ("verify", "[output]", "[forcing]\nf = cos(x1-t)*(t*1e300)^3\n\n[output]",
+         "error: forcing is not finite at t = "),
+    ], ids=["data-division", "data-power", "spatial-profile", "time-profile", "rest",
+            "rest-verify"])
+    def test_scalar_arithmetic_faults_exit_2(self, tmp_path, capsys, mode, old, new, line):
+        # Python numbers raise where numpy arrays would give inf or nan
+        problem = write_problem(tmp_path, HEAT_PRODUCT.replace(old, new))
+        out = tmp_path / "out"
+        code = main(["--mode", mode, "--problem", problem, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(line)
+        assert not out.exists()
 
     def test_problem_required(self, capsys):
         assert main(["--mode", "solve"]) == 2

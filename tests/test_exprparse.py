@@ -27,7 +27,7 @@ from opcauchy.exprparse import (
     parse,
     separate,
 )
-from opcauchy.multiplier import mesh
+from opcauchy.multiplier import mesh, to_spectral
 
 
 def walk(node, x, t=None):
@@ -488,6 +488,42 @@ class TestMultiRoot:
             tracemalloc.stop()
         assert len(values) == 6 and all(v.shape == shape for v in values)
         assert peak < (6 + 6) * grid_bytes
+
+
+class TestBroadcastAxes:
+    """Problem files are evaluated on the broadcast axes ``mesh`` returns."""
+
+    def test_load_is_bitwise_a_walk_on_dense_coordinates(self, tmp_path):
+        fields = ["sin(x1) + cos(2*x2-x3)*x1^2", "7*x2"]
+        forcing = "cos(x2-t) + exp(-t)*sin(3*x1)*cos(x3) + 2*t"
+        path = tmp_path / "mixed.ini"
+        path.write_text(
+            "[equation]\nkind = first_order_product\nm = 2\nroots = 1 2\n"
+            "[operator]\ndim = 3\n"
+            "terms = alpha=2 0 0: coeff=1 ; alpha=0 2 0: coeff=1 ; alpha=0 0 2: coeff=1\n"
+            "[grid]\nshape = 4 6 8\nbox = 6.283185307179586 3.0 5.0\n"
+            "[initial]\n" + "".join(f"phi{r} = {f}\n" for r, f in enumerate(fields))
+            + f"[forcing]\nf = {forcing}\n[output]\ntimes = 1\n"
+        )
+        problem = load_problem(str(path))
+        shape = problem.shape
+        dense = np.broadcast_arrays(*mesh(shape, problem.box))
+        for field, text in zip(problem.phi, fields):
+            assert bits(field.data) == bits(walk(parse(text, 3), dense))
+        pairs, rest = separate(parse(forcing, 3, allow_t=True))
+        assert len(pairs) == 2 and rest is not None
+        spatial = [np.broadcast_to(walk(h, dense), shape) for _, h in pairs]
+        for got, want in zip(problem.spatial_profiles, spatial):
+            assert bits(got) == bits(want)
+        for t in (0.0, 0.3, 1.0):
+            samples = walk(rest, dense, t)
+            assert bits(np.broadcast_to(problem.forcing(t), shape)) == bits(samples)
+            profiles = [walk(g, (), t) for g, _ in pairs]
+            assert [bits(g) for g in problem.time_profiles(t)] == [bits(g) for g in profiles]
+            want = to_spectral(samples)
+            for g, h in zip(profiles, spatial):
+                want = want + g * to_spectral(h)
+            assert bits(problem.forcing_hat(t)) == bits(want)
 
 
 def reads(node):

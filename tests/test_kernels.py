@@ -220,16 +220,29 @@ class TestTimeKernels:
     @pytest.mark.parametrize("step", [1, 2])
     def test_series_value_does_not_depend_on_the_call(self, step):
         # the series term count follows the disc radius, not the largest |z|
-        # of the call; 64 values or more, so numpy takes the same loops
+        # of the call
         rng = np.random.default_rng(5)
-        small = 0.1 * rng.random(64) * np.exp(2j * np.pi * rng.random(64))
+        small = 0.1 * rng.random(8) * np.exp(2j * np.pi * rng.random(8))
         lo = -step
         for hi in (3, 4, 6):
             edge = 0.99 * max(1, hi / 2) ** step
-            alone = self.table(step, small, lo, hi)
             mixed = self.table(step, np.append(small, edge), lo, hi)
+            for i, z in enumerate(small):
+                alone = self.table(step, [z], lo, hi)
+                for k in range(lo, hi + 1):
+                    assert alone[k][0] == mixed[k][i], (hi, k, z)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_one_value_calls_equal_a_many_value_call(self, step):
+        # bitwise, inside the series disc and outside it
+        rng = np.random.default_rng(7)
+        z = 30.0 ** (step * rng.random(250)) * np.exp(2j * np.pi * rng.random(250))
+        lo, hi = -3, 8
+        many = self.table(step, z, lo, hi)
+        for i, zi in enumerate(z):
+            one = self.table(step, [zi], lo, hi)
             for k in range(lo, hi + 1):
-                assert np.array_equal(alone[k], mixed[k][:64]), (hi, k)
+                assert np.array_equal(one[k], many[k][i : i + 1]), (k, zi)
 
     @pytest.mark.parametrize("step", [1, 2])
     def test_origin(self, step):
@@ -422,6 +435,34 @@ class TestSolve:
         )
 
 
+class TestRestSamples:
+    """The rest of the forcing may return anything that broadcasts to the grid."""
+
+    shape, box = (8, 8, 8), (2 * np.pi,) * 3
+
+    def problem(self, forcing):
+        spec = CharacteristicSpec.first_order_product(roots=[1, 2])
+        phis = (Field.zeros(self.shape, self.box), Field.zeros(self.shape, self.box))
+        P = SymbolPolynomial.laplacian(3)
+        return CauchyProblem(spec, P, self.shape, self.box, phis, forcing, (0.25, 0.5))
+
+    @pytest.mark.parametrize("rest", [
+        lambda t: np.cos(t) * np.sin(2 * np.pi * np.arange(8) / 8).reshape(1, 8, 1),
+        lambda t: np.cos(t),
+    ], ids=["one-axis", "scalar"])
+    def test_samples_are_broadcast_to_the_grid(self, rest):
+        dense = self.problem(lambda t: np.broadcast_to(rest(t), self.shape).copy())
+        for (_, got), (_, want) in zip(solve(self.problem(rest))[0], solve(dense)[0]):
+            assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("bad", [(4, 8), (3, 1, 1), (2, 8, 8, 8)])
+    def test_samples_off_the_grid_raise(self, bad):
+        problem = self.problem(lambda t: np.full(bad, np.cos(t)))
+        message = rf"forcing samples \({', '.join(map(str, bad))},?\) .* \(8, 8, 8\)"
+        with pytest.raises(ValueError, match=message):
+            solve(problem)
+
+
 class TestDistinctSymbols:
     """The kernels are evaluated once per distinct symbol value of a grid."""
 
@@ -437,7 +478,7 @@ class TestDistinctSymbols:
 
     def test_kernel_work_scales_with_distinct_values(self, monkeypatch):
         shape, box = (8, 8, 8), (2 * np.pi,) * 3
-        x = mesh(shape, box)
+        x = np.broadcast_arrays(*mesh(shape, box))
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])
         phis = (Field(shape, box, np.sin(x[0]).astype(complex)), Field.zeros(shape, box))
         times, nodes = (0.25, 0.5), 16

@@ -2,9 +2,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from opcauchy.kernels import _sat_exp, _time_kernels, sinhc_sqrt, stability_report
+from opcauchy.kernels import (
+    OVERFLOW_LIMIT,
+    _sat_exp,
+    _time_kernels,
+    sinhc_sqrt,
+    stability_report,
+)
 from opcauchy.multiplier import Field, apply_multiplier, from_spectral, mesh, to_spectral
-from opcauchy.symbol_poly import CharacteristicSpec, SymbolPolynomial, symbol_grid
+from opcauchy.symbol_poly import CharacteristicSpec, SymbolPolynomial, symbol_grid, wavevectors
 
 
 def cosh_sqrt(z):
@@ -115,6 +121,21 @@ class TestScalarFunctions:
 
 
 class TestFieldTransforms:
+    def test_mesh_and_wavevectors_are_broadcast_axes(self):
+        shape, box = (4, 6, 8), (1.0, 2.0, 3.0)
+        for axes in (mesh(shape, box), wavevectors(shape)):
+            assert [a.shape for a in axes] == [(4, 1, 1), (1, 6, 1), (1, 1, 8)]
+        assert np.array_equal(mesh(shape, box)[1].ravel(), 2.0 * np.arange(6) / 6)
+        assert np.array_equal(wavevectors(shape)[2].ravel(), [0, 1, 2, 3, -4, -3, -2, -1])
+
+    def test_from_function_broadcasts_to_the_grid(self):
+        shape, box = (4, 6, 8), (1.0, 2.0, 3.0)
+        dense = np.broadcast_arrays(*mesh(shape, box))
+        u = Field.from_function(shape, box, lambda x, y, z: np.sin(y))
+        assert u.data.dtype == complex and np.array_equal(u.data, np.sin(dense[1]))
+        u = Field.from_function(shape, box, lambda x, y, z: 2.5)
+        assert np.array_equal(u.data, np.full(shape, 2.5 + 0j))
+
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         shape, box = (16, 12), (2 * np.pi, 3.0)
@@ -181,3 +202,19 @@ class TestApplyMultiplier:
         flagged = stability_report(spec, symbol_grid(P, shape, box), shape, t, 0).overflowed
         assert flagged  # -p(k) is large positive for high k
         assert all(isinstance(k, tuple) for k in flagged)
+
+    def test_flagged_modes_in_3d_match_brute_force(self):
+        # an asymmetric grid in a tiny box: each axis's wavevectors differ
+        shape, box = (4, 6, 8), (0.05, 0.07, 0.09)
+        P = SymbolPolynomial.laplacian(3)
+        pgrid = symbol_grid(P, shape, box)
+        spec = CharacteristicSpec.first_order_product(roots=[-1])  # backward heat
+        t = 700 / 5e4
+        flagged = stability_report(spec, pgrid, shape, t, 0).overflowed
+        brute = tuple(
+            tuple(int(np.fft.fftfreq(n, 1 / n)[i]) for n, i in zip(shape, index))
+            for index in np.ndindex(*shape)
+            if np.real(-pgrid[index]) * t > OVERFLOW_LIMIT
+        )
+        assert 0 < len(brute) < np.prod(shape)
+        assert flagged == brute
