@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import struct
 import sys
 from dataclasses import replace
@@ -109,24 +110,25 @@ def _validated(model, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_expr(text, key, dim, allow_t):
-    """``exprparse.parse``; a parse error becomes a ConfigError naming ``key``."""
+def _program(sources, keys, dim, allow_t):
+    """``exprparse.Program``; a parse error becomes a ConfigError naming its key."""
     try:
-        return exprparse.parse(text, dim, allow_t)
+        return exprparse.Program(sources, dim, allow_t)
     except (ExprSyntaxError, NonIntegerExponent, UnknownVariable) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"{keys[exc.source]}: {exc}") from exc
 
 
 def load_problem(path):
     """Parse a problem file into a CauchyProblem.
 
-    The initial fields are compiled into one ``exprparse.Program`` and
-    evaluated in one call, so a subtree they share is evaluated once.  The
-    forcing is split by ``exprparse.separate`` into pairs g_j(t) h_j(x) and
-    a rest.  All h_j are one Program, evaluated here on the mesh; all g_j
-    are one Program of t alone.  The rest is a Program bound to the mesh
-    here: its t-free parts are evaluated once, and a sample at a time t
-    computes only the t-dependent parts.
+    The initial fields are parsed straight into the slots of one
+    ``exprparse.Program``, with no tree, and evaluated in one call, so a
+    subexpression they share is evaluated once.  The forcing is one Program
+    too; ``exprparse.separate`` gives its pairs g_j(t) h_j(x) and its rest
+    as roots of that table.  All h_j are evaluated here on the mesh; all g_j
+    are a Program of t alone.  The rest is bound to the mesh here: its
+    t-free parts are evaluated once, and a sample at a time t computes only
+    the t-dependent parts.
     """
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = cfg.read(path)
@@ -173,33 +175,33 @@ def load_problem(path):
         raise ConfigError("grid.shape: need at least 2 points per axis")
 
     init = _require(cfg, "initial")
-    trees = []
-    for r in range(spec.data_count):
-        key = f"phi{r}"
-        if key not in init:
-            raise ConfigError(
-                f"missing initial.{key}: kind {kind.value} with m={m} needs "
-                f"phi0..phi{spec.data_count - 1}"
-            )
-        trees.append(_parse_expr(init[key], f"initial.{key}", dim, allow_t=False))
+    # the fields before a missing one are read first, so their errors come first
+    wanted = [f"phi{r}" for r in range(spec.data_count)]
+    names = list(itertools.takewhile(init.__contains__, wanted))
+    keys = [f"initial.{name}" for name in names]
+    program = _program([init[name] for name in names], keys, dim, allow_t=False)
+    if len(names) < len(wanted):
+        raise ConfigError(
+            f"missing initial.{wanted[len(names)]}: kind {kind.value} with m={m} needs "
+            f"phi0..phi{spec.data_count - 1}"
+        )
     grid_mesh = mesh(shape, box)
-    keys = [f"initial.phi{r}" for r in range(spec.data_count)]
     phis = [
         _validated(Field, shape, box, vals)
-        for vals in _grid_values(trees, keys, grid_mesh, shape)
+        for vals in _grid_values(program, keys, grid_mesh, shape)
     ]
 
     forcing, time_profiles, spatial_profiles = None, None, ()
     if cfg.has_section("forcing") and cfg.has_option("forcing", "f"):
-        ftree = _parse_expr(cfg["forcing"]["f"], "forcing.f", dim, allow_t=True)
-        pairs, rest = exprparse.separate(ftree)
-        if pairs:
+        program = _program([cfg["forcing"]["f"]], ["forcing.f"], dim, allow_t=True)
+        gs, hs, rest = exprparse.separate(program)
+        if gs.roots:
             spatial_profiles = tuple(
-                _grid_values([h for _, h in pairs], ["forcing.f"] * len(pairs), grid_mesh, shape)
+                _grid_values(hs, ["forcing.f"] * len(hs.roots), grid_mesh, shape)
             )
-            time_profiles = _forcing_sampler([g for g, _ in pairs], ())
+            time_profiles = _forcing_sampler(gs, ())
         if rest is not None:
-            sample = _forcing_sampler([rest], grid_mesh)
+            sample = _forcing_sampler(rest, grid_mesh)
 
             def forcing(t):
                 return sample(t)[0]
@@ -210,6 +212,10 @@ def load_problem(path):
     )
     if not times:
         raise ConfigError("output.times: need at least one time")
+    # a ConfigParser is a reference cycle: empty it, so the file's text is
+    # freed now, not when the cycle collector next runs
+    for section in cfg.sections():
+        cfg.remove_section(section)
 
     return _validated(
         CauchyProblem, spec, P, shape, box, tuple(phis), forcing, times,
@@ -217,12 +223,12 @@ def load_problem(path):
     )
 
 
-def _grid_values(trees, keys, grid_mesh, shape):
-    """The t-free ``trees`` evaluated together on the mesh's axes, one complex
+def _grid_values(program, keys, grid_mesh, shape):
+    """The t-free ``program``'s roots evaluated on the mesh's axes, one complex
     array of ``shape`` each; a value that is not finite at some grid point,
     or arithmetic on Python numbers that faults (``1/0``), is a ConfigError."""
     try:
-        values = exprparse.evaluate(exprparse.Program(trees), grid_mesh)
+        values = exprparse.evaluate(program, grid_mesh)
     except ArithmeticError as exc:
         raise ConfigError(f"{', '.join(dict.fromkeys(keys))}: {exc}") from None
     out = []
@@ -233,11 +239,11 @@ def _grid_values(trees, keys, grid_mesh, shape):
     return out
 
 
-def _forcing_sampler(trees, x):
-    """``exprparse.sampler`` of forcing ``trees`` at ``x``; arithmetic on Python numbers
-    that faults is a ConfigError here, and NonFiniteForcing in a sample at t."""
+def _forcing_sampler(program, x):
+    """``exprparse.sampler`` of a forcing ``program`` at ``x``; arithmetic on Python
+    numbers that faults is a ConfigError here, and NonFiniteForcing in a sample at t."""
     try:
-        sample = exprparse.sampler(exprparse.Program(trees), x)
+        sample = exprparse.sampler(program, x)
     except ArithmeticError as exc:
         raise ConfigError(f"forcing.f: {exc}") from None
 

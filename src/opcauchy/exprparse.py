@@ -16,21 +16,23 @@ whose exponent is a constant integer, so ``x1^2^3`` is a syntax error (write
 parentheses, calls and unary minuses deeper than ``MAX_NESTING`` levels is
 a syntax error.
 
-``parse`` reads an expression into a tree, and ``separate`` views a tree as
-a sum of products g_j(t) h_j(x) plus a rest that mixes t and x.
-``Program`` compiles a sequence of trees into one DAG holding each distinct
-subtree once, shared across the trees.  ``sampler`` binds a Program to
-coordinates and runs its t-free parts once; the sampler then gives the
-trees' values at any time.  ``evaluate`` is one such sample.  Both apply
-the numpy operations a walk of each tree would apply, so the values are
-bitwise equal to that walk's.
+``Program`` parses expressions straight into one table of slots: each
+subexpression is interned as it is read, so a subexpression that occurs
+more than once, in one expression or in several, has one slot and is
+evaluated once.  No tree is built.  ``separate`` views a forcing's Program
+as a sum of products g_j(t) h_j(x) plus a rest that mixes t and x, as
+three Programs over the same table.  ``sampler`` binds a Program to
+coordinates and runs its t-free slots once; the sampler then gives the
+expressions' values at any time.  ``evaluate`` is one such sample.  Both
+apply the numpy operations a walk of each expression would apply, so the
+values are bitwise equal to that walk's.
 """
 
 from __future__ import annotations
 
+import copy
+import operator
 import re
-from dataclasses import dataclass
-from math import copysign
 
 import numpy as np
 
@@ -49,44 +51,19 @@ FUNCTIONS = {
 #: A number, an identifier or an operator; whitespace between tokens is skipped.
 _TOKEN_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?i?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
 _AXIS_RE = re.compile(r"x(\d+)")
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 #: Deepest nesting of parentheses, calls and unary minuses a parse accepts.
 MAX_NESTING = 100
 
-
-@dataclass(frozen=True)
-class Const:
-    value: complex
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+# A slot's payload is all ``_apply`` needs besides its operands' values:
+# ("+",) ("-",) ("*",) ("/",) ("neg",) ("^", n) ("call", name)
+# ("const", value) ("x", axis) ("t",).  The parser makes no constant with a
+# negative zero or a NaN part, so a constant's value is its key.
+_ADD, _SUB, _MUL, _DIV, _NEG, _T = ("+",), ("-",), ("*",), ("/",), ("neg",), ("t",)
+_ONE = ("const", 1 + 0j)
+_SUMS = {"+": _ADD, "-": _SUB}
+_PRODUCTS = {"*": _MUL, "/": _DIV}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _tokenize(src):
@@ -103,21 +80,44 @@ def _tokenize(src):
     return tokens
 
 
-class _Parser:
-    """Precedence climbing over the token texts.
+def _interner(payloads, args):
+    """A function (payload, operand slots) -> slot over the table ``payloads``,
+    ``args``: a key seen before gets its slot, a new one is appended.  The
+    keys live only as long as the function."""
+    slot_of_key = {key: i for i, key in enumerate(zip(payloads, args))}
+    get = slot_of_key.get
+
+    def intern(payload, operands):
+        key = payload, operands
+        slot = get(key)
+        if slot is None:
+            slot = slot_of_key[key] = len(payloads)
+            payloads.append(payload)
+            args.append(operands)
+        return slot
+
+    return intern
+
+
+class _Reader:
+    """Precedence climbing over one expression's tokens, interning each
+    subexpression as it is read.
 
     Sums and products are read in a loop; only parentheses, calls and
     unary minus nest, and nesting deeper than ``MAX_NESTING`` is a syntax
-    error, so neither the parser nor ``Program`` recurses without bound.
+    error, so the reader does not recurse without bound.  ``leaves`` maps
+    the text of a number or variable already read to its slot.
     """
 
-    def __init__(self, src, dim, allow_t):
+    def __init__(self, src, dim, allow_t, intern, leaves):
         self.src = src
-        self.tokens = _tokenize(src)
+        self.tokens = None
         self.pos = 0
         self.depth = 0
         self.dim = dim
         self.allow_t = allow_t
+        self.intern = intern
+        self.leaves = leaves
 
     def error(self, message, index=None):
         """An ExprSyntaxError at the offset of token ``index`` (default: the
@@ -126,23 +126,37 @@ class _Parser:
         starts = [m.start() for m in _TOKEN_RE.finditer(self.src)] + [len(self.src)]
         return ExprSyntaxError(message, starts[index])
 
-    def parse(self):
-        node = self.expr(1)
-        if self.tokens[self.pos]:
-            raise self.error(f"trailing input {self.tokens[self.pos]!r}")
-        return node
-
-    def expr(self, min_prec):
-        """Factors joined by binary operators of precedence >= min_prec,
-        left-associative."""
-        node = self.factor()
-        while True:
-            op = self.tokens[self.pos]
-            prec = _PRECEDENCE.get(op, 0)
-            if prec < min_prec:
-                return node
+    def read_term(self, total):
+        """(the slot of the expression's top-level '+'/'-' terms read so far
+        after reading one more, whether that was the last); ``total`` is
+        that slot before, None before the first term."""
+        if total is None:
+            self.tokens = _tokenize(self.src)
+            total = self.term()
+        else:
+            op = _SUMS[self.tokens[self.pos]]
             self.pos += 1
-            node = BinOp(op, node, self.expr(prec + 1))
+            total = self.intern(op, (total, self.term()))
+        tok = self.tokens[self.pos]
+        if tok and tok not in _SUMS:
+            raise self.error(f"trailing input {tok!r}")
+        return total, not tok
+
+    def expr(self):
+        """term (('+'|'-') term)*, left-associative."""
+        total = self.term()
+        while op := _SUMS.get(self.tokens[self.pos]):
+            self.pos += 1
+            total = self.intern(op, (total, self.term()))
+        return total
+
+    def term(self):
+        """factor (('*'|'/') factor)*, left-associative."""
+        product = self.factor()
+        while op := _PRODUCTS.get(self.tokens[self.pos]):
+            self.pos += 1
+            product = self.intern(op, (product, self.factor()))
+        return product
 
     def nest(self, levels, index):
         self.depth += levels
@@ -156,15 +170,21 @@ class _Parser:
         while tokens[self.pos] == "-":
             self.pos += 1
         negs = self.pos - start
-        self.nest(negs, start)
-        node = self.primary()
-        self.depth -= negs
-        for _ in range(negs):
-            node = Neg(node)
+        if negs:
+            self.nest(negs, start)
+        slot = self.leaves.get(tokens[self.pos])
+        if slot is None:
+            slot = self.primary()
+        else:
+            self.pos += 1
+        if negs:
+            self.depth -= negs
+            for _ in range(negs):
+                slot = self.intern(_NEG, (slot,))
         if tokens[self.pos] == "^":
             self.pos += 1
-            node = Pow(node, self.integer())
-        return node
+            slot = self.intern(("^", self.integer()), (slot,))
+        return slot
 
     def integer(self):
         sign = 1
@@ -184,14 +204,15 @@ class _Parser:
             raise self.error("expected '('")
         self.nest(1, self.pos)
         self.pos += 1
-        node = self.expr(1)
+        slot = self.expr()
         if self.tokens[self.pos] != ")":
             raise self.error("expected ')'")
         self.pos += 1
         self.depth -= 1
-        return node
+        return slot
 
     def primary(self):
+        """A group, a call, or a number or variable not read before."""
         tok = self.tokens[self.pos]
         if tok == "(":
             return self.group()
@@ -199,249 +220,124 @@ class _Parser:
         lead = tok[:1]
         if lead.isdecimal():
             if tok[-1] == "i":
-                return Const(complex(0.0, float(tok[:-1])))
-            return Const(complex(float(tok)))
-        if lead.isalpha() or lead == "_":
+                payload = ("const", complex(0.0, float(tok[:-1])))
+            else:
+                payload = ("const", complex(float(tok)))
+        elif lead.isalpha() or lead == "_":
             if tok in FUNCTIONS:
-                return Call(tok, self.group())
+                return self.intern(("call", tok), (self.group(),))
             if tok == "i":
-                return Const(1j)
-            if tok == "t":
+                payload = ("const", 1j)
+            elif tok == "t":
                 if not self.allow_t:
                     raise UnknownVariable("variable 't' not allowed here")
-                return Var("t")
-            m = _AXIS_RE.fullmatch(tok)
-            if m:
+                payload = _T
+            else:
+                m = _AXIS_RE.fullmatch(tok)
+                if not m:
+                    raise UnknownVariable(f"unknown identifier {tok!r}")
                 axis = int(m.group(1))
                 if not 1 <= axis <= self.dim:
                     raise UnknownVariable(f"variable {tok!r} outside dimension {self.dim}")
-                return Var(tok)
-            raise UnknownVariable(f"unknown identifier {tok!r}")
-        raise self.error(f"unexpected token {tok!r}", self.pos - 1)
-
-
-def parse(src, dim, allow_t=False):
-    """Parse an expression over variables x1..x{dim} (and t if allowed)."""
-    return _Parser(src, dim, allow_t).parse()
-
-
-def _parts(node):
-    """(operand nodes, payload); the payload and the operands' slots are the
-    node's structural key, so the key never hashes a subtree.  The payload
-    is all ``_apply`` needs of the node besides its operands' values."""
-    if isinstance(node, BinOp):
-        return (node.left, node.right), (BinOp, node.op)
-    if isinstance(node, Const):
-        v = node.value
-        if v != v:  # a NaN constant is never merged
-            return (), (Const, v, id(node))
-        # the signs tell -0.0 from 0.0, which compare equal
-        return (), (Const, v, type(v), copysign(1.0, v.real), copysign(1.0, v.imag))
-    if isinstance(node, Call):
-        return (node.arg,), (Call, node.fn)
-    if isinstance(node, Var):
-        return (), (Var, node.name)
-    if isinstance(node, Neg):
-        return (node.child,), (Neg,)
-    if isinstance(node, Pow):
-        return (node.base,), (Pow, type(node.exponent), node.exponent)
-    raise TypeError(f"not an expression node: {node!r}")
+                payload = ("x", axis - 1)
+        else:
+            raise self.error(f"unexpected token {tok!r}", self.pos - 1)
+        slot = self.leaves[tok] = self.intern(payload, ())
+        return slot
 
 
 def _apply(payload, operands, x, t):
-    """The value of the node with ``_parts`` payload ``payload`` from its
-    operands' values."""
+    """The value of the slot with ``payload`` from its operands' values."""
     kind = payload[0]
-    if kind is BinOp:
-        a, b = operands
-        op = payload[1]
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return a / b
-    if kind is Call:
+    if kind in _OPERATORS:
+        return _OPERATORS[kind](*operands)
+    if kind == "call":
         return FUNCTIONS[payload[1]](operands[0])
-    if kind is Const:
+    if kind == "const":
         return payload[1]
-    if kind is Var:
-        name = payload[1]
-        v = t if name == "t" else x[int(name[1:]) - 1]
-        return complex(v) if np.isscalar(v) else np.asarray(v, complex)
-    if kind is Neg:
+    if kind == "neg":
         return -operands[0]
-    if kind is Pow:
-        return operands[0] ** payload[2]
-    raise TypeError(f"not a node payload: {payload!r}")
-
-
-def _terms(tree):
-    """(sign, term) for each '+'/'-' term of ``tree`` in reading order, with
-    negations and parenthesised sums opened."""
-    terms, stack = [], [(1, tree)]
-    while stack:
-        sign, node = stack.pop()
-        if isinstance(node, BinOp) and node.op in "+-":
-            stack.append((-sign if node.op == "-" else sign, node.right))
-            stack.append((sign, node.left))
-        elif isinstance(node, Neg):
-            stack.append((-sign, node.child))
-        else:
-            terms.append((sign, node))
-    return terms
-
-
-def _factors(term):
-    """(sign, [(op, factor), ...]) with ``term`` = sign * (1 op factor ...):
-    its '*'/'/' factors in reading order, with negations and parenthesised
-    products opened."""
-    sign, factors, stack = 1, [], [("*", term)]
-    while stack:
-        op, node = stack.pop()
-        if isinstance(node, BinOp) and node.op in "*/":
-            inverse = {"*": "/", "/": "*"}[op]
-            stack.append((op if node.op == "*" else inverse, node.right))
-            stack.append((op, node.left))
-        elif isinstance(node, Neg):
-            sign = -sign
-            stack.append((op, node.child))
-        else:
-            factors.append((op, node))
-    return sign, factors
-
-
-def _reads_t_or_x(node):
-    """(whether the subtree reads t, whether it reads some x_i)."""
-    reads_t = reads_x = False
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            reads_t |= node.name == "t"
-            reads_x |= node.name != "t"
-        else:
-            stack.extend(_parts(node)[0])
-    return reads_t, reads_x
-
-
-def _product(factors):
-    """The tree of 1 op factor ..., left-deep; a Const 1 for no factors."""
-    node = None
-    for op, factor in factors:
-        if node is None:
-            node = factor if op == "*" else BinOp("/", Const(1 + 0j), factor)
-        else:
-            node = BinOp(op, node, factor)
-    return Const(1 + 0j) if node is None else node
-
-
-def separate(tree):
-    """``tree`` as sum_j g_j h_j + rest: (the (g_j, h_j) pairs, rest).
-
-    Each '+'/'-' term of the tree is split along its '*'/'/' factors into
-    the factors that read t alone, whose product is g_j, and the factors that
-    read no t, constants included, whose product is h_j; either is 1 when
-    it has no factors, and h_j carries the term's sign.  A term with a
-    factor that reads both t and x goes whole into ``rest``, the sum of
-    such terms (None when there is none).
-    """
-    pairs, rest = [], None
-    for sign, term in _terms(tree):
-        fsign, factors = _factors(term)
-        reads = [_reads_t_or_x(factor) for _, factor in factors]
-        if any(reads_t and reads_x for reads_t, reads_x in reads):
-            if rest is None:
-                rest = term if sign > 0 else Neg(term)
-            else:
-                rest = BinOp("+" if sign > 0 else "-", rest, term)
-            continue
-        g = _product([f for f, (reads_t, _) in zip(factors, reads) if reads_t])
-        h = _product([f for f, (reads_t, _) in zip(factors, reads) if not reads_t])
-        pairs.append((g, h if sign * fsign > 0 else Neg(h)))
-    return pairs, rest
-
-
-def _sum_spine(tree):
-    """The tree's first term, then each '+'/'-' node of its left spine, in
-    the order the terms are read."""
-    spine = []
-    while isinstance(tree, BinOp) and tree.op in "+-":
-        spine.append(tree)
-        tree = tree.left
-    spine.append(tree)
-    return spine[::-1]
+    if kind == "^":
+        return operands[0] ** payload[1]
+    v = t if kind == "t" else x[payload[1]]
+    return complex(v) if np.isscalar(v) else np.asarray(v, complex)
 
 
 class Program:
-    """Expression trees compiled to one DAG of their distinct subtrees.
+    """Expressions over x1..x{dim} (and t if ``allow_t``) parsed into one
+    table of their distinct subexpressions, one root slot per expression.
 
-    Hash-consing in one post-order pass over all the trees gives each
-    structurally equal subtree one slot, evaluated once per call however
-    many trees share it.  The trees' sums are compiled term by term across
-    the trees (term i of every tree, then term i+1), so a value shared by
-    the trees' i-th terms is dropped right after its last reader; tree by
-    tree, every shared term would stay alive until the last tree.  The
-    t-free slots run before the t-dependent ones; every slot is computed
-    once per call, kept, and each value except a root's is dropped after
-    its last use.  A Program holds no values: a ``sampler`` keeps the t-free
-    values that a t-dependent slot or a root reads.  Nor does it hold the
-    trees: a slot keeps its ``_parts`` payload and its operands' slots, so a
-    tree is freed once its caller drops it.
+    Each subexpression is interned as it is read, keyed by its payload and
+    its operands' slots, so no key hashes a subexpression and a repeated
+    one, in one expression or across them, gets one slot.  The expressions
+    are read round-robin, one top-level '+'/'-' term at a time (term i of
+    every expression, then term i+1), so a value shared by the i-th terms is
+    dropped right after its last reader; expression by expression, every
+    shared term would stay alive until the last expression.  A parse error
+    is raised for the first expression in order that has one, as if they
+    were read one after another; its ``source`` attribute is that
+    expression's index.
+
+    The t-free slots run before the t-dependent ones; every slot is
+    computed once per call, kept, and each value except a root's is
+    dropped after its last use.  A Program holds no values: a ``sampler``
+    keeps the t-free values that a t-dependent slot or a root reads.  The
+    keys are dropped once parsing ends.
     """
 
-    def __init__(self, trees):
-        self._payloads, self._args = [], []
-        slot_of_key = {}
-        spines = [_sum_spine(tree) for tree in trees]
-        self.roots = [None] * len(spines)
-        for i in range(max(map(len, spines), default=0)):
-            for r, spine in enumerate(spines):
-                if i == 0:
-                    self.roots[r] = self._visit(spine[0], slot_of_key)
-                elif i < len(spine):
-                    self.roots[r] = self._join(spine[i], self.roots[r], slot_of_key)
-        tdep = []
-        for payload, operands in zip(self._payloads, self._args):
-            tdep.append(payload == (Var, "t") or any([tdep[a] for a in operands]))
-        self._t_free = [i for i, dep in enumerate(tdep) if not dep]
-        self._t_dep = [i for i, dep in enumerate(tdep) if dep]
-        self._last = [None] * len(self._payloads)  # the slot that reads each slot last
-        for i in self._t_free + self._t_dep:
-            for a in self._args[i]:
-                self._last[a] = i
-        for r in self.roots:
-            self._last[r] = None
+    def __init__(self, sources, dim, allow_t=False):
+        payloads, args, leaves = [], [], {}
+        intern = _interner(payloads, args)
+        readers = [_Reader(src, dim, allow_t, intern, leaves) for src in sources]
+        roots = [None] * len(readers)
+        pending, failed = list(range(len(readers))), None
+        while pending:
+            unfinished = []
+            for r in pending:
+                try:
+                    roots[r], done = readers[r].read_term(roots[r])
+                except (ExprSyntaxError, NonIntegerExponent, UnknownVariable) as exc:
+                    # the later expressions are moot; an earlier one may fail yet
+                    exc.source, failed = r, exc
+                    break
+                if not done:
+                    unfinished.append(r)
+            pending = unfinished
+        if failed is not None:
+            raise failed
+        del readers, intern  # the tokens and the keys
+        self._payloads, self._args = payloads, args
+        self._schedule(roots, range(len(payloads)))
 
-    def _intern(self, payload, operands, slot_of_key):
-        key = (payload, operands)
-        slot = slot_of_key.get(key)
-        if slot is None:
-            slot = slot_of_key[key] = len(self._payloads)
-            self._payloads.append(payload)
-            self._args.append(operands)
-        return slot
+    def _schedule(self, roots, slots):
+        """Make ``roots`` the roots, run from the ``slots`` they read."""
+        payloads, args = self._payloads, self._args
+        tdep = [False] * len(payloads)
+        t_free, t_dep = [], []
+        for i in slots:
+            tdep[i] = payloads[i] is _T or any([tdep[a] for a in args[i]])
+            (t_dep if tdep[i] else t_free).append(i)
+        last = [None] * len(payloads)  # the slot that reads each slot last
+        for i in t_free + t_dep:
+            for a in args[i]:
+                last[a] = i
+        for r in roots:
+            last[r] = None
+        self.roots, self._t_free, self._t_dep, self._last = roots, t_free, t_dep, last
 
-    def _visit(self, node, slot_of_key):
-        """The slot of ``node``, interning its subtree first."""
-        # sums and products parse left-deep: follow that spine in a loop, so
-        # only parenthesised nesting recurses (as deep as the parser did)
-        spine = []
-        while isinstance(node, BinOp):
-            spine.append(node)
-            node = node.left
-        kids, payload = _parts(node)
-        operands = tuple([self._visit(k, slot_of_key) for k in kids])
-        slot = self._intern(payload, operands, slot_of_key)
-        for b in reversed(spine):
-            slot = self._join(b, slot, slot_of_key)
-        return slot
-
-    def _join(self, b, left, slot_of_key):
-        """The slot of the BinOp ``b`` whose left operand has slot ``left``."""
-        operands = (left, self._visit(b.right, slot_of_key))
-        return self._intern((BinOp, b.op), operands, slot_of_key)
+    def _with_roots(self, roots):
+        """A Program over this one's table with other ``roots``; it runs
+        only the slots they read."""
+        read = [False] * len(self._args)
+        for r in roots:
+            read[r] = True
+        for i in range(len(read) - 1, -1, -1):
+            if read[i]:
+                for a in self._args[i]:
+                    read[a] = True
+        view = copy.copy(self)
+        view._schedule(roots, [i for i, r in enumerate(read) if r])
+        return view
 
     def _exec(self, order, vals, x, t):
         payloads, args, last = self._payloads, self._args, self._last
@@ -453,10 +349,106 @@ class Program:
                     vals[a] = None
 
 
+def _terms(payloads, args, root):
+    """(sign, slot) for each '+'/'-' term of ``root`` in reading order, with
+    negations and parenthesised sums opened."""
+    terms, stack = [], [(1, root)]
+    while stack:
+        sign, slot = stack.pop()
+        payload = payloads[slot]
+        if payload is _ADD or payload is _SUB:
+            left, right = args[slot]
+            stack.append((-sign if payload is _SUB else sign, right))
+            stack.append((sign, left))
+        elif payload is _NEG:
+            stack.append((-sign, args[slot][0]))
+        else:
+            terms.append((sign, slot))
+    return terms
+
+
+def _factors(payloads, args, term):
+    """(sign, [(op, slot), ...]) with ``term`` = sign * (1 op slot ...): its
+    '*'/'/' factors in reading order, with negations and parenthesised
+    products opened."""
+    sign, factors, stack = 1, [], [(_MUL, term)]
+    while stack:
+        op, slot = stack.pop()
+        payload = payloads[slot]
+        if payload is _MUL or payload is _DIV:
+            left, right = args[slot]
+            inverse = _DIV if op is _MUL else _MUL
+            stack.append((op if payload is _MUL else inverse, right))
+            stack.append((op, left))
+        elif payload is _NEG:
+            sign = -sign
+            stack.append((op, args[slot][0]))
+        else:
+            factors.append((op, slot))
+    return sign, factors
+
+
+def separate(program):
+    """A one-expression forcing ``program`` as sum_j g_j h_j + rest: three
+    Programs over its table, whose roots are the g_j, the h_j and the rest.
+
+    Each '+'/'-' term of the expression, with negations and parenthesised
+    sums opened, is split along its '*'/'/' factors into the factors that
+    read t alone, whose product is g_j, and the factors that read no t,
+    constants included, whose product is h_j; either is 1 when it has no
+    factors, and h_j carries the term's sign.  Terms whose g_j are one slot
+    make one pair, whose h_j is the sum of theirs.  A term with a factor
+    that reads both t and x goes whole into ``rest``, the sum of such
+    terms (None when there is none).  The products and sums are interned
+    into the table.
+    """
+    payloads, args = program._payloads, program._args
+    reads_t, reads_x = [], []
+    for payload, operands in zip(payloads, args):
+        reads_t.append(payload is _T or any([reads_t[a] for a in operands]))
+        reads_x.append(payload[0] == "x" or any([reads_x[a] for a in operands]))
+    intern = _interner(payloads, args)
+
+    def product(factors):
+        """The slot of 1 op factor ..., left-deep; the constant 1 for none."""
+        slot = None
+        for op, factor in factors:
+            if slot is not None:
+                slot = intern(op, (slot, factor))
+            elif op is _MUL:
+                slot = factor
+            else:
+                slot = intern(_DIV, (intern(_ONE, ()), factor))
+        return intern(_ONE, ()) if slot is None else slot
+
+    (root,) = program.roots
+    h_of_g, rest = {}, None
+    for sign, term in _terms(payloads, args, root):
+        fsign, factors = _factors(payloads, args, term)
+        if any(reads_t[f] and reads_x[f] for _, f in factors):
+            if rest is None:
+                rest = term if sign > 0 else intern(_NEG, (term,))
+            else:
+                rest = intern(_ADD if sign > 0 else _SUB, (rest, term))
+            continue
+        g = product([(op, f) for op, f in factors if reads_t[f]])
+        h = product([(op, f) for op, f in factors if not reads_t[f]])
+        sign *= fsign
+        if g not in h_of_g:
+            h_of_g[g] = h if sign > 0 else intern(_NEG, (h,))
+        else:
+            h_of_g[g] = intern(_ADD if sign > 0 else _SUB, (h_of_g[g], h))
+    return (
+        program._with_roots(list(h_of_g)),
+        program._with_roots(list(h_of_g.values())),
+        None if rest is None else program._with_roots([rest]),
+    )
+
+
 def sampler(program, x):
-    """A callable t -> the values of a ``Program``'s trees at coordinates ``x``
-    (a sequence of scalars or arrays, not changed afterwards) and time ``t``,
-    one per tree, in the trees' order.
+    """A callable t -> the values of a ``Program``'s roots at coordinates
+    ``x`` (a sequence of scalars or arrays, not changed afterwards) and
+    time ``t``, one per root, in the roots' order.
 
     The t-free slots run here, once; each call runs only the t-dependent
     slots.  Overflow and division by zero raise no numpy warning: the
@@ -476,6 +468,6 @@ def sampler(program, x):
 
 
 def evaluate(program, x, t=None):
-    """The values of a ``Program``'s trees at coordinates ``x`` and time
+    """The values of a ``Program``'s roots at coordinates ``x`` and time
     ``t``: one sample of ``sampler(program, x)``."""
     return sampler(program, x)(t)

@@ -35,12 +35,6 @@ class Field:
         return len(self.shape)
 
     @classmethod
-    def from_function(cls, shape, box, fn):
-        """Sample fn on the grid; fn takes the axes of ``mesh``, its value is broadcast."""
-        data = np.broadcast_to(fn(*mesh(shape, box)), tuple(shape)).astype(complex)
-        return cls(tuple(shape), tuple(box), data)
-
-    @classmethod
     def zeros(cls, shape, box):
         return cls(tuple(shape), tuple(box), np.zeros(tuple(shape), dtype=complex))
 

@@ -46,6 +46,32 @@ phi1 = 0
 times = 0.5, 1.0
 """
 
+EVEN_KIND = """
+[equation]
+kind = even_order_product
+m = 3
+roots = 1 1.5 2
+
+[operator]
+dim = 1
+terms = alpha=2: coeff=1
+
+[grid]
+shape = 32
+box = 6.283185307179586
+
+[initial]
+phi0 = 0
+phi1 = 0
+phi2 = 0
+phi3 = 0
+phi4 = 0
+phi5 = 0
+
+[output]
+times = 0.5
+"""
+
 REPEATED_FORCED = """
 [equation]
 kind = repeated_root
@@ -538,6 +564,25 @@ class TestRunModes:
         assert capsys.readouterr().err.splitlines() == [line]
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields,line", [
+        ({0: "1 + 2 + 3 + x9", 3: "$"}, "error: initial.phi0: variable 'x9' outside dimension 1"),
+        ({3: "sin(x1) + cos(x1) * (2"}, "error: initial.phi3: expected ')' (at offset 22)"),
+        ({0: "cos(x1) + sin(x1) +", 5: None},
+         "error: initial.phi0: unexpected token '' (at offset 19)"),
+    ], ids=["two-bad", "one-bad", "bad-and-missing"])
+    def test_first_bad_field_in_file_order_is_reported(self, tmp_path, capsys, fields, line):
+        # the fields are parsed term by term, round-robin, yet the error is
+        # the first one in file order, as if they were parsed one by one
+        text = EVEN_KIND
+        for r, field in fields.items():
+            text = text.replace(f"phi{r} = 0\n", "" if field is None else f"phi{r} = {field}\n")
+        out = tmp_path / "out"
+        code = main(["--mode", "solve", "--problem", write_problem(tmp_path, text), "--out",
+                     str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", [
         "(" * 3000 + "x1" + ")" * 3000,
         "-" * 3000 + "x1",
@@ -632,6 +677,8 @@ class TestSeparableForcing:
                   lambda x, t: np.cos(2 * t) * np.sin(3 * x) + np.cos(t * x) + np.exp(-t)
                   + np.sin(x)),
         "divided": ("cos(t)/(2+cos(x1))", lambda x, t: np.cos(t) / (2 + np.cos(x))),
+        "merged": ("cos(t)*sin(x1) + cos(t)*cos(2*x1) + exp(-t)*sin(x1)",
+                   lambda x, t: np.cos(t) * (np.sin(x) + np.cos(2 * x)) + np.exp(-t) * np.sin(x)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -653,7 +700,9 @@ class TestSeparableForcing:
     @pytest.mark.parametrize("case,pairs,rest", [
         ("cos(2*t)*sin(3*x1) + exp(-t) + sin(x1)", 3, False),
         ("cos(2*t)*sin(3*x1) + cos(t*x1) + exp(-t) + sin(x1)", 3, True),
-    ], ids=["separable", "with-rest"])
+        # the terms with g = cos(t) are one pair, whose h is summed on the grid
+        (CASES["merged"][0], 2, False),
+    ], ids=["separable", "with-rest", "merged"])
     def test_each_spatial_profile_transformed_once(self, tmp_path, monkeypatch, case, pairs,
                                                    rest):
         problem = forced_problem(tmp_path, "first", case, times="0.1, 0.25, 0.5")

@@ -1,5 +1,6 @@
-import copy
+import functools
 import gc
+import operator
 import tracemalloc
 import weakref
 from collections import Counter
@@ -11,74 +12,141 @@ from hypothesis import strategies as st
 
 from opcauchy.cli import load_problem
 from opcauchy.errors import ExprSyntaxError, NonIntegerExponent, UnknownVariable
-from opcauchy.exprparse import (
-    FUNCTIONS,
-    MAX_NESTING,
-    BinOp,
-    Call,
-    Const,
-    Neg,
-    Pow,
-    Program,
-    Var,
-    _apply,
-    _parts,
-    evaluate,
-    parse,
-    separate,
-)
+from opcauchy.exprparse import FUNCTIONS, MAX_NESTING, Program, evaluate, separate
 from opcauchy.multiplier import mesh, to_spectral
 
+# ---------------------------------------------------------------------------
+# Reference expressions: a tree of tuples, its source text and its walk.
+# ("num", text) is a literal as a problem file spells it ("2.5", "1e300",
+# "1.5i", "i"); ("var", name); ("neg", a); ("call", fn, a); ("pow", a, n);
+# ("bin", op, a, b).
 
-def walk(node, x, t=None):
-    """The reference tree walk: each node's value from its operands' values."""
-    kids, payload = _parts(node)
-    return _apply(payload, [walk(c, x, t) for c in kids], x, t)
+
+def num(text):
+    return ("num", text)
 
 
-def pretty(node):
-    """Deterministic text form; parse(pretty(parse(s))) is a fixpoint."""
-    if isinstance(node, Const):
-        v = node.value
-        if v.imag == 0:
-            return repr(v.real)
-        if v.real == 0:
-            return f"{v.imag!r}i" if v.imag >= 0 else f"(-{-v.imag!r}i)"
-        raise ValueError("general complex constants are spelled a+bi in source")
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({pretty(node.arg)})"
-    if isinstance(node, Neg):
-        # unary minus binds tighter than '^', so a Pow child needs parens
-        inner = pretty(node.child)
-        if isinstance(node.child, Pow):
-            inner = f"({inner})"
-        return f"(-{inner})"
-    if isinstance(node, Pow):
-        return f"({pretty(node.base)})^{node.exponent}"
-    if isinstance(node, BinOp):
-        return f"({pretty(node.left)}{node.op}{pretty(node.right)})"
-    raise TypeError(f"not an expression node: {node!r}")
+def var(name):
+    return ("var", name)
+
+
+def neg(a):
+    return ("neg", a)
+
+
+def call(fn, a):
+    return ("call", fn, a)
+
+
+def power(a, n):
+    return ("pow", a, n)
+
+
+def binop(op, a, b):
+    return ("bin", op, a, b)
+
+
+X1, X2, X3, T = var("x1"), var("x2"), var("x3"), var("t")
+
+_NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sinh": np.sinh, "cosh": np.cosh,
+          "sqrt": np.sqrt, "abs": np.abs}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def source(tree, top=True):
+    """The problem-file text of ``tree``: every operation in parentheses,
+    except a '+'/'-' chain at the top (``top``), which stays a chain of terms."""
+    kind = tree[0]
+    if kind in ("num", "var"):
+        return tree[1]
+    if kind == "call":
+        return f"{tree[1]}({source(tree[2])})"
+    if kind == "neg":
+        # unary minus binds tighter than '^', so a power needs parentheses
+        inner = source(tree[1], top=False)
+        return f"(-({inner}))" if tree[1][0] == "pow" else f"(-{inner})"
+    if kind == "pow":
+        return f"({source(tree[1])})^{tree[2]}"
+    _, op, a, b = tree
+    if top and op in "+-":
+        return f"{source(a)}{op}{source(b, top=False)}"
+    return f"({source(a, top=False)}{op}{source(b, top=False)})"
+
+
+def walk(tree, x, t=None):
+    """The reference value of ``tree`` at coordinates ``x`` and time ``t``:
+    each operation applied by numpy to its operands' values."""
+    kind = tree[0]
+    if kind == "num":
+        text = tree[1]
+        if text == "i":
+            return 1j
+        return complex(0.0, float(text[:-1])) if text.endswith("i") else complex(float(text))
+    if kind == "var":
+        v = t if tree[1] == "t" else x[int(tree[1][1:]) - 1]
+        return complex(v) if np.isscalar(v) else np.asarray(v, complex)
+    if kind == "neg":
+        return -walk(tree[1], x, t)
+    if kind == "call":
+        return _NUMPY[tree[1]](walk(tree[2], x, t))
+    if kind == "pow":
+        return walk(tree[1], x, t) ** tree[2]
+    return _OPS[tree[1]](walk(tree[2], x, t), walk(tree[3], x, t))
+
+
+def canonical(tree):
+    """``tree`` with each number replaced by its value."""
+    if tree[0] == "num":
+        return ("num", walk(tree, ()))
+    return tuple(canonical(k) if isinstance(k, tuple) else k for k in tree)
+
+
+def distinct(tree):
+    """The distinct subtrees of ``tree``, numbers told apart by value."""
+    found = {canonical(tree)}
+    for kid in tree[1:]:
+        if isinstance(kid, tuple):
+            found |= distinct(kid)
+    return found
 
 
 def ev(src, x, t=None, dim=None):
     dim = len(x) if dim is None else dim
-    (value,) = evaluate(Program([parse(src, dim, allow_t=t is not None)]), x, t)
+    (value,) = evaluate(Program([src], dim, allow_t=t is not None), x, t)
     return value
+
+
+def bits(value):
+    """A value's type and raw bytes: equal only when bitwise equal."""
+    return type(value), np.atleast_1d(np.asarray(value, complex)).tobytes()
+
+
+def outcome(fn):
+    """fn()'s bits, or the type of the arithmetic error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return bits(fn())
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+# coordinates with signed zeros and values that overflow exp
+COORDS = [
+    np.array([0.0, -0.0, 0.5, -2.0, 710.0]),
+    np.array([1.0, 3.0, -0.0, 1e-310, -800.0]),
+    np.array([-1.0, 0.25, 2.0, 0.0, 40.0]),
+]
 
 
 class TestParsing:
     def test_simple_product(self):
-        node = parse("sin(x1)*exp(-t)", 1, allow_t=True)
-        assert isinstance(node, BinOp) and node.op == "*"
-        assert node.left == Call("sin", Var("x1"))
-        assert node.right == Call("exp", Neg(Var("t")))
+        tree = binop("*", call("sin", X1), call("exp", neg(T)))
+        assert bits(ev("sin(x1)*exp(-t)", COORDS[:1], 0.7)) == bits(walk(tree, COORDS[:1], 0.7))
 
     def test_precedence(self):
         # 1 + 2 * x1 ^ 2 parses as 1 + (2 * (x1^2))
-        node = parse("1+2*x1^2", 1)
-        assert node == BinOp("+", Const(1 + 0j), BinOp("*", Const(2 + 0j), Pow(Var("x1"), 2)))
+        tree = binop("+", num("1"), binop("*", num("2"), power(X1, 2)))
+        assert bits(ev("1+2*x1^2", COORDS[:1])) == bits(walk(tree, COORDS[:1]))
 
     def test_unary_minus_binds_base(self):
         # -x1^2 is (-x1)^2 under this grammar
@@ -91,36 +159,37 @@ class TestParsing:
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
-            parse("x3", 2)
+            Program(["x3"], 2)
 
     def test_t_requires_permission(self):
         with pytest.raises(UnknownVariable):
-            parse("t", 1, allow_t=False)
-        assert parse("t", 1, allow_t=True) == Var("t")
+            Program(["t"], 1, allow_t=False)
+        assert ev("t", [0.0], t=0.7) == 0.7
 
     def test_non_integer_exponent(self):
         with pytest.raises(NonIntegerExponent):
-            parse("2^x1", 1)
+            Program(["2^x1"], 1)
         with pytest.raises(NonIntegerExponent):
-            parse("x1^1.5", 1)
+            Program(["x1^1.5"], 1)
 
     def test_one_power_per_factor(self):
         with pytest.raises(ExprSyntaxError):
-            parse("x1^2^3", 1)
-        assert parse("(x1^2)^3", 1) == Pow(Pow(Var("x1"), 2), 3)
+            Program(["x1^2^3"], 1)
+        tree = power(power(X1, 2), 3)
+        assert bits(ev("(x1^2)^3", COORDS[:1])) == bits(walk(tree, COORDS[:1]))
 
     def test_syntax_errors_carry_offset(self):
         with pytest.raises(ExprSyntaxError) as exc:
-            parse("sin(x1", 1)
+            Program(["sin(x1"], 1)
         assert exc.value.offset == 6
         with pytest.raises(ExprSyntaxError):
-            parse("1 + ", 1)
+            Program(["1 + "], 1)
         with pytest.raises(ExprSyntaxError):
-            parse("x1 @ 2", 1)
+            Program(["x1 @ 2"], 1)
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownVariable):
-            parse("tan(x1)", 1)
+            Program(["tan(x1)"], 1)
 
     @pytest.mark.parametrize("src,error,message", [
         ("x1 @ 2", ExprSyntaxError, "unexpected character '@' (at offset 2)"),
@@ -139,8 +208,21 @@ class TestParsing:
     ])
     def test_error_messages(self, src, error, message):
         with pytest.raises(error) as exc:
-            parse(src, 2)
+            Program([src], 2)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("sources,source,message", [
+        # the second expression fails in its first term, the first in its fourth
+        (["1 + 2 + 3 + x9", "$"], 0, "variable 'x9' outside dimension 1"),
+        (["1 + 2", "x1 + x1 * (2", "sin(x1) + x1 +"], 1, "expected ')' (at offset 12)"),
+        (["x1 + 1 + 2 + 3", "x1", "x1 - 2 - )"], 2, "unexpected token ')' (at offset 9)"),
+    ])
+    def test_first_failing_source_is_reported(self, sources, source, message):
+        # the expressions are read term by term, round-robin, but the error is
+        # the one reading them one after another would raise first
+        with pytest.raises((ExprSyntaxError, UnknownVariable)) as exc:
+            Program(sources, 1)
+        assert exc.value.source == source and str(exc.value) == message
 
     def test_nesting_limit(self):
         for depth, ok in ((MAX_NESTING, True), (MAX_NESTING + 1, False)):
@@ -149,11 +231,11 @@ class TestParsing:
                         "sin(" * depth + "x1" + ")" * depth,
                         "-(" * (depth // 2) + "-" * (depth % 2) + "x1" + ")" * (depth // 2)):
                 if ok:
-                    (value,) = evaluate(Program([parse(src, 1)]), [np.array([0.5])])
+                    (value,) = evaluate(Program([src], 1), [np.array([0.5])])
                     assert np.isfinite(value).all()
                 else:
                     with pytest.raises(ExprSyntaxError, match="nested deeper"):
-                        parse(src, 1)
+                        Program([src], 1)
 
 
 class TestEvaluate:
@@ -196,80 +278,67 @@ class TestEvaluate:
 def random_tree(rng, depth, dim, allow_t):
     kind = rng.integers(0, 7 if depth > 0 else 2)
     if kind == 0:
-        return Const(complex(round(float(rng.uniform(0, 9)), 3)))
+        return num(repr(round(float(rng.uniform(0, 9)), 3)))
     if kind == 1:
         names = [f"x{j}" for j in range(1, dim + 1)] + (["t"] if allow_t else [])
-        return Var(str(rng.choice(names)))
+        return var(str(rng.choice(names)))
     if kind == 2:
-        return Neg(random_tree(rng, depth - 1, dim, allow_t))
+        return neg(random_tree(rng, depth - 1, dim, allow_t))
     if kind == 3:
         fn = str(rng.choice(["sin", "cos", "exp", "sinh", "cosh", "abs"]))
-        return Call(fn, random_tree(rng, depth - 1, dim, allow_t))
+        return call(fn, random_tree(rng, depth - 1, dim, allow_t))
     if kind == 4:
-        return Pow(random_tree(rng, depth - 1, dim, allow_t), int(rng.integers(0, 4)))
+        return power(random_tree(rng, depth - 1, dim, allow_t), int(rng.integers(0, 4)))
     op = str(rng.choice(["+", "-", "*", "/"]))
-    return BinOp(
-        op,
-        random_tree(rng, depth - 1, dim, allow_t),
-        random_tree(rng, depth - 1, dim, allow_t),
-    )
+    return binop(op, random_tree(rng, depth - 1, dim, allow_t),
+                 random_tree(rng, depth - 1, dim, allow_t))
 
 
 class TestPretty:
+    """The reference trees' text: a Program of ``source(tree)`` has one slot
+    per distinct subtree and the value of ``walk(tree)``."""
+
     def test_round_trip_examples(self):
-        for src in ("sin(x1)*exp(-t)", "1+2*x1^2", "-x1/(x2+3)", "3i*cos(t)"):
-            dim, allow_t = 2, True
-            text = pretty(parse(src, dim, allow_t))
-            assert pretty(parse(text, dim, allow_t)) == text
+        x = [0.3, -0.7]
+        for tree in (
+            binop("*", call("sin", X1), call("exp", neg(T))),
+            binop("+", num("1"), binop("*", num("2"), power(X1, 2))),
+            binop("/", neg(X1), binop("+", X2, num("3"))),
+            binop("*", num("3i"), call("cos", T)),
+            binop("-", binop("+", neg(power(X1, 2)), power(neg(X1), 2)), num("2.0")),
+            binop("+", binop("*", X1, num("0.0")), binop("*", X1, num("0i"))),
+        ):
+            program = Program([source(tree)], 2, allow_t=True)
+            assert len(program._payloads) == len(distinct(tree)), source(tree)
+            assert bits(evaluate(program, x, 0.9)[0]) == bits(walk(tree, x, 0.9))
 
     def test_random_tree_fixpoint(self):
         rng = np.random.default_rng(55)
+        x = [0.3, -0.7, 1.1]
         for _ in range(60):
             tree = random_tree(rng, 4, 3, True)
-            text = pretty(tree)
-            reparsed = parse(text, 3, allow_t=True)
-            assert pretty(reparsed) == text
-            x = [0.3, -0.7, 1.1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                a = walk(tree, x, 0.9)
-                b = walk(reparsed, x, 0.9)
-            if np.isfinite(a) and np.isfinite(b):
-                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+            program = Program([source(tree)], 3, allow_t=True)
+            assert len(program._payloads) == len(distinct(tree))
+            expect = outcome(lambda: walk(tree, x, 0.9))
+            assert outcome(lambda: evaluate(program, x, 0.9)[0]) == expect
 
 
 # ---------------------------------------------------------------------------
 # Compiled programs
 
 
-def bits(value):
-    """A value's type and raw bytes: equal only when bitwise equal."""
-    return type(value), np.atleast_1d(np.asarray(value, complex)).tobytes()
-
-
-def outcome(fn):
-    """fn()'s bits, or the type of the error it raises: arithmetic, or a
-    TypeError from reading t when no time is given."""
-    try:
-        with np.errstate(all="ignore"):
-            return bits(fn())
-    except (ArithmeticError, TypeError) as exc:
-        return type(exc)
-
-
 _leaves = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, 700.0, 1e300]).map(
-        lambda v: Const(complex(v, 0.0))),
-    st.sampled_from([-0.0, -1.5, 2.5]).map(lambda v: Const(complex(0.0, v))),
-    st.sampled_from(["x1", "x2", "x3", "t"]).map(Var),
+    st.sampled_from(["0.0", "1.0", "2.5", "1e-300", "700.0", "1e300", "0i", "1.5i", "i"]).map(num),
+    st.sampled_from(["x1", "x2", "x3", "t"]).map(var),
 )
 
 
 def _grow(children):
     return st.one_of(
-        st.tuples(st.sampled_from(sorted(FUNCTIONS)), children).map(lambda a: Call(*a)),
-        children.map(Neg),
-        st.tuples(children, st.integers(-2, 3)).map(lambda a: Pow(*a)),
-        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda a: BinOp(*a)),
+        st.tuples(st.sampled_from(sorted(_NUMPY)), children).map(lambda a: call(*a)),
+        children.map(neg),
+        st.tuples(children, st.integers(-2, 3)).map(lambda a: power(*a)),
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda a: binop(*a)),
     )
 
 
@@ -277,10 +346,8 @@ _subtrees = st.recursive(_leaves, _grow, max_leaves=6)
 
 
 def _built_over(pool):
-    """Trees over the subtrees in ``pool``, each reused as the same object
-    and as structurally equal copies."""
-    reused = st.sampled_from(pool)
-    return st.recursive(reused | reused.map(copy.deepcopy), _grow, max_leaves=8)
+    """Trees over the subtrees in ``pool``, each used any number of times."""
+    return st.recursive(st.sampled_from(pool), _grow, max_leaves=8)
 
 
 @st.composite
@@ -297,14 +364,6 @@ def forests_with_repeats(draw):
     return draw(st.lists(_built_over(pool), min_size=1, max_size=6))
 
 
-# coordinates with signed zeros and values that overflow exp
-COORDS = [
-    np.array([0.0, -0.0, 0.5, -2.0, 710.0]),
-    np.array([1.0, 3.0, -0.0, 1e-310, -800.0]),
-    np.array([-1.0, 0.25, 2.0, 0.0, 40.0]),
-]
-
-
 @pytest.fixture
 def trig_calls(monkeypatch):
     """Counts of the sin and cos calls made through FUNCTIONS."""
@@ -317,19 +376,39 @@ def trig_calls(monkeypatch):
     return calls
 
 
+def _stiff_file(path, seed=3, n=256, fields=6):
+    """An even-kind problem file like the bench's 1-D one: every field the
+    sum of a*cos(k*x1) + b*sin(k*x1) over k = 1..n/2-1, 17-digit a and b."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for r in range(fields):
+        terms = []
+        for k in range(1, n // 2):
+            a, b = (float(v) / k for v in rng.normal(size=2))
+            terms.append(f"{a!r}*cos({k}*x1)+{b!r}*sin({k}*x1)")
+        lines.append(f"phi{r} = {'+'.join(terms).replace('+-', '-')}\n")
+    path.write_text(
+        "[equation]\nkind = even_order_product\nm = 3\nroots = 1 1.5 2\n"
+        "[operator]\ndim = 1\nterms = alpha=2: coeff=1\n"
+        f"[grid]\nshape = {n}\nbox = 6.283185307179586\n[initial]\n" + "".join(lines)
+        + "[forcing]\nf = cos(2*t)*(0.5*cos(1*x1)-0.25*sin(1*x1))+exp(-t)*(0.01*cos(127*x1))\n"
+        "[output]\ntimes = 0.1, 0.25, 0.5\n"
+    )
+    return str(path)
+
+
 class TestProgram:
     @settings(max_examples=300, deadline=None)
-    @example(  # constants 0.0 and -0.0 are equal but not interchangeable
-        tree=BinOp("-", BinOp("*", Var("x1"), Const(complex(-0.0, 0.0))),
-                   BinOp("*", Var("x1"), Const(0j))),
+    @example(  # a zero constant and a negated one are equal but not interchangeable
+        tree=binop("-", binop("*", X1, neg(num("0.0"))), binop("*", X1, num("0.0"))),
         ts=[None],
     )
     @example(  # the walk divides by t = 0 first, the Program overflows 1e300^3 first
-        tree=parse("t^-1 + sin(1e300^3)", 3, allow_t=True), ts=[0.0])
+        tree=binop("+", power(T, -1), call("sin", power(num("1e300"), 3))), ts=[0.0])
     @given(tree=trees_with_repeats(), ts=st.lists(
         st.sampled_from([None, 0.0, -0.0, 0.3, 2.0, 710.0]), min_size=1, max_size=4))
     def test_bitwise_equal_to_tree_walk(self, tree, ts):
-        program = Program([tree])
+        program = Program([source(tree)], 3, allow_t=True)
         for t in ts:
             expect = outcome(lambda: walk(tree, COORDS, t))
             got = outcome(lambda: evaluate(program, COORDS, t)[0])
@@ -340,8 +419,11 @@ class TestProgram:
                 assert got == expect
 
     def test_repeated_subtree_runs_once(self, trig_calls):
-        tree = parse("cos(7*x1+7*x2)*2+sin(7*x1+7*x2)-cos(7*x1+7*x2)", 2)
-        (got,) = evaluate(Program([tree]), COORDS[:2])
+        wave = binop("+", binop("*", num("7"), X1), binop("*", num("7"), X2))
+        tree = binop("-", binop("+", binop("*", call("cos", wave), num("2")), call("sin", wave)),
+                     call("cos", wave))
+        (got,) = evaluate(Program(["cos(7*x1+7*x2)*2+sin(7*x1+7*x2)-cos(7*x1+7*x2)"], 2),
+                          COORDS[:2])
         assert trig_calls == {"cos": 1, "sin": 1}
         assert bits(got) == bits(walk(tree, COORDS[:2]))
 
@@ -369,8 +451,8 @@ class TestProgram:
     def test_new_coordinates_are_not_served_stale(self):
         # each call evaluates afresh at its own coordinates; t*sin(x1)
         # carries the sign of a zero x1
-        tree = parse("t*sin(x1)", 2, allow_t=True)
-        program = Program([tree])
+        tree = binop("*", T, call("sin", X1))
+        program = Program([source(tree)], 2, allow_t=True)
         first = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)]
         second = [np.linspace(-3.0, 3.0, 5), np.linspace(0.5, 0.7, 5)]
         for xs, t in ((first, 0.1), (second, 0.2), (first, 0.3)):
@@ -380,67 +462,106 @@ class TestProgram:
         assert bits(evaluate(program, first, 0.3)[0]) == bits(walk(tree, first, 0.3))
         first[0][0] = -0.0
         assert bits(evaluate(program, first, 0.3)[0]) == bits(walk(tree, first, 0.3))
-        # scalars, then 0-d arrays of the same bytes, which the tree walk types apart
-        tree = parse("(x2/x1+x1)*t", 2, allow_t=True)
-        program = Program([tree])
+        # scalars, then 0-d arrays of the same bytes, which the walk types apart
+        tree = binop("*", binop("+", binop("/", X2, X1), X1), T)
+        program = Program([source(tree)], 2, allow_t=True)
         for xs in ([2.0, 3.0], [np.array(2.0), np.array(3.0)]):
             assert bits(evaluate(program, xs, 0.3)[0]) == bits(walk(tree, xs, 0.3))
 
     def test_compile_and_run_leave_no_reference_cycles(self):
         # intermediates and compile tables must be freed at once, not whenever
         # the cycle collector next runs
-        tree = parse("exp(-t)*cos(2*x1)+sin(2*x1)*x2", 2, allow_t=True)
         gc.collect()
         gc.disable()
         try:
-            program = Program([tree])
+            program = Program(["exp(-t)*cos(2*x1)+sin(2*x1)*x2"], 2, allow_t=True)
             evaluate(program, COORDS[:2], 0.5)
             evaluate(program, COORDS[:2])
-            del program
+            gs, hs, rest = separate(program)
+            evaluate(gs, (), 0.5)
+            evaluate(hs, COORDS[:2])
+            del program, gs, hs, rest
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_program_keeps_no_tree(self):
-        # a slot keeps its payload, not its node: a compiled tree is freed
-        # once its caller drops it, and the Program still runs bitwise alike
-        sources = ["exp(-t)*cos(2*x1)+sin(2*x1)*x2", "(x2*x1+x1)*t-(-0.0)*x1", "cos(2*x1)^3"]
-        trees = [parse(s, 2, allow_t=True) for s in sources]
-        expect = [walk(tree, COORDS[:2], 0.5) for tree in trees]
-        program = Program(trees)
-        roots = [weakref.ref(tree) for tree in trees]
-        del trees
-        assert [root() for root in roots] == [None] * len(sources)
-        for got, want in zip(evaluate(program, COORDS[:2], 0.5), expect):
-            assert bits(got) == bits(want)
+        # a Program holds its slot table alone: no source text, token or key
+        # outlives parsing, and the Program still runs bitwise alike
+        class Text(str):
+            pass
+
+        trees = [
+            binop("+", binop("*", call("exp", neg(T)), call("cos", binop("*", num("2"), X1))),
+                  binop("*", call("sin", binop("*", num("2"), X1)), X2)),
+            binop("-", binop("*", binop("+", binop("*", X2, X1), X1), T),
+                  binop("*", neg(num("0.0")), X1)),
+            power(call("cos", binop("*", num("2"), X1)), 3),
+        ]
+        texts = [Text(source(tree)) for tree in trees]
+        alive = [weakref.ref(text) for text in texts]
+        program = Program(texts, 2, allow_t=True)
+        del texts
+        assert [ref() for ref in alive] == [None] * len(trees)
+        held = gc.get_referents(*vars(program).values())
+        assert not any(isinstance(obj, (dict, str)) for obj in held)
+        for got, tree in zip(evaluate(program, COORDS[:2], 0.5), trees):
+            assert bits(got) == bits(walk(tree, COORDS[:2], 0.5))
 
     def test_3000_term_sum(self):
         n = 3000
-        tree = parse("+".join(f"{k}*x1" for k in range(n)), 1)
+        program = Program(["+".join(f"{k}*x1" for k in range(n))], 1)
         x = [np.array([1.0, 2.0])]
-        assert np.array_equal(evaluate(Program([tree]), x)[0], n * (n - 1) // 2 * x[0])
+        assert np.array_equal(evaluate(program, x)[0], n * (n - 1) // 2 * x[0])
+
+    def test_loading_holds_no_trees(self, tmp_path):
+        # the fields are parsed straight into slots and the keys are dropped
+        # once parsing ends: 1.6 MB on CPython 3.11, where parsed trees of all
+        # six fields, their compiled table and its keys, all live at once,
+        # peaked at 2.8 MB
+        path = _stiff_file(tmp_path / "even.ini")
+        load_problem(path)  # imports and caches outside the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load_problem(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0e6
+
+
+def _wave(*coeffs):
+    """sum_d coeffs[d] * x_{d+1} as a tree, a negative coefficient subtracted."""
+    terms = [(c, binop("*", num(str(abs(c))), var(f"x{d + 1}"))) for d, c in enumerate(coeffs)]
+    return functools.reduce(
+        lambda total, term: binop("+" if term[0] > 0 else "-", total, term[1]),
+        terms[1:], terms[0][1])
 
 
 def _trig_field(coeffs, waves):
-    """sum_j coeffs[j] * (cos or sin, alternating)(waves[j // 2]) as text."""
-    return "+".join(
-        f"{c!r}*{'sin' if j % 2 else 'cos'}({waves[j // 2]})" for j, c in enumerate(coeffs)
-    )
+    """sum_j coeffs[j] * (cos or sin, alternating)(waves[j // 2]) as a tree."""
+    terms = [
+        binop("*", num(repr(abs(c))) if c >= 0 else neg(num(repr(-c))),
+              call("sin" if j % 2 else "cos", waves[j // 2]))
+        for j, c in enumerate(coeffs)
+    ]
+    return functools.reduce(lambda total, term: binop("+", total, term), terms)
 
 
 class TestMultiRoot:
-    """One Program over several trees: every field of a problem file."""
+    """One Program over several expressions: every field of a problem file."""
 
-    _A = BinOp("+", Call("sin", Var("x1")), BinOp("*", Var("x2"), Var("x3")))
-    _B = Call("cos", BinOp("-", Var("x3"), Const(2j)))
+    _A = binop("+", call("sin", X1), binop("*", X2, X3))
+    _B = call("cos", binop("-", X3, num("2i")))
 
     @settings(max_examples=200, deadline=None)
     @example(  # a root is also a term and a left operand of other roots
-        trees=[_A, BinOp("+", _A, _B), BinOp("-", _B, _A), _A.left], ts=[None, 0.5])
+        trees=[_A, binop("+", _A, _B), binop("-", _B, _A), _A[2]], ts=[None, 0.5])
     @given(trees=forests_with_repeats(), ts=st.lists(
         st.sampled_from([None, 0.0, -0.0, 0.3, 710.0]), min_size=1, max_size=3))
     def test_bitwise_equal_to_each_tree_walk(self, trees, ts):
-        program = Program(trees)
+        program = Program([source(tree) for tree in trees], 3, allow_t=True)
         for t in ts:
             expect = [outcome(lambda tree=tree: walk(tree, COORDS, t)) for tree in trees]
             try:
@@ -452,33 +573,48 @@ class TestMultiRoot:
             else:
                 assert got == expect
 
+    @settings(max_examples=100, deadline=None)
+    @given(trees=forests_with_repeats(), t=st.sampled_from([None, 0.0, 0.3, 710.0]))
+    def test_compiled_together_equal_each_compiled_alone(self, trees, t):
+        sources = [source(tree) for tree in trees]
+        alone = [outcome(lambda s=s: evaluate(Program([s], 3, allow_t=True), COORDS, t)[0])
+                 for s in sources]
+        try:
+            with np.errstate(all="ignore"):
+                together = [bits(v) for v in evaluate(Program(sources, 3, allow_t=True),
+                                                      COORDS, t)]
+        except ArithmeticError:
+            assert any(isinstance(a, type) for a in alone)
+        else:
+            assert together == alone
+
     def test_fields_evaluate_shared_trig_once(self, tmp_path, trig_calls):
-        waves = ["x1+2*x2", "3*x1-x2"]
+        waves = [_wave(1, 2), _wave(3, -1)]
         fields = [_trig_field([0.5 / (r + 1), -0.25, 1.0 + r, 2.0], waves) for r in range(6)]
         path = tmp_path / "even.ini"
         path.write_text(
             "[equation]\nkind = even_order_product\nm = 3\nroots = 1 1.5 2\n"
             "[operator]\ndim = 2\nterms = alpha=2 0: coeff=1 ; alpha=0 2: coeff=1\n"
             "[grid]\nshape = 8 8\nbox = 6.283185307179586 6.283185307179586\n"
-            "[initial]\n" + "".join(f"phi{r} = {f}\n" for r, f in enumerate(fields))
+            "[initial]\n" + "".join(f"phi{r} = {source(f)}\n" for r, f in enumerate(fields))
             + "[output]\ntimes = 1\n"
         )
         problem = load_problem(str(path))
         assert trig_calls == {"cos": 2, "sin": 2}
         x = mesh(problem.shape, problem.box)
-        for field, text in zip(problem.phi, fields):
-            assert bits(field.data) == bits(walk(parse(text, 2), x))
+        for field, tree in zip(problem.phi, fields):
+            assert bits(field.data) == bits(np.broadcast_to(walk(tree, x), problem.shape))
 
     def test_shared_terms_released_term_by_term(self):
-        # tree by tree, all 25 shared trig values would stay alive until the
+        # field by field, all 25 shared trig values would stay alive until the
         # last field read them
         shape = (16, 16, 16)
         x = mesh(shape, (2 * np.pi,) * 3)
-        waves = [f"{j + 1}*x1+{j + 2}*x2-{j + 3}*x3" for j in range(13)]
+        waves = [_wave(j + 1, j + 2, -(j + 3)) for j in range(13)]
         program = Program([
-            parse(_trig_field([(j + 1) / (r + 1) for j in range(25)], waves), 3)
+            source(_trig_field([(j + 1) / (r + 1) for j in range(25)], waves))
             for r in range(6)
-        ])
+        ], 3)
         grid_bytes = np.empty(shape, complex).nbytes
         tracemalloc.start()
         try:
@@ -494,25 +630,34 @@ class TestBroadcastAxes:
     """Problem files are evaluated on the broadcast axes ``mesh`` returns."""
 
     def test_load_is_bitwise_a_walk_on_dense_coordinates(self, tmp_path):
-        fields = ["sin(x1) + cos(2*x2-x3)*x1^2", "7*x2"]
+        fields = [
+            binop("+", call("sin", X1),
+                  binop("*", call("cos", binop("-", binop("*", num("2"), X2), X3)), power(X1, 2))),
+            binop("*", num("7"), X2),
+        ]
         forcing = "cos(x2-t) + exp(-t)*sin(3*x1)*cos(x3) + 2*t"
+        pairs = [
+            (call("exp", neg(T)),
+             binop("*", call("sin", binop("*", num("3"), X1)), call("cos", X3))),
+            (T, num("2")),
+        ]
+        rest = call("cos", binop("-", X2, T))
         path = tmp_path / "mixed.ini"
         path.write_text(
             "[equation]\nkind = first_order_product\nm = 2\nroots = 1 2\n"
             "[operator]\ndim = 3\n"
             "terms = alpha=2 0 0: coeff=1 ; alpha=0 2 0: coeff=1 ; alpha=0 0 2: coeff=1\n"
             "[grid]\nshape = 4 6 8\nbox = 6.283185307179586 3.0 5.0\n"
-            "[initial]\n" + "".join(f"phi{r} = {f}\n" for r, f in enumerate(fields))
+            "[initial]\n" + "".join(f"phi{r} = {source(f)}\n" for r, f in enumerate(fields))
             + f"[forcing]\nf = {forcing}\n[output]\ntimes = 1\n"
         )
         problem = load_problem(str(path))
         shape = problem.shape
         dense = np.broadcast_arrays(*mesh(shape, problem.box))
-        for field, text in zip(problem.phi, fields):
-            assert bits(field.data) == bits(walk(parse(text, 3), dense))
-        pairs, rest = separate(parse(forcing, 3, allow_t=True))
-        assert len(pairs) == 2 and rest is not None
+        for field, tree in zip(problem.phi, fields):
+            assert bits(field.data) == bits(walk(tree, dense))
         spatial = [np.broadcast_to(walk(h, dense), shape) for _, h in pairs]
+        assert len(problem.spatial_profiles) == len(pairs)
         for got, want in zip(problem.spatial_profiles, spatial):
             assert bits(got) == bits(want)
         for t in (0.0, 0.3, 1.0):
@@ -526,69 +671,97 @@ class TestBroadcastAxes:
             assert bits(problem.forcing_hat(t)) == bits(want)
 
 
-def reads(node):
-    """The variable names a tree reads."""
-    if isinstance(node, Var):
-        return {node.name}
-    return set().union(*[reads(c) for c in _parts(node)[0]])
+class _Unreadable:
+    """Coordinates, or a time, that fail the test when read."""
+
+    def __getitem__(self, axis):
+        raise AssertionError(f"x{axis + 1} read")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("t read")
 
 
-def recombined(pairs, rest, x, t):
-    """sum_j g_j h_j + rest at (x, t), from one Program of all the parts."""
-    trees = [g for g, _ in pairs] + [h for _, h in pairs] + ([rest] if rest else [])
-    values = evaluate(Program(trees), x, t)
-    n = len(pairs)
-    total = sum(values[j] * values[n + j] for j in range(n))
-    return total + (values[-1] if rest else 0)
+UNREAD = _Unreadable()
 
 
-_mild_leaves = st.one_of(
-    st.sampled_from([0.5, 2.0, -1.5, 0.5j, 3.0]).map(lambda v: Const(complex(v))),
-    st.sampled_from(["x1", "x2", "t"]).map(Var),
-)
+def parts(src, dim=1):
+    """``separate`` of the forcing ``src``."""
+    return separate(Program([src], dim, allow_t=True))
+
+
+def recombined(gs, hs, rest, x, t):
+    """sum_j g_j h_j + rest at (x, t)."""
+    total = sum(g * h for g, h in zip(evaluate(gs, x, t), evaluate(hs, x, t)))
+    return total + (evaluate(rest, x, t)[0] if rest else 0)
+
+
 MILD_COORDS = [np.array([0.0, 0.5, -2.0, 1.3]), np.array([1.0, -0.25, 2.0, 0.75])]
+_mild_leaves = st.one_of(
+    st.sampled_from(["0.5", "2.0", "1.5", "0.5i", "3.0"]).map(num),
+    st.sampled_from(["x1", "x2", "t"]).map(var),
+)
 
 
 class TestSeparate:
     def test_each_kind_of_term(self):
-        tree = parse(
-            "cos(2*t)*sin(3*x1) - cos(t*x1) + exp(-t) - 2*sin(x1)/(2+cos(x1)) + -(t+x1)*3", 1,
-            allow_t=True)
-        pairs, rest = separate(tree)
-        assert len(pairs) == 3
-        assert [reads(g) for g, _ in pairs] == [{"t"}, {"t"}, set()]
-        assert [reads(h) for _, h in pairs] == [{"x1"}, set(), {"x1"}]
-        assert reads(rest) == {"t", "x1"}
+        src = "cos(2*t)*sin(3*x1) - cos(t*x1) + exp(-t) - 2*sin(x1)/(2+cos(x1)) + -(t+x1)*3"
+        gs, hs, rest = parts(src)
         x = [np.linspace(0.0, 6.0, 7)]
         for t in (0.0, 0.3, 2.0):
-            expect = evaluate(Program([tree]), x, t)[0]
-            assert np.allclose(recombined(pairs, rest, x, t), expect, rtol=1e-14, atol=1e-14)
+            # the g_j read no x, the h_j no t
+            assert np.allclose(evaluate(gs, UNREAD, t), [np.cos(2 * t), np.exp(-t), 1])
+            want = [np.sin(3 * x[0]), 1, -2 * np.sin(x[0]) / (2 + np.cos(x[0]))]
+            for got, h in zip(evaluate(hs, x, UNREAD), want):
+                assert np.allclose(got, h, rtol=1e-14, atol=1e-14)
+            assert np.allclose(evaluate(rest, x, t)[0], -np.cos(t * x[0]) - (t + x[0]) * 3)
+            expect = ev(src, x, t)
+            assert np.allclose(recombined(gs, hs, rest, x, t), expect, rtol=1e-14, atol=1e-14)
 
     def test_no_rest_and_no_pairs(self):
-        pairs, rest = separate(parse("t*x1*t/(x1+1)", 1, allow_t=True))
-        assert rest is None and len(pairs) == 1
-        pairs, rest = separate(parse("cos(t*x1) - sin(x1+t)", 1, allow_t=True))
-        assert pairs == [] and reads(rest) == {"t", "x1"}
+        gs, hs, rest = parts("t*x1*t/(x1+1)")
+        assert rest is None and len(gs.roots) == len(hs.roots) == 1
+        gs, hs, rest = parts("cos(t*x1) - sin(x1+t)")
+        assert gs.roots == hs.roots == [] and rest is not None
+        with pytest.raises(AssertionError, match="x1 read"):
+            evaluate(rest, UNREAD, 0.5)
+        with pytest.raises(AssertionError, match="t read"):
+            evaluate(rest, MILD_COORDS[:1], UNREAD)
+
+    def test_equal_time_profiles_make_one_pair(self):
+        # the h_j of equal g_j are summed on the grid, before any transform
+        gs, hs, rest = parts("cos(t)*sin(x1) + cos(t)*cos(2*x1) + exp(-t)*sin(x1) - cos(t)*x1")
+        assert rest is None and len(gs.roots) == 2
+        x = MILD_COORDS[:1]
+        summed = binop("-", binop("+", call("sin", X1), call("cos", binop("*", num("2"), X1))), X1)
+        assert [bits(h) for h in evaluate(hs, x)] == [
+            bits(walk(summed, x)), bits(walk(call("sin", X1), x))]
+        assert [bits(g) for g in evaluate(gs, (), 0.3)] == [
+            bits(walk(call("cos", T), (), 0.3)), bits(walk(call("exp", neg(T)), (), 0.3))]
 
     def test_3000_factors_and_terms(self):
         # long products and sums are split without recursion
         n = 3000
-        pairs, rest = separate(parse("*".join(["t", "x1"] * (n // 2)), 1, allow_t=True))
-        assert rest is None and len(pairs) == 1
-        pairs, rest = separate(parse("+".join(f"{k}*x1*t" for k in range(n)), 1, allow_t=True))
-        assert rest is None and len(pairs) == n
-        assert recombined(pairs, rest, [np.array([2.0])], 0.5) == n * (n - 1) // 2
+        gs, hs, rest = parts("*".join(["t", "x1"] * (n // 2)))
+        assert rest is None and len(gs.roots) == 1
+        gs, hs, rest = parts("+".join(f"x1*cos({k}*t)" for k in range(n)))
+        assert rest is None and len(gs.roots) == n
+        # every g_j is t: one pair, whose h_j sums all 3000 terms
+        gs, hs, rest = parts("+".join(f"{k}*x1*t" for k in range(n)))
+        assert rest is None and len(gs.roots) == 1
+        assert recombined(gs, hs, rest, [np.array([2.0])], 0.5) == n * (n - 1) // 2
 
     @settings(max_examples=300, deadline=None)
     @given(tree=st.recursive(_mild_leaves, _grow, max_leaves=10),
            t=st.sampled_from([0.0, 0.3, 1.7]))
     def test_parts_read_their_variables_and_add_up(self, tree, t):
-        pairs, rest = separate(tree)
-        assert all(reads(g) <= {"t"} and "t" not in reads(h) for g, h in pairs)
+        program = Program([source(tree)], 2, allow_t=True)
+        gs, hs, rest = separate(program)
         try:
             with np.errstate(all="ignore"):
-                expect = evaluate(Program([tree]), MILD_COORDS, t)[0]
-                got = recombined(pairs, rest, MILD_COORDS, t)
+                evaluate(gs, UNREAD, t)  # the g_j read no x
+                evaluate(hs, MILD_COORDS, UNREAD)  # and the h_j no t
+                expect = evaluate(program, MILD_COORDS, t)[0]
+                got = recombined(gs, hs, rest, MILD_COORDS, t)
         except ArithmeticError:
             return  # a constant divided by zero or overflowed
         finite = np.isfinite(expect) & np.isfinite(got)

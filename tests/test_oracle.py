@@ -16,6 +16,7 @@ from opcauchy.oracle import (
 )
 from opcauchy.symbol_poly import CharacteristicSpec, SymbolPolynomial
 
+from test_multiplier import sampled_field
 from test_symbol_poly import random_distinct_roots
 
 
@@ -184,7 +185,7 @@ def _heat_problem(shape):
         P=SymbolPolynomial.derivative(1, 0, 2),
         shape=shape,
         box=(2 * np.pi,),
-        phi=[Field.from_function(shape, (2 * np.pi,), lambda x: np.sin(x))],
+        phi=[sampled_field(shape, (2 * np.pi,), np.sin)],
         t_points=(1.0,),
     )
 

@@ -10,6 +10,8 @@ from opcauchy.spherical import (
 )
 from opcauchy.symbol_poly import SymbolPolynomial
 
+from test_multiplier import sampled_field
+
 BOX3 = (2 * np.pi,) * 3
 
 
@@ -77,7 +79,7 @@ class TestSinhcSpherical:
     def test_single_mode_wave(self):
         # for u = cos(x), a = 1: t * mean_{|s|=t} cos(x + s_1) = sin(t) cos(x)
         shape = (16, 16, 16)
-        u = Field.from_function(shape, BOX3, lambda x, y, z: np.cos(x))
+        u = sampled_field(shape, BOX3, lambda x, y, z: np.cos(x))
         q = SphereQuadrature.gauss_product(25)
         t = 0.9
         out = sinhc_spherical(u, 1.0, t, q)
