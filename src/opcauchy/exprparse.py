@@ -23,9 +23,20 @@ evaluated once.  No tree is built.  ``separate`` views a forcing's Program
 as a sum of products g_j(t) h_j(x) plus a rest that mixes t and x, as
 three Programs over the same table.  ``sampler`` binds a Program to
 coordinates and runs its t-free slots once; the sampler then gives the
-expressions' values at any time.  ``evaluate`` is one such sample.  Both
-apply the numpy operations a walk of each expression would apply, so the
-values are bitwise equal to that walk's.
+expressions' values at any time.  ``evaluate`` is one such sample.
+
+Real values stay real: a constant with a zero imaginary part is a float,
+coordinates and the time are used as given, and ``+ - * neg sin cos abs``
+apply numpy, or Python on numbers, to their operands as they are, so a
+complex operand promotes by numpy's rules.  ``/``, ``^``, ``sqrt``,
+``exp``, ``sinh`` and ``cosh`` make their operands complex first: real
+division, integer powers and sqrt compute other values than the complex
+ones (``sqrt(-1.0)`` is NaN), and the SIMD float64 exp, sinh and cosh of
+some numpy builds differ from the complex ones in the last bit.  So each
+value equals, up to the sign of a zero, that of a walk that makes every
+leaf complex, with one exception: ``sqrt`` of a negative real value is
+the principal root +i*sqrt(|a|), where that walk's sign followed the sign
+of a zero imaginary part.  The roots' values are returned as complex.
 """
 
 from __future__ import annotations
@@ -57,10 +68,13 @@ MAX_NESTING = 100
 
 # A slot's payload is all ``_apply`` needs besides its operands' values:
 # ("+",) ("-",) ("*",) ("/",) ("neg",) ("^", n) ("call", name)
-# ("const", value) ("x", axis) ("t",).  The parser makes no constant with a
-# negative zero or a NaN part, so a constant's value is its key.
+# ("const", value) ("x", axis) ("t",).  A constant is a float when its
+# imaginary part is zero, else a complex.  The parser makes no constant
+# with a negative zero or a NaN part, so a constant's value is its key.
 _ADD, _SUB, _MUL, _DIV, _NEG, _T = ("+",), ("-",), ("*",), ("/",), ("neg",), ("t",)
-_ONE = ("const", 1 + 0j)
+_ONE = ("const", 1.0)
+#: The functions whose operand is made complex first, like those of '/' and '^'.
+_COMPLEX_CALLS = {"sqrt", "exp", "sinh", "cosh"}
 _SUMS = {"+": _ADD, "-": _SUB}
 _PRODUCTS = {"*": _MUL, "/": _DIV}
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -220,9 +234,10 @@ class _Reader:
         lead = tok[:1]
         if lead.isdecimal():
             if tok[-1] == "i":
-                payload = ("const", complex(0.0, float(tok[:-1])))
+                imag = float(tok[:-1])
+                payload = ("const", complex(0.0, imag) if imag else 0.0)
             else:
-                payload = ("const", complex(float(tok)))
+                payload = ("const", float(tok))
         elif lead.isalpha() or lead == "_":
             if tok in FUNCTIONS:
                 return self.intern(("call", tok), (self.group(),))
@@ -246,21 +261,31 @@ class _Reader:
         return slot
 
 
+def _complex(value):
+    """``value`` as complex: a Python number as a Python complex, a numpy
+    scalar or array as a numpy complex one (itself if it is complex)."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.astype(complex, copy=False)
+    return complex(value)
+
+
 def _apply(payload, operands, x, t):
     """The value of the slot with ``payload`` from its operands' values."""
     kind = payload[0]
     if kind in _OPERATORS:
+        if kind == "/":
+            operands = [_complex(v) for v in operands]
         return _OPERATORS[kind](*operands)
     if kind == "call":
-        return FUNCTIONS[payload[1]](operands[0])
+        name, (v,) = payload[1], operands
+        return FUNCTIONS[name](_complex(v) if name in _COMPLEX_CALLS else v)
     if kind == "const":
         return payload[1]
     if kind == "neg":
         return -operands[0]
     if kind == "^":
-        return operands[0] ** payload[1]
-    v = t if kind == "t" else x[payload[1]]
-    return complex(v) if np.isscalar(v) else np.asarray(v, complex)
+        return _complex(operands[0]) ** payload[1]
+    return t if kind == "t" else x[payload[1]]
 
 
 class Program:
@@ -447,21 +472,27 @@ def separate(program):
 
 def sampler(program, x):
     """A callable t -> the values of a ``Program``'s roots at coordinates
-    ``x`` (a sequence of scalars or arrays, not changed afterwards) and
-    time ``t``, one per root, in the roots' order.
+    ``x`` (a sequence of float or complex scalars or arrays, not changed
+    afterwards) and time ``t``, one complex value per root, in the roots'
+    order.
 
     The t-free slots run here, once; each call runs only the t-dependent
-    slots.  Overflow and division by zero raise no numpy warning: the
-    callers check the values for finiteness.
+    slots, and raises TypeError if there are any and ``t`` is None.
+    Overflow and division by zero raise no numpy warning: the callers check
+    the values for finiteness.
     """
     held = [None] * len(program._payloads)
     with np.errstate(all="ignore"):
         program._exec(program._t_free, held, x, None)
 
     def sample(t):
+        if t is None and program._t_dep:
+            raise TypeError("the expressions read t, but no time t was given")
         vals = list(held)
         with np.errstate(all="ignore"):
             program._exec(program._t_dep, vals, x, t)
+        for r in program.roots:  # a real value is freed once made complex
+            vals[r] = _complex(vals[r])
         return [vals[r] for r in program.roots]
 
     return sample

@@ -200,9 +200,27 @@ def _distinct(modes):
     return values, lambda table: table[..., index]
 
 
+@dataclass(frozen=True, eq=False)
+class _SymbolGrid:
+    """A mode array with its ``_distinct`` (values, gather).  ``solve``
+    builds one and passes it as the symbol p of every mode function call,
+    so the distinct values are found once per solve, not once per time."""
+
+    modes: np.ndarray
+    distinct: tuple
+
+
+def _modes_distinct(p):
+    """(the mode array of the symbol p, its ``_distinct``)."""
+    if isinstance(p, _SymbolGrid):
+        return p.modes, p.distinct
+    modes = _modes(p)
+    return modes, _distinct(modes)
+
+
 def _like(p, out):
     """``out`` as a Python complex when the symbol ``p`` was a scalar."""
-    return complex(out[0]) if np.ndim(p) == 0 else out
+    return complex(out[0]) if not isinstance(p, _SymbolGrid) and np.ndim(p) == 0 else out
 
 
 def sinhc_sqrt(z):
@@ -234,7 +252,7 @@ def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None, separable=None)
     repeated-root kind G is the kernel of ``measure``, which the discrepancy
     probe decides.
     """
-    modes = _modes(p)
+    modes, (values, gather) = _modes_distinct(p)
     total = np.zeros(modes.shape, dtype=complex)
     if t != 0:
         if spec.kind is Kind.REPEATED_ROOT and measure is None:
@@ -243,7 +261,6 @@ def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None, separable=None)
                 "probe (CLI mode 'probe') or set it explicitly"
             )
         tau, w = gauss_rule(nodes, t)
-        values, gather = _distinct(modes)
         if separable:
             profiles, coefficients = separable
             weighted = w * profiles(tau)
@@ -277,9 +294,8 @@ def homogeneous_mode(spec, p, phihat, t):
     """
     if len(phihat) != spec.data_count:
         raise ValueError(f"expected {spec.data_count} initial coefficients")
-    modes = _modes(p)
+    modes, (values, gather) = _modes_distinct(p)
     pairs = _homogeneous_pairs(spec)
-    values, gather = _distinct(modes)
     orders = range(max(q for _, _, q in pairs) + 1)
     derivs = [gather(d) for d in _kernel(spec, values, t, orders)]
     acc = np.zeros(modes.shape, dtype=complex)
@@ -431,6 +447,8 @@ def solve(problem: CauchyProblem, nodes=64):
     """
     spec = problem.spec
     pgrid = symbol_grid(problem.P, problem.shape, problem.box)
+    modes = _modes(pgrid)
+    grid = _SymbolGrid(modes, _distinct(modes))
     phihat = [to_spectral(f.data) for f in problem.phi]
     # the parts of forcing_hat: each spatial profile is transformed once
     fhat = problem._rest_hat if problem.forcing is not None else None
@@ -441,10 +459,10 @@ def solve(problem: CauchyProblem, nodes=64):
     for t in problem.t_points:
         # saturated modes may hit inf/nan; they are reported, not suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            uhat = homogeneous_mode(spec, pgrid, phihat, t)
+            uhat = homogeneous_mode(spec, grid, phihat, t)
             if problem.forced:
                 uhat = uhat + inhomogeneous_mode(
-                    spec, pgrid, fhat, t, nodes=nodes, measure=problem.measure,
+                    spec, grid, fhat, t, nodes=nodes, measure=problem.measure,
                     separable=separable,
                 )
         nonfinite += int(np.count_nonzero(~np.isfinite(uhat)))

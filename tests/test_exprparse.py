@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from opcauchy.cli import load_problem
 from opcauchy.errors import ExprSyntaxError, NonIntegerExponent, UnknownVariable
-from opcauchy.exprparse import FUNCTIONS, MAX_NESTING, Program, evaluate, separate
+from opcauchy.exprparse import FUNCTIONS, MAX_NESTING, Program, evaluate, sampler, separate
 from opcauchy.multiplier import mesh, to_spectral
 
 # ---------------------------------------------------------------------------
-# Reference expressions: a tree of tuples, its source text and its walk.
+# Reference expressions: a tree of tuples, its source text and its walks.
 # ("num", text) is a literal as a problem file spells it ("2.5", "1e300",
 # "1.5i", "i"); ("var", name); ("neg", a); ("call", fn, a); ("pow", a, n);
 # ("bin", op, a, b).
@@ -51,6 +51,8 @@ X1, X2, X3, T = var("x1"), var("x2"), var("x3"), var("t")
 _NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sinh": np.sinh, "cosh": np.cosh,
           "sqrt": np.sqrt, "abs": np.abs}
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+#: The operations whose operands ``walk`` makes complex first ('^' too).
+_COMPLEX_FIRST = {"/", "sqrt", "exp", "sinh", "cosh"}
 
 
 def source(tree, top=True):
@@ -73,25 +75,80 @@ def source(tree, top=True):
     return f"({source(a, top=False)}{op}{source(b, top=False)})"
 
 
+def as_complex(value):
+    """``value`` as complex, a Python number as a Python complex."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.astype(complex)
+    return complex(value)
+
+
 def walk(tree, x, t=None):
-    """The reference value of ``tree`` at coordinates ``x`` and time ``t``:
-    each operation applied by numpy to its operands' values."""
-    kind = tree[0]
-    if kind == "num":
-        text = tree[1]
-        if text == "i":
-            return 1j
-        return complex(0.0, float(text[:-1])) if text.endswith("i") else complex(float(text))
-    if kind == "var":
-        v = t if tree[1] == "t" else x[int(tree[1][1:]) - 1]
-        return complex(v) if np.isscalar(v) else np.asarray(v, complex)
-    if kind == "neg":
-        return -walk(tree[1], x, t)
-    if kind == "call":
-        return _NUMPY[tree[1]](walk(tree[2], x, t))
-    if kind == "pow":
-        return walk(tree[1], x, t) ** tree[2]
-    return _OPS[tree[1]](walk(tree[2], x, t), walk(tree[3], x, t))
+    """The reference value of ``tree`` at coordinates ``x`` and time ``t``,
+    made complex at the end: real constants, coordinates and the time stay
+    real, the operands of '/', '^', sqrt, exp, sinh and cosh are made
+    complex, and each operation is applied by numpy, or Python on numbers,
+    to its operands' values."""
+
+    def value(tree):
+        kind = tree[0]
+        if kind == "num":
+            text = tree[1]
+            if text == "i":
+                return 1j
+            if text.endswith("i"):
+                imag = float(text[:-1])
+                return complex(0.0, imag) if imag else 0.0
+            return float(text)
+        if kind == "var":
+            if tree[1] != "t":
+                return x[int(tree[1][1:]) - 1]
+            if t is None:
+                raise TypeError("t read with no time given")
+            return t
+        if kind == "neg":
+            return -value(tree[1])
+        if kind == "call":
+            a = value(tree[2])
+            return _NUMPY[tree[1]](as_complex(a) if tree[1] in _COMPLEX_FIRST else a)
+        if kind == "pow":
+            return as_complex(value(tree[1])) ** tree[2]
+        a, b = value(tree[2]), value(tree[3])
+        if tree[1] in _COMPLEX_FIRST:
+            a, b = as_complex(a), as_complex(b)
+        return _OPS[tree[1]](a, b)
+
+    return as_complex(value(tree))
+
+
+def complex_walk(tree, x, t=None):
+    """(value, finite): ``tree``'s value at ``x`` and ``t`` from a walk that
+    makes every constant, coordinate and time complex and applies each
+    operation by numpy, or Python on numbers, and whether every
+    intermediate value was finite (per point)."""
+    finite = [True]
+
+    def value(tree):
+        kind = tree[0]
+        if kind == "num":
+            text = tree[1]
+            v = 1j if text == "i" else (
+                complex(0.0, float(text[:-1])) if text.endswith("i") else complex(float(text)))
+        elif kind == "var":
+            v = t if tree[1] == "t" else x[int(tree[1][1:]) - 1]
+            v = complex(v) if np.isscalar(v) else np.asarray(v, complex)
+        elif kind == "neg":
+            v = -value(tree[1])
+        elif kind == "call":
+            v = _NUMPY[tree[1]](value(tree[2]))
+        elif kind == "pow":
+            v = value(tree[1]) ** tree[2]
+        else:
+            v = _OPS[tree[1]](value(tree[2]), value(tree[3]))
+        finite[0] = finite[0] & np.isfinite(v)
+        return v
+
+    v = value(tree)
+    return v, finite[0]
 
 
 def canonical(tree):
@@ -122,11 +179,12 @@ def bits(value):
 
 
 def outcome(fn):
-    """fn()'s bits, or the type of the arithmetic error it raises."""
+    """fn()'s bits, or the type of the arithmetic error, or of the TypeError
+    of a time read with none given, that it raises."""
     try:
         with np.errstate(all="ignore"):
             return bits(fn())
-    except ArithmeticError as exc:
+    except (ArithmeticError, TypeError) as exc:
         return type(exc)
 
 
@@ -274,6 +332,27 @@ class TestEvaluate:
         got = ev("sin(x1)*2", [x])
         assert np.max(np.abs(got - 2 * np.sin(x))) < 1e-14
 
+    def test_real_values_are_returned_complex(self):
+        x = np.linspace(0.0, 1.0, 5)
+        got = ev("2*sin(x1)+x1", [x])
+        assert got.dtype == complex and np.array_equal(got, 2 * np.sin(x) + x)
+        assert type(ev("2*t", [], t=0.5)) is complex
+        assert type(ev("x1", [np.float64(0.5)])) is np.complex128
+
+    def test_sqrt_of_a_negative_real_value_is_the_principal_root(self):
+        # -cos(x1) is real: its sqrt is +i sqrt(cos(x1)) whatever the sign of
+        # sin(x1); a walk over complex values follows the sign of the zero
+        # imaginary part that cos(x1 + 0i) = cos(x1) - i sin(x1) sinh(0) leaves
+        x = np.array([-1.0, -0.5, 0.5, 1.0])
+        tree = call("sqrt", neg(call("cos", X1)))
+        got = ev(source(tree), [x])
+        assert np.array_equal(got, 1j * np.sqrt(np.cos(x)))
+        with np.errstate(all="ignore"):
+            old, _ = complex_walk(tree, [x])
+        assert np.array_equal(old, np.where(np.sin(x) < 0, -1j, 1j) * np.sqrt(np.cos(x)))
+        assert ev("sqrt(-4)", [0.0]) == 2j
+        assert complex_walk(call("sqrt", neg(num("4"))), ())[0] == -2j
+
 
 def random_tree(rng, depth, dim, allow_t):
     kind = rng.integers(0, 7 if depth > 0 else 2)
@@ -333,13 +412,21 @@ _leaves = st.one_of(
 )
 
 
-def _grow(children):
-    return st.one_of(
-        st.tuples(st.sampled_from(sorted(_NUMPY)), children).map(lambda a: call(*a)),
-        children.map(neg),
-        st.tuples(children, st.integers(-2, 3)).map(lambda a: power(*a)),
-        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda a: binop(*a)),
-    )
+def _grower(functions):
+    """The step of ``st.recursive`` that grows trees calling ``functions``."""
+
+    def grow(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(functions), children).map(lambda a: call(*a)),
+            children.map(neg),
+            st.tuples(children, st.integers(-2, 3)).map(lambda a: power(*a)),
+            st.tuples(st.sampled_from("+-*/"), children, children).map(lambda a: binop(*a)),
+        )
+
+    return grow
+
+
+_grow = _grower(sorted(_NUMPY))
 
 
 _subtrees = st.recursive(_leaves, _grow, max_leaves=6)
@@ -446,7 +533,48 @@ class TestProgram:
         (h,) = problem.spatial_profiles
         for tau in taus:
             (g,) = problem.time_profiles(tau)
-            assert bits(g * h) == bits(np.cos(2 * complex(tau)) * np.sin(x[0].astype(complex)))
+            want = walk(call("cos", binop("*", num("2"), T)), (), tau) * walk(call("sin", X1), x)
+            assert bits(g * h) == bits(want)
+
+    def test_sample_without_time_raises(self):
+        program = Program(["t*x1"], 1, allow_t=True)
+        x = [np.array([1.0, 2.0])]
+        with pytest.raises(TypeError, match="no time t"):
+            evaluate(program, x)
+        sample = sampler(program, x)
+        with pytest.raises(TypeError, match="no time t"):
+            sample(None)
+        assert bits(sample(0.5)[0]) == bits(walk(binop("*", T, X1), x, 0.5))
+
+    def test_program_reading_no_t_needs_no_time(self):
+        tree = binop("*", num("2"), call("sin", X1))
+        program = Program([source(tree)], 1, allow_t=True)
+        assert bits(evaluate(program, COORDS[:1])[0]) == bits(walk(tree, COORDS[:1]))
+        gs, hs, rest = separate(Program(["cos(t)*sin(x1)"], 1, allow_t=True))
+        assert bits(evaluate(hs, COORDS[:1])[0]) == bits(walk(call("sin", X1), COORDS[:1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=st.recursive(_leaves, _grower([f for f in sorted(_NUMPY) if f != "sqrt"]),
+                             max_leaves=8),
+           t=st.sampled_from([0.0, -0.0, 0.3, 2.0, 710.0]))
+    def test_equal_as_numbers_to_complex_walk(self, tree, t):
+        # real values stay real, so the values differ from a walk over
+        # complex values at most in the sign of a zero, wherever that walk
+        # stays finite; sqrt's branch follows such a sign, so it is left out
+        with np.errstate(all="ignore"):
+            try:
+                expect, finite = complex_walk(tree, COORDS, t)
+            except ArithmeticError:
+                return  # a constant or time subexpression faulted
+            try:
+                (got,) = evaluate(Program([source(tree)], 3, allow_t=True), COORDS, t)
+            except ArithmeticError:
+                # only where an operand differs, so the complex walk was not finite
+                assert not np.any(finite)
+                return
+        got, expect, finite = np.broadcast_arrays(got, expect, finite)
+        assert np.array_equal(got.real[finite], np.real(expect)[finite])
+        assert np.array_equal(got.imag[finite], np.imag(expect)[finite])
 
     def test_new_coordinates_are_not_served_stale(self):
         # each call evaluates afresh at its own coordinates; t*sin(x1)
@@ -476,7 +604,6 @@ class TestProgram:
         try:
             program = Program(["exp(-t)*cos(2*x1)+sin(2*x1)*x2"], 2, allow_t=True)
             evaluate(program, COORDS[:2], 0.5)
-            evaluate(program, COORDS[:2])
             gs, hs, rest = separate(program)
             evaluate(gs, (), 0.5)
             evaluate(hs, COORDS[:2])
@@ -567,7 +694,7 @@ class TestMultiRoot:
             try:
                 with np.errstate(all="ignore"):
                     got = [bits(v) for v in evaluate(program, COORDS, t)]
-            except ArithmeticError:
+            except (ArithmeticError, TypeError):
                 # which error comes first may differ: t-free slots run first
                 assert any(isinstance(e, type) for e in expect)
             else:
@@ -583,7 +710,7 @@ class TestMultiRoot:
             with np.errstate(all="ignore"):
                 together = [bits(v) for v in evaluate(Program(sources, 3, allow_t=True),
                                                       COORDS, t)]
-        except ArithmeticError:
+        except (ArithmeticError, TypeError):
             assert any(isinstance(a, type) for a in alone)
         else:
             assert together == alone
@@ -668,6 +795,96 @@ class TestBroadcastAxes:
             want = to_spectral(samples)
             for g, h in zip(profiles, spatial):
                 want = want + g * to_spectral(h)
+            assert bits(problem.forcing_hat(t)) == bits(want)
+
+
+class TestRealValues:
+    """Real subexpressions are evaluated in float64; these are the facts that
+    keep their values those of a walk over complex values."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(7)
+        tiny = np.finfo(float).smallest_normal
+        edge = [np.log(np.finfo(float).max), 710.4758600739439, 709.0895657128241, 710.0]
+        special = [0.0, 5e-324, 1e-310, tiny, np.nextafter(tiny, 0), 1.0, np.pi, 1e5] + edge
+        xs = np.concatenate([
+            special, rng.uniform(-1e5, 1e5, 4000), rng.uniform(-800.0, 800.0, 4000),
+            rng.uniform(700.0, 712.0, 4000), rng.uniform(-40.0, 40.0, 4000),
+            rng.normal(size=1000) * 1e-300,
+        ])
+        return np.concatenate([xs, -xs])
+
+    @staticmethod
+    def with_imag(x, zero):
+        """``x`` as complex with the imaginary part ``zero`` (0.0 or -0.0)."""
+        z = x.astype(complex)
+        z.imag = zero
+        return z
+
+    @pytest.mark.parametrize("fn", [np.sin, np.cos])
+    def test_real_trig_is_the_real_part_of_complex_trig(self, fn):
+        # sin and cos stay real: float64 values, of arrays and of numbers, are
+        # bitwise the real part of complex128 ones at either zero imaginary part
+        x = self.points()
+        real = fn(x).view(np.int64)
+        for zero in (0.0, -0.0):
+            assert np.array_equal(real, fn(self.with_imag(x, zero)).real.view(np.int64))
+            numbers = [fn(v) for v in x[::50].tolist()]
+            complexes = [fn(complex(v, zero)).real for v in x[::50].tolist()]
+            assert np.array_equal(np.array(numbers).view(np.int64), real[::50])
+            assert np.array_equal(np.array(complexes).view(np.int64), real[::50])
+
+    @pytest.mark.parametrize("fn", [np.exp, np.sinh, np.cosh])
+    def test_complex_exp_ignores_the_sign_of_a_zero(self, fn):
+        # exp, sinh and cosh take complex operands, since the SIMD float64
+        # loops of some numpy builds differ from the complex ones in the last
+        # bit: the real part of the complex value is the same at either zero
+        # imaginary part, and the imaginary part is a zero
+        x = self.points()
+        with np.errstate(all="ignore"):
+            plus, minus = (fn(self.with_imag(x, zero)) for zero in (0.0, -0.0))
+        assert np.array_equal(plus.real.view(np.int64), minus.real.view(np.int64))
+        assert not np.any(plus.imag) and not np.any(minus.imag)
+
+    def test_trig_sum_file_transforms_like_the_complex_walk(self, tmp_path):
+        # a 3-D trig-sum problem file with forcing: the Fourier coefficients
+        # of its fields and spatial profiles are bitwise those of a walk over
+        # complex values, and so are its forcing's
+        rng = np.random.default_rng(11)
+        ks = [(1, 0, 0), (0, 2, -1), (3, -1, 2), (1, 1, 1), (0, 0, 3), (2, -3, 1)]
+        waves = [_wave(*k) for k in ks]
+        fields = [_trig_field([float(c) / (r + 1) for c in rng.normal(size=2 * len(ks))], waves)
+                  for r in range(6)]
+        hs = [_trig_field([float(c) for c in rng.normal(size=2)], [wave]) for wave in waves[:3]]
+        gs = [call("cos", binop("*", num("2"), T)), call("exp", neg(T)),
+              binop("+", num("1"), binop("*", T, T))]
+        forcing = "+".join(f"{source(g, top=False)}*({source(h)})" for g, h in zip(gs, hs))
+        path = tmp_path / "trig.ini"
+        path.write_text(
+            "[equation]\nkind = even_order_product\nm = 3\nroots = 1 1.5 2\n"
+            "[operator]\ndim = 3\n"
+            "terms = alpha=2 0 0: coeff=1 ; alpha=0 2 0: coeff=1 ; alpha=0 0 2: coeff=1\n"
+            "[grid]\nshape = 8 8 8\nbox = 6.283185307179586 6.283185307179586 6.283185307179586\n"
+            "[initial]\n" + "".join(f"phi{r} = {source(f)}\n" for r, f in enumerate(fields))
+            + f"[forcing]\nf = {forcing}\n[output]\ntimes = 0.5\n"
+        )
+        problem = load_problem(str(path))
+        shape = problem.shape
+        x = mesh(shape, problem.box)
+
+        def coefficients(tree):
+            return to_spectral(np.broadcast_to(complex_walk(tree, x)[0], shape))
+
+        for field, tree in zip(problem.phi, fields):
+            assert bits(to_spectral(field.data)) == bits(coefficients(tree))
+        assert len(problem.spatial_profiles) == len(hs)
+        for got, tree in zip(problem._spatial_hat, hs):
+            assert bits(got) == bits(coefficients(tree))
+        for t in (0.0, 0.3, 1.7):
+            want = 0.0
+            for g, h in zip(gs, hs):
+                want = want + complex_walk(g, (), t)[0] * coefficients(h)
             assert bits(problem.forcing_hat(t)) == bits(want)
 
 

@@ -501,6 +501,28 @@ class TestDistinctSymbols:
         # one homogeneous evaluation plus the Duhamel nodes, per output time
         assert sum(received) == len(times) * (nodes + 1) * distinct * groups
 
+    def test_distinct_values_found_once_per_solve(self, monkeypatch):
+        # solve finds the distinct symbol values once and hands them to the
+        # homogeneous and the forced part at every output time
+        shape, box = (8, 8, 8), (2 * np.pi,) * 3
+        x = np.broadcast_arrays(*mesh(shape, box))
+        spec = CharacteristicSpec.first_order_product(roots=[1, 2])
+        phis = (Field(shape, box, np.sin(x[0]).astype(complex)), Field.zeros(shape, box))
+        prob = CauchyProblem(
+            spec, SymbolPolynomial.laplacian(3), shape, box, phis,
+            lambda t: np.cos(t) * np.sin(x[1]), (0.0, 0.25, 0.5),
+        )
+        want = [f.data for _, f in solve(prob, nodes=8)[0]]
+        calls = []
+        distinct = kernels._distinct
+        monkeypatch.setattr(kernels, "_distinct", lambda modes: calls.append(1) or distinct(modes))
+        got = [f.data for _, f in solve(prob, nodes=8)[0]]
+        assert len(calls) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # a direct call on a grid finds them itself
+        homogeneous_mode(spec, self.laplacian_grid(shape, box), [1.0, 0.0], 0.5)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_equal_symbols_give_bitwise_equal_modes(self, spec):
         pgrid = self.laplacian_grid((8, 8, 8), (2 * np.pi,) * 3)
