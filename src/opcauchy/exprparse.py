@@ -32,9 +32,11 @@ complex operand promotes by numpy's rules.  ``/``, ``^``, ``sqrt``,
 ``exp``, ``sinh`` and ``cosh`` make their operands complex first: real
 division, integer powers and sqrt compute other values than the complex
 ones (``sqrt(-1.0)`` is NaN), and the SIMD float64 exp, sinh and cosh of
-some numpy builds differ from the complex ones in the last bit.  So each
-value equals, up to the sign of a zero, that of a walk that makes every
-leaf complex, with one exception: ``sqrt`` of a negative real value is
+some numpy builds differ from the complex ones in the last bit.  They
+leave alone operands made from ``abs`` values alone, which are real even
+when every leaf is complex.  So each value equals, up to the sign of a
+zero, that of a walk that makes every leaf complex, with one exception:
+``sqrt`` of a negative real value not made from ``abs`` values alone is
 the principal root +i*sqrt(|a|), where that walk's sign followed the sign
 of a zero imaginary part.  The roots' values are returned as complex.
 """
@@ -73,8 +75,9 @@ MAX_NESTING = 100
 # with a negative zero or a NaN part, so a constant's value is its key.
 _ADD, _SUB, _MUL, _DIV, _NEG, _T = ("+",), ("-",), ("*",), ("/",), ("neg",), ("t",)
 _ONE = ("const", 1.0)
-#: The functions whose operand is made complex first, like those of '/' and '^'.
-_COMPLEX_CALLS = {"sqrt", "exp", "sinh", "cosh"}
+_ABS = ("call", "abs")
+#: The payloads besides ("^", n) whose operands are made complex first.
+_COMPLEX_FIRST = {_DIV, ("call", "sqrt"), ("call", "exp"), ("call", "sinh"), ("call", "cosh")}
 _SUMS = {"+": _ADD, "-": _SUB}
 _PRODUCTS = {"*": _MUL, "/": _DIV}
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -273,18 +276,15 @@ def _apply(payload, operands, x, t):
     """The value of the slot with ``payload`` from its operands' values."""
     kind = payload[0]
     if kind in _OPERATORS:
-        if kind == "/":
-            operands = [_complex(v) for v in operands]
         return _OPERATORS[kind](*operands)
     if kind == "call":
-        name, (v,) = payload[1], operands
-        return FUNCTIONS[name](_complex(v) if name in _COMPLEX_CALLS else v)
+        return FUNCTIONS[payload[1]](operands[0])
     if kind == "const":
         return payload[1]
     if kind == "neg":
         return -operands[0]
     if kind == "^":
-        return _complex(operands[0]) ** payload[1]
+        return operands[0] ** payload[1]
     return t if kind == "t" else x[payload[1]]
 
 
@@ -338,10 +338,16 @@ class Program:
         """Make ``roots`` the roots, run from the ``slots`` they read."""
         payloads, args = self._payloads, self._args
         tdep = [False] * len(payloads)
+        # real even were every leaf complex: made from abs values alone
+        from_abs = [False] * len(payloads)
+        widen = [False] * len(payloads)
         t_free, t_dep = [], []
         for i in slots:
-            tdep[i] = payloads[i] is _T or any([tdep[a] for a in args[i]])
+            payload, operands = payloads[i], args[i]
+            tdep[i] = payload is _T or any([tdep[a] for a in operands])
             (t_dep if tdep[i] else t_free).append(i)
+            from_abs[i] = payload == _ABS or bool(operands) and all([from_abs[a] for a in operands])
+            widen[i] = not from_abs[i] and (payload in _COMPLEX_FIRST or payload[0] == "^")
         last = [None] * len(payloads)  # the slot that reads each slot last
         for i in t_free + t_dep:
             for a in args[i]:
@@ -349,6 +355,7 @@ class Program:
         for r in roots:
             last[r] = None
         self.roots, self._t_free, self._t_dep, self._last = roots, t_free, t_dep, last
+        self._widen = widen
 
     def _with_roots(self, roots):
         """A Program over this one's table with other ``roots``; it runs
@@ -365,10 +372,13 @@ class Program:
         return view
 
     def _exec(self, order, vals, x, t):
-        payloads, args, last = self._payloads, self._args, self._last
+        payloads, args, last, widen = self._payloads, self._args, self._last, self._widen
         for i in order:
             operands = args[i]
-            vals[i] = _apply(payloads[i], [vals[a] for a in operands], x, t)
+            values = [vals[a] for a in operands]
+            if widen[i]:
+                values = [_complex(v) for v in values]
+            vals[i] = _apply(payloads[i], values, x, t)
             for a in operands:
                 if last[a] == i:
                     vals[a] = None

@@ -86,38 +86,41 @@ def walk(tree, x, t=None):
     """The reference value of ``tree`` at coordinates ``x`` and time ``t``,
     made complex at the end: real constants, coordinates and the time stay
     real, the operands of '/', '^', sqrt, exp, sinh and cosh are made
-    complex, and each operation is applied by numpy, or Python on numbers,
-    to its operands' values."""
+    complex unless they are made from abs values alone (so real in
+    ``complex_walk`` too), and each operation is applied by numpy, or
+    Python on numbers, to its operands' values."""
 
     def value(tree):
+        """(the value of ``tree``, whether it is made from abs values alone)."""
         kind = tree[0]
         if kind == "num":
             text = tree[1]
             if text == "i":
-                return 1j
+                return 1j, False
             if text.endswith("i"):
                 imag = float(text[:-1])
-                return complex(0.0, imag) if imag else 0.0
-            return float(text)
+                return (complex(0.0, imag) if imag else 0.0), False
+            return float(text), False
         if kind == "var":
             if tree[1] != "t":
-                return x[int(tree[1][1:]) - 1]
+                return x[int(tree[1][1:]) - 1], False
             if t is None:
                 raise TypeError("t read with no time given")
-            return t
+            return t, False
+        parts = [value(k) for k in tree[1:] if isinstance(k, tuple)]
+        vals = [v for v, _ in parts]
+        from_abs = tree[:2] == ("call", "abs") or all([f for _, f in parts])
+        if not from_abs and (kind == "pow" or tree[1] in _COMPLEX_FIRST):
+            vals = [as_complex(v) for v in vals]
         if kind == "neg":
-            return -value(tree[1])
+            return -vals[0], from_abs
         if kind == "call":
-            a = value(tree[2])
-            return _NUMPY[tree[1]](as_complex(a) if tree[1] in _COMPLEX_FIRST else a)
+            return _NUMPY[tree[1]](vals[0]), from_abs
         if kind == "pow":
-            return as_complex(value(tree[1])) ** tree[2]
-        a, b = value(tree[2]), value(tree[3])
-        if tree[1] in _COMPLEX_FIRST:
-            a, b = as_complex(a), as_complex(b)
-        return _OPS[tree[1]](a, b)
+            return vals[0] ** tree[2], from_abs
+        return _OPS[tree[1]](*vals), from_abs
 
-    return as_complex(value(tree))
+    return as_complex(value(tree)[0])
 
 
 def complex_walk(tree, x, t=None):
@@ -352,6 +355,23 @@ class TestEvaluate:
         assert np.array_equal(old, np.where(np.sin(x) < 0, -1j, 1j) * np.sqrt(np.cos(x)))
         assert ev("sqrt(-4)", [0.0]) == 2j
         assert complex_walk(call("sqrt", neg(num("4"))), ())[0] == -2j
+
+    def test_values_made_from_abs_alone_keep_the_real_operations(self):
+        # abs is real in the complex walk too, so its exp, '/', '^' and
+        # sqrt stay real there: the float64 exp(40) differs from the
+        # complex one in the last bit on some numpy builds
+        x = [np.array([-1.0, 0.25, 2.0, 0.0, 40.0]), np.array([3.0, -7.0, 0.5, 1e-310, 710.0])]
+        for tree in (call("exp", call("abs", X1)),
+                     call("cosh", neg(call("abs", X1))),
+                     binop("/", call("abs", X1), call("abs", X2)),
+                     power(binop("*", call("abs", X1), call("abs", X2)), 3),
+                     call("sqrt", neg(call("abs", X2)))):
+            with np.errstate(all="ignore"):
+                got = ev(source(tree), x)
+                expect, _ = complex_walk(tree, x)
+            assert expect.dtype == float
+            assert bits(got) == bits(expect.astype(complex)), source(tree)
+        assert ev("abs(x1)/abs(x2)", [3.0, 7.0]) == 3.0 / 7.0
 
 
 def random_tree(rng, depth, dim, allow_t):
