@@ -63,8 +63,13 @@ def _parse_complex_pair(text, key):
     return complex(*(_number(part, key) for part in parts))
 
 
-def _parse_complex_list(text, key):
-    return [_parse_complex_pair(tok, key) for tok in text.split()]
+def _equation_numbers(cfg, key, count, noun):
+    """The ``count`` complex numbers of ``[equation] key``, counted as ``noun``."""
+    label = f"equation.{key}"
+    values = [_parse_complex_pair(tok, label) for tok in _require(cfg, "equation", key).split()]
+    if len(values) != count:
+        raise ConfigError(f"{label}: expected {count} {noun}")
+    return values
 
 
 def _require(cfg, section, key=None):
@@ -145,21 +150,15 @@ def load_problem(path):
 
     if kind is Kind.FIRST_ORDER_PRODUCT:
         if cfg.has_option("equation", "roots"):
-            roots = _parse_complex_list(cfg["equation"]["roots"], "equation.roots")
-            if len(roots) != m:
-                raise ConfigError(f"equation.roots: expected {m} roots")
+            roots = _equation_numbers(cfg, "roots", m, "roots")
             spec = _validated(CharacteristicSpec.first_order_product, roots=roots)
         elif cfg.has_option("equation", "coeffs"):
-            coeffs = _parse_complex_list(cfg["equation"]["coeffs"], "equation.coeffs")
-            if len(coeffs) != m + 1:
-                raise ConfigError(f"equation.coeffs: expected {m + 1} coefficients")
+            coeffs = _equation_numbers(cfg, "coeffs", m + 1, "coefficients")
             spec = _validated(CharacteristicSpec.first_order_product, coeffs=coeffs)
         else:
             raise ConfigError("equation: need 'roots' or 'coeffs'")
     elif kind is Kind.EVEN_ORDER_PRODUCT:
-        roots = _parse_complex_list(_require(cfg, "equation", "roots"), "equation.roots")
-        if len(roots) != m:
-            raise ConfigError(f"equation.roots: expected {m} roots")
+        roots = _equation_numbers(cfg, "roots", m, "roots")
         spec = _validated(CharacteristicSpec.even_order_product, roots)
     else:
         spec = _validated(CharacteristicSpec.repeated_root, m)
@@ -224,9 +223,9 @@ def load_problem(path):
 
 
 def _grid_values(program, keys, grid_mesh, shape):
-    """The t-free ``program``'s roots evaluated on the mesh's axes, one complex
-    array of ``shape`` each; a value that is not finite at some grid point,
-    or arithmetic on Python numbers that faults (``1/0``), is a ConfigError."""
+    """The t-free ``program``'s roots evaluated on the mesh's axes, each as computed
+    and broadcast to ``shape`` (a read-only view); a value that is not finite at some
+    grid point, or arithmetic on Python numbers that faults (``1/0``), is a ConfigError."""
     try:
         values = exprparse.evaluate(program, grid_mesh)
     except ArithmeticError as exc:
@@ -235,7 +234,7 @@ def _grid_values(program, keys, grid_mesh, shape):
     for key, vals in zip(keys, values):
         if not np.isfinite(vals).all():
             raise ConfigError(f"{key} is not finite at every grid point")
-        out.append(np.broadcast_to(vals, shape).astype(complex))
+        out.append(np.broadcast_to(vals, shape))
     return out
 
 
@@ -414,21 +413,27 @@ def write_opc1(path, snapshots, box):
 
 
 def read_opc1(path):
-    """The (t, Field) snapshots ``write_opc1`` wrote, each value bit for bit."""
+    """The (t, Field) snapshots ``write_opc1`` wrote, each value bit for bit; a
+    file cut short or run on past its last snapshot raises ValueError naming it."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
-            raise ValueError("bad magic")
-        (ndim,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-        box = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
-        (ntimes,) = struct.unpack("<I", fh.read(4))
-        times = struct.unpack(f"<{ntimes}d", fh.read(8 * ntimes))
-        size = int(np.prod(shape))
-        out = []
-        for t in times:
-            raw = np.frombuffer(fh.read(16 * size), dtype="<c16")
-            data = raw.reshape(shape).astype(np.complex128)
-            out.append((t, Field(tuple(shape), tuple(box), data)))
+            raise ValueError(f"{path}: bad magic")
+        try:
+            (ndim,) = struct.unpack("<I", fh.read(4))
+            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            box = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
+            (ntimes,) = struct.unpack("<I", fh.read(4))
+            times = struct.unpack(f"<{ntimes}d", fh.read(8 * ntimes))
+            size = int(np.prod(shape))
+            out = []
+            for t in times:
+                raw = np.frombuffer(fh.read(16 * size), dtype="<c16")
+                data = raw.reshape(shape).astype(np.complex128)
+                out.append((t, Field(tuple(shape), tuple(box), data)))
+        except (struct.error, ValueError) as exc:
+            raise ValueError(f"{path}: damaged OPC1 file: {exc}") from None
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the last snapshot")
     return out
 
 
@@ -464,6 +469,12 @@ def _with_measure(problem, config):
 # ---------------------------------------------------------------------------
 # Run modes
 
+#: Times that ``--mode verify`` solves at, uniformly spaced from 0 to the last output time.
+VERIFY_SNAPSHOTS = 25
+#: Node counts that ``--mode convergence`` compares with the solve of its reference count.
+CONVERGENCE_NODE_COUNTS = (8, 16, 24, 32, 48, 64, 96)
+CONVERGENCE_REF_NODES = 192
+
 
 def _run_solve(config):
     problem = _with_measure(load_problem(config.problem), config)
@@ -486,10 +497,10 @@ def _run_solve(config):
     return 0
 
 
-def _run_verify(config, n_snapshots=25):
+def _run_verify(config):
     problem = _with_measure(load_problem(config.problem), config)
     t_max = max(problem.t_points)
-    ts = tuple(np.linspace(0.0, t_max, n_snapshots))
+    ts = tuple(np.linspace(0.0, t_max, VERIFY_SNAPSHOTS))
     dense = replace(problem, t_points=ts)
     snapshots, _ = solve(dense, nodes=config.quad_nodes)
     report = oracle.residual_check(snapshots, dense)
@@ -522,11 +533,11 @@ def _run_probe(config):
     return 0
 
 
-def _run_convergence(config, node_counts=(8, 16, 24, 32, 48, 64, 96), ref_nodes=192):
+def _run_convergence(config):
     problem = _with_measure(load_problem(config.problem), config)
-    ref, _ = solve(problem, nodes=ref_nodes)
+    ref, _ = solve(problem, nodes=CONVERGENCE_REF_NODES)
     rows = []
-    for n in node_counts:
+    for n in CONVERGENCE_NODE_COUNTS:
         snaps, _ = solve(problem, nodes=n)
         err = max(
             float(np.max(np.abs(u.data - ur.data)))
@@ -536,7 +547,7 @@ def _run_convergence(config, node_counts=(8, 16, 24, 32, 48, 64, 96), ref_nodes=
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["# quadrature convergence: nodes, max abs error vs "
-             f"{ref_nodes}-node reference"]
+             f"{CONVERGENCE_REF_NODES}-node reference"]
     for n, err in rows:
         lines.append(f"{n} {err:.6e}")
         print(f"nodes {n:4d}  error {err:.3e}")

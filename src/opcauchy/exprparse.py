@@ -38,7 +38,8 @@ when every leaf is complex.  So each value equals, up to the sign of a
 zero, that of a walk that makes every leaf complex, with one exception:
 ``sqrt`` of a negative real value not made from ``abs`` values alone is
 the principal root +i*sqrt(|a|), where that walk's sign followed the sign
-of a zero imaginary part.  The roots' values are returned as complex.
+of a zero imaginary part.  The roots' values are returned as computed:
+float64 where real, complex128 otherwise, a Python number for a constant.
 """
 
 from __future__ import annotations
@@ -483,8 +484,8 @@ def separate(program):
 def sampler(program, x):
     """A callable t -> the values of a ``Program``'s roots at coordinates
     ``x`` (a sequence of float or complex scalars or arrays, not changed
-    afterwards) and time ``t``, one complex value per root, in the roots'
-    order.
+    afterwards) and time ``t``, one value per root as computed, in the
+    roots' order.
 
     The t-free slots run here, once; each call runs only the t-dependent
     slots, and raises TypeError if there are any and ``t`` is None.
@@ -501,8 +502,6 @@ def sampler(program, x):
         vals = list(held)
         with np.errstate(all="ignore"):
             program._exec(program._t_dep, vals, x, t)
-        for r in program.roots:  # a real value is freed once made complex
-            vals[r] = _complex(vals[r])
         return [vals[r] for r in program.roots]
 
     return sample

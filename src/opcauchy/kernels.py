@@ -56,12 +56,12 @@ def _sat_exp(w):
 @lru_cache(maxsize=None)
 def _series_coeffs(step, k, radius):
     """Taylor coefficients 1/(s i + k + s - 1)! of f_k, i < 64, as many as
-    |z| < radius needs for roundoff."""
+    |z| < radius needs for roundoff; a tuple, since every caller shares it."""
     coeffs = [1 / factorial(step * i + k + step - 1) for i in range(64)]
     n = 1
     while n < len(coeffs) and radius**n * coeffs[n] > 1e-18 * coeffs[0]:
         n += 1
-    return coeffs[:n]
+    return tuple(coeffs[:n])
 
 
 def _series(z, step, k, radius):
@@ -290,20 +290,21 @@ def homogeneous_mode(spec, p, phihat, t):
     """Initial-data part of the mode solution.
 
     Assembles sum_k b_k p^{m-k} sum_r d^{q}/dt^{q} [G](t) phihat_r / b_m
-    with every derivative an exact index shift of G's kernels.
+    with every derivative an exact index shift of G's kernels; each factor
+    b_k p^{m-k} G^{(q)} is formed on the distinct symbol values, then gathered.
     """
     if len(phihat) != spec.data_count:
         raise ValueError(f"expected {spec.data_count} initial coefficients")
     modes, (values, gather) = _modes_distinct(p)
     pairs = _homogeneous_pairs(spec)
     orders = range(max(q for _, _, q in pairs) + 1)
-    derivs = [gather(d) for d in _kernel(spec, values, t, orders)]
+    derivs = _kernel(spec, values, t, orders)
     acc = np.zeros(modes.shape, dtype=complex)
     for k, r, order in pairs:
         phi = phihat[r]
         if np.isscalar(phi) and phi == 0:
             continue
-        acc = acc + spec.b[k] * modes ** (spec.m - k) * derivs[order] * phi
+        acc = acc + gather(spec.b[k] * values ** (spec.m - k) * derivs[order]) * phi
     return _like(p, acc / spec.lead)
 
 
@@ -329,10 +330,11 @@ class CauchyProblem:
     holds the h_j as samples on the problem's grid, and ``time_profiles`` is
     a callable taking t (a number or an array) to the sequence of the g_j(t),
     each a number or an array of t's shape.  ``forcing``, the rest, is a
-    callable t -> samples that broadcast to the problem's grid, or None.  ``measure``
-    selects the repeated-root forcing kernel ('plain' or 'tau_prime', as
-    the discrepancy probe decides); it is needed only when a repeated-root
-    problem is forced.
+    callable t -> samples that broadcast to the problem's grid, or None.
+    Data and forcing samples, real or complex, are transformed as given and
+    become complex in the FFT.  ``measure`` selects the repeated-root
+    forcing kernel ('plain' or 'tau_prime', as the discrepancy probe
+    decides); it is needed only when a repeated-root problem is forced.
     """
 
     spec: CharacteristicSpec
@@ -373,17 +375,17 @@ class CauchyProblem:
     def _profiles(self, t):
         """The time profiles at t as an array (J, *shape(t)), finite."""
         rows = [np.broadcast_to(g, np.shape(t)) for g in self.time_profiles(t)]
-        return _finite(np.array(rows, dtype=complex), t)
+        return _finite(np.array(rows), t)
 
     @cached_property
     def _spatial_hat(self):
         """The Fourier coefficients of each spatial profile, transformed once
         per problem."""
-        return [to_spectral(np.asarray(h, dtype=complex)) for h in self.spatial_profiles]
+        return [to_spectral(np.asarray(h)) for h in self.spatial_profiles]
 
     def _rest_hat(self, t):
         """The Fourier coefficients of the rest at time t, its samples broadcast to the grid."""
-        samples = np.asarray(self.forcing(t), dtype=complex)
+        samples = np.asarray(self.forcing(t))
         try:
             samples = np.broadcast_to(samples, self.shape)
         except ValueError:
@@ -415,9 +417,8 @@ class StabilityReport:
 def _growth_rates(spec, pgrid):
     """Re(lambda) of the fastest-growing mode eigenvalue, per kernel group:
     Re(mu p) for the first-order kind, |Re sqrt(mu p)| otherwise."""
-    p = pgrid.astype(complex)
     return [
-        np.real(mu * p) if spec.step == 1 else np.abs(np.real(np.sqrt(mu * p)))
+        np.real(mu * pgrid) if spec.step == 1 else np.abs(np.real(np.sqrt(mu * pgrid)))
         for mu, _ in _kernel_terms(spec, TAU_PRIME_MEASURE)
     ]
 

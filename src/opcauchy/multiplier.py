@@ -16,7 +16,7 @@ from .symbol_poly import symbol_grid
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Complex samples on a periodic grid (row-major, physical space)."""
+    """Real or complex samples on a periodic grid (row-major, physical space)."""
 
     shape: tuple
     box: tuple
@@ -33,10 +33,6 @@ class Field:
     @property
     def dim(self):
         return len(self.shape)
-
-    @classmethod
-    def zeros(cls, shape, box):
-        return cls(tuple(shape), tuple(box), np.zeros(tuple(shape), dtype=complex))
 
 
 def mesh(shape, box):

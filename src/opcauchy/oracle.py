@@ -40,6 +40,10 @@ _PANEL_NODES = 16
 #: Taylor terms of exp(M) at ||M||_1 <= 1/2; the first term left out,
 #: 2^-21/21!, is below the 2^-64 roundoff of np.clongdouble.
 _TAYLOR_TERMS = 20
+#: Order of accuracy of the finite-difference time derivatives of ``residual_check``.
+RESIDUAL_FD_ORDER = 6
+#: Gauss-Legendre nodes of the Duhamel sum that the probe compares with the oracle.
+PROBE_NODES = 96
 
 
 def _expm(M):
@@ -147,12 +151,12 @@ class ResidualReport:
     per_time: tuple
 
 
-def residual_check(snapshots, problem, fd_order=6):
+def residual_check(snapshots, problem):
     """Substitute a space-time solution back into the equation.
 
     ``snapshots`` is a list of (t, Field) at uniformly spaced times starting
     at 0.  The spatial operator is applied spectrally, time derivatives by
-    centered differences of the requested order; initial derivatives use
+    centered differences of order ``RESIDUAL_FD_ORDER``; initial derivatives use
     one-sided stencils at t = 0.  The residual is normalized by the largest
     single term of the equation.
     """
@@ -169,7 +173,7 @@ def residual_check(snapshots, problem, fd_order=6):
     pgrid = symbol_grid(problem.P, problem.shape, problem.box)
     terms = _operator_orders(spec)
     d_max = max(d for d, _, _ in terms)
-    width = d_max + fd_order + 1
+    width = d_max + RESIDUAL_FD_ORDER + 1
     if width % 2 == 0:
         width += 1
     if nt < width:
@@ -199,7 +203,7 @@ def residual_check(snapshots, problem, fd_order=6):
     phihat = [to_spectral(f.data) for f in problem.phi]
     ic_errors = []
     for r in range(spec.data_count):
-        npts = min(nt, r + fd_order + 1)
+        npts = min(nt, r + RESIDUAL_FD_ORDER + 1)
         w = fd_weights(ts[:npts], 0.0, r)
         du0 = np.tensordot(w, uhat[:npts], axes=(0, 0))
         err = np.linalg.norm(du0 - phihat[r]) / (1.0 + np.linalg.norm(phihat[r]))
@@ -231,7 +235,7 @@ _PROBE_FORCINGS = [
 ]
 
 
-def kernel_discrepancy_probe(m, samples=9, seed=7, nodes=96):
+def kernel_discrepancy_probe(m, samples=9, seed=7):
     """Decide the repeated-root forcing measure empirically.
 
     For random (p, t, forcing) both candidate kernels are compared against
@@ -252,8 +256,7 @@ def kernel_discrepancy_probe(m, samples=9, seed=7, nodes=96):
         ref = mode_ode_solve(spec, p, zeros, fhat, t)
         scale = 1.0 + abs(ref)
         err_plain, err_tau = (
-            abs(kernels.inhomogeneous_mode(spec, p, fhat, t, nodes=nodes, measure=measure) - ref)
-            / scale
+            abs(kernels.inhomogeneous_mode(spec, p, fhat, t, PROBE_NODES, measure) - ref) / scale
             for measure in (kernels.PLAIN_MEASURE, kernels.TAU_PRIME_MEASURE)
         )
         rows.append((m, complex(p), float(t), label, float(err_plain), float(err_tau)))

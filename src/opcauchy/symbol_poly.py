@@ -56,9 +56,9 @@ def _check_distinct(values, label="roots"):
         raise DegenerateRoots(f"{label} are not pairwise distinct to working precision")
 
 
-def poly_from_roots(roots, lead=1.0):
-    """Ascending coefficients b_0..b_m of lead * prod_j (x - a_j)."""
-    return lead * np.polynomial.polynomial.polyfromroots(np.asarray(roots, complex))
+def poly_from_roots(roots):
+    """Ascending coefficients b_0..b_m of prod_j (x - a_j)."""
+    return np.polynomial.polynomial.polyfromroots(np.asarray(roots, complex))
 
 
 def roots_from_coeffs(b):
@@ -211,19 +211,6 @@ class SymbolPolynomial:
                 raise ValueError(f"duplicate multi-index {alpha}")
             seen.add(alpha)
 
-    @classmethod
-    def laplacian(cls, dim):
-        terms = []
-        for d in range(dim):
-            alpha = tuple(2 if i == d else 0 for i in range(dim))
-            terms.append((alpha, 1.0 + 0j))
-        return cls(dim, tuple(terms))
-
-    @classmethod
-    def derivative(cls, dim, axis, order):
-        alpha = tuple(order if i == axis else 0 for i in range(dim))
-        return cls(dim, ((alpha, 1.0 + 0j),))
-
 
 def wavevectors(shape):
     """Integer wavevectors in FFT ordering, as broadcast axes like ``multiplier.mesh``'s."""
@@ -235,7 +222,7 @@ def symbol_grid(P, shape, box):
     kmesh = wavevectors(shape)
     p = np.zeros(shape, dtype=complex)
     for alpha, c in P.terms:
-        term = np.full(shape, complex(c))
+        term = complex(c)
         for d, a in enumerate(alpha):
             if a:
                 term = term * (1j * 2 * np.pi * kmesh[d] / box[d]) ** a

@@ -22,7 +22,9 @@ from opcauchy.oracle import (
     save_verdict,
 )
 from opcauchy.spherical import SphereQuadrature, sinhc_spherical
-from opcauchy.symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial
+from opcauchy.symbol_poly import CharacteristicSpec, Kind
+
+from helpers import derivative, laplacian, zero_field
 
 T_VALUES = (0.25, 0.5, 1.0)
 TWO_PI = 2 * np.pi
@@ -192,14 +194,14 @@ def test_criterion_5_residual_substitution():
     x = mesh(shape1, box1)[0]
     wave_1d = CauchyProblem(
         spec=CharacteristicSpec.even_order_product([1.0, 2.0]),
-        P=SymbolPolynomial.derivative(1, 0, 2),
+        P=derivative(1, 0, 2),
         shape=shape1,
         box=box1,
         phi=[
             Field(shape1, box1, (np.sin(x) + 0.5 * np.cos(2 * x)).astype(complex)),
-            Field.zeros(shape1, box1),
-            Field.zeros(shape1, box1),
-            Field.zeros(shape1, box1),
+            zero_field(shape1, box1),
+            zero_field(shape1, box1),
+            zero_field(shape1, box1),
         ],
         forcing=lambda t: np.cos(t) * np.sin(x),
         t_points=(1.0,),
@@ -212,12 +214,12 @@ def test_criterion_5_residual_substitution():
     xx, yy, zz = mesh(shape3, box3)
     heat_3d = CauchyProblem(
         spec=CharacteristicSpec.first_order_product(roots=[1.0, 2.0]),
-        P=SymbolPolynomial.laplacian(3),
+        P=laplacian(3),
         shape=shape3,
         box=box3,
         phi=[
             Field(shape3, box3, (np.sin(xx) + np.cos(yy) * np.sin(zz)).astype(complex)),
-            Field.zeros(shape3, box3),
+            zero_field(shape3, box3),
         ],
         forcing=None,
         t_points=(1.0,),
@@ -245,7 +247,7 @@ def test_criterion_6_spherical_vs_spectral():
         )
     u = Field(shape, box, data.astype(complex))
     q = SphereQuadrature.gauss_product(29)
-    lap = SymbolPolynomial.laplacian(3)
+    lap = laplacian(3)
     worst = 0.0
     for a, t in ((1.0, 0.5), (2.0, 0.5), (1.0, 1.0), (2.0, 0.25)):
         assert a * t in (0.5, 1.0)

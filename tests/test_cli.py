@@ -192,6 +192,22 @@ class TestLoadProblem:
         expect = to_spectral(np.cos(0.25) * np.sin(x).astype(complex))
         assert np.max(np.abs(problem.forcing_hat(0.25) - expect)) < 1e-14
 
+    def test_real_fields_stay_real_until_their_transform(self, tmp_path):
+        text = (
+            "[equation]\nkind = first_order_product\nm = 3\nroots = 1 2 3\n"
+            "[operator]\ndim = 3\n"
+            "terms = alpha=2 0 0: coeff=1 ; alpha=0 2 0: coeff=1 ; alpha=0 0 2: coeff=1\n"
+            "[grid]\nshape = 6 5 4\nbox = 6.283185307179586 3.0 5.0\n"
+            "[initial]\nphi0 = 0.5*cos(2*x1-x2+3*x3)+sin(x1+x3)\nphi1 = sin(3*x2)\nphi2 = 0\n"
+            "[output]\ntimes = 1\n"
+        )
+        problem = load_problem(write_problem(tmp_path, text))
+        multi, one_axis, zero = (f.data for f in problem.phi)
+        assert [u.dtype for u in (multi, one_axis, zero)] == [np.float64] * 3
+        assert zero.strides == (0, 0, 0) and one_axis.strides[0] == one_axis.strides[2] == 0
+        for u in (multi, one_axis, zero):
+            assert to_spectral(u).tobytes() == to_spectral(u.astype(complex)).tobytes()
+
 
 class TestOpc1Format:
     def test_round_trip(self, tmp_path):
@@ -237,6 +253,35 @@ class TestOpc1Format:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             read_opc1(path)
+
+    @staticmethod
+    def damaged(tmp_path, edit):
+        """The path of a two-snapshot file, its bytes passed through ``edit``."""
+        shape, box = (4, 3), (1.0, 2.0)
+        snaps = [(t, Field(shape, box, np.full(shape, t + 1j))) for t in (0.25, 0.5)]
+        path = tmp_path / "damaged.opc"
+        write_opc1(path, snaps, box)
+        path.write_bytes(edit(path.read_bytes()))
+        return path
+
+    @pytest.mark.parametrize("cut", [6, 10, 20, 40])
+    def test_cut_header_raises_value_error(self, tmp_path, cut):
+        # the header is 4 + 4 + 2*4 + 2*8 + 4 + 2*8 = 52 bytes
+        path = self.damaged(tmp_path, lambda raw: raw[:cut])
+        with pytest.raises(ValueError, match="damaged.opc"):
+            read_opc1(path)
+
+    @pytest.mark.parametrize("cut", [52, 52 + 8, 52 + 16 * 12, 52 + 16 * 24 - 1])
+    def test_cut_body_raises_value_error(self, tmp_path, cut):
+        path = self.damaged(tmp_path, lambda raw: raw[:cut])
+        with pytest.raises(ValueError, match="damaged.opc"):
+            read_opc1(path)
+
+    def test_trailing_bytes_raise_value_error(self, tmp_path):
+        path = self.damaged(tmp_path, lambda raw: raw + b"\0")
+        with pytest.raises(ValueError, match="damaged.opc: bytes after the last snapshot"):
+            read_opc1(path)
+        assert len(read_opc1(self.damaged(tmp_path, lambda raw: raw))) == 2
 
 
 _TENS = np.array([float(f"1e{k}") for k in range(-323, 309)])

@@ -84,11 +84,11 @@ def as_complex(value):
 
 def walk(tree, x, t=None):
     """The reference value of ``tree`` at coordinates ``x`` and time ``t``,
-    made complex at the end: real constants, coordinates and the time stay
-    real, the operands of '/', '^', sqrt, exp, sinh and cosh are made
-    complex unless they are made from abs values alone (so real in
-    ``complex_walk`` too), and each operation is applied by numpy, or
-    Python on numbers, to its operands' values."""
+    as computed: real constants, coordinates and the time stay real, the
+    operands of '/', '^', sqrt, exp, sinh and cosh are made complex unless
+    they are made from abs values alone (so real in ``complex_walk`` too),
+    and each operation is applied by numpy, or Python on numbers, to its
+    operands' values."""
 
     def value(tree):
         """(the value of ``tree``, whether it is made from abs values alone)."""
@@ -120,7 +120,7 @@ def walk(tree, x, t=None):
             return vals[0] ** tree[2], from_abs
         return _OPS[tree[1]](*vals), from_abs
 
-    return as_complex(value(tree)[0])
+    return value(tree)[0]
 
 
 def complex_walk(tree, x, t=None):
@@ -177,8 +177,9 @@ def ev(src, x, t=None, dim=None):
 
 
 def bits(value):
-    """A value's type and raw bytes: equal only when bitwise equal."""
-    return type(value), np.atleast_1d(np.asarray(value, complex)).tobytes()
+    """A value's type, dtype and raw bytes: equal only when bitwise equal."""
+    value_array = np.asarray(value)
+    return type(value), value_array.dtype, np.atleast_1d(value_array).tobytes()
 
 
 def outcome(fn):
@@ -335,12 +336,14 @@ class TestEvaluate:
         got = ev("sin(x1)*2", [x])
         assert np.max(np.abs(got - 2 * np.sin(x))) < 1e-14
 
-    def test_real_values_are_returned_complex(self):
+    def test_real_values_stay_float64(self):
         x = np.linspace(0.0, 1.0, 5)
         got = ev("2*sin(x1)+x1", [x])
-        assert got.dtype == complex and np.array_equal(got, 2 * np.sin(x) + x)
-        assert type(ev("2*t", [], t=0.5)) is complex
-        assert type(ev("x1", [np.float64(0.5)])) is np.complex128
+        assert got.dtype == np.float64 and got.tobytes() == (2 * np.sin(x) + x).tobytes()
+        assert type(ev("2*t", [], t=0.5)) is float
+        assert type(ev("x1", [np.float64(0.5)])) is np.float64
+        assert type(ev("2", [])) is float
+        assert ev("x1*i", [x]).dtype == complex
 
     def test_sqrt_of_a_negative_real_value_is_the_principal_root(self):
         # -cos(x1) is real: its sqrt is +i sqrt(cos(x1)) whatever the sign of
@@ -370,7 +373,7 @@ class TestEvaluate:
                 got = ev(source(tree), x)
                 expect, _ = complex_walk(tree, x)
             assert expect.dtype == float
-            assert bits(got) == bits(expect.astype(complex)), source(tree)
+            assert bits(got) == bits(expect), source(tree)
         assert ev("abs(x1)/abs(x2)", [3.0, 7.0]) == 3.0 / 7.0
 
 

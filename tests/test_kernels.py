@@ -21,8 +21,9 @@ from opcauchy.kernels import (
 from opcauchy.multiplier import Field, mesh
 from opcauchy.oracle import fd_weights, mode_ode_solve
 from opcauchy.quadrature import gauss_rule
-from opcauchy.symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial, symbol_grid
+from opcauchy.symbol_poly import CharacteristicSpec, Kind, symbol_grid
 
+from helpers import laplacian, zero_field
 from test_symbol_poly import random_distinct_roots
 
 
@@ -244,6 +245,12 @@ class TestTimeKernels:
             for k in range(lo, hi + 1):
                 assert np.array_equal(one[k], many[k][i : i + 1]), (k, zi)
 
+    def test_cached_series_coefficients_cannot_be_changed(self):
+        # every call of one (step, k, radius) shares the cached coefficients
+        coeffs = kernels._series_coeffs(2, 0, 4.0)
+        assert isinstance(coeffs, tuple) and coeffs[0] == 1.0
+        assert kernels._series_coeffs(2, 0, 4.0) is coeffs
+
     @pytest.mark.parametrize("step", [1, 2])
     def test_origin(self, step):
         table = self.table(step, [0.0], 1 - step, 6)
@@ -333,9 +340,9 @@ class TestSolve:
     def test_zero_everything(self):
         shape, box = self.grid_1d()
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])
-        phis = (Field.zeros(shape, box), Field.zeros(shape, box))
+        phis = (zero_field(shape, box), zero_field(shape, box))
         prob = CauchyProblem(
-            spec, SymbolPolynomial.laplacian(1), shape, box, phis, None, (0.5, 1.0)
+            spec, laplacian(1), shape, box, phis, None, (0.5, 1.0)
         )
         snaps, _ = solve(prob)
         for _, u in snaps:
@@ -347,10 +354,10 @@ class TestSolve:
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])
         phis = (
             Field(shape, box, np.sin(x).astype(complex)),
-            Field.zeros(shape, box),
+            zero_field(shape, box),
         )
         prob = CauchyProblem(
-            spec, SymbolPolynomial.laplacian(1), shape, box, phis, None, (1.0,)
+            spec, laplacian(1), shape, box, phis, None, (1.0,)
         )
         snaps, report = solve(prob)
         expect = (2 * np.exp(-1) - np.exp(-2)) * np.sin(x)
@@ -362,10 +369,10 @@ class TestSolve:
         x = mesh(shape, box)[0]
         spec = CharacteristicSpec.even_order_product([1, 2])
         phis = (Field(shape, box, np.cos(x).astype(complex)),) + tuple(
-            Field.zeros(shape, box) for _ in range(3)
+            zero_field(shape, box) for _ in range(3)
         )
         prob = CauchyProblem(
-            spec, SymbolPolynomial.laplacian(1), shape, box, phis, None, (0.5, 1.0)
+            spec, laplacian(1), shape, box, phis, None, (0.5, 1.0)
         )
         snaps, _ = solve(prob)
         for t, u in snaps:
@@ -381,7 +388,7 @@ class TestSolve:
         # unforced, so the repeated root needs no measure
         shape, box = (32,), (2 * np.pi,)
         rng = np.random.default_rng(51)
-        P = SymbolPolynomial.laplacian(1)
+        P = laplacian(1)
 
         def band_limited():
             data = np.zeros(shape, complex)
@@ -408,7 +415,7 @@ class TestSolve:
         spec = CharacteristicSpec.first_order_product(roots=[1.0])
         phis = (Field(shape, box, np.sin(x).astype(complex)),)
         prob = CauchyProblem(
-            spec, SymbolPolynomial.laplacian(1), shape, box, phis, None, (0.8,)
+            spec, laplacian(1), shape, box, phis, None, (0.8,)
         )
         snaps, _ = solve(prob)
         expect = np.exp(-0.8) * np.sin(x)
@@ -420,10 +427,10 @@ class TestSolve:
         spec = CharacteristicSpec.first_order_product(roots=[-1, -2])  # backward heat
         phis = (
             Field(shape, box, np.cos(2 * np.pi * x / box[0]).astype(complex)),
-            Field.zeros(shape, box),
+            zero_field(shape, box),
         )
         prob = CauchyProblem(
-            spec, SymbolPolynomial.laplacian(1), shape, box, phis, None, (1.0,)
+            spec, laplacian(1), shape, box, phis, None, (1.0,)
         )
         _, report = solve(prob)
         assert max(report.max_growth) > 0
@@ -442,8 +449,8 @@ class TestRestSamples:
 
     def problem(self, forcing):
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])
-        phis = (Field.zeros(self.shape, self.box), Field.zeros(self.shape, self.box))
-        P = SymbolPolynomial.laplacian(3)
+        phis = (zero_field(self.shape, self.box), zero_field(self.shape, self.box))
+        P = laplacian(3)
         return CauchyProblem(spec, P, self.shape, self.box, phis, forcing, (0.25, 0.5))
 
     @pytest.mark.parametrize("rest", [
@@ -474,16 +481,16 @@ class TestDistinctSymbols:
 
     @staticmethod
     def laplacian_grid(shape, box):
-        return symbol_grid(SymbolPolynomial.laplacian(len(shape)), shape, box)
+        return symbol_grid(laplacian(len(shape)), shape, box)
 
     def test_kernel_work_scales_with_distinct_values(self, monkeypatch):
         shape, box = (8, 8, 8), (2 * np.pi,) * 3
         x = np.broadcast_arrays(*mesh(shape, box))
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])
-        phis = (Field(shape, box, np.sin(x[0]).astype(complex)), Field.zeros(shape, box))
+        phis = (Field(shape, box, np.sin(x[0]).astype(complex)), zero_field(shape, box))
         times, nodes = (0.25, 0.5), 16
         prob = CauchyProblem(
-            spec, SymbolPolynomial.laplacian(3), shape, box, phis,
+            spec, laplacian(3), shape, box, phis,
             lambda t: np.cos(t) * np.sin(x[1]), times,
         )
         received = []
@@ -507,9 +514,9 @@ class TestDistinctSymbols:
         shape, box = (8, 8, 8), (2 * np.pi,) * 3
         x = np.broadcast_arrays(*mesh(shape, box))
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])
-        phis = (Field(shape, box, np.sin(x[0]).astype(complex)), Field.zeros(shape, box))
+        phis = (Field(shape, box, np.sin(x[0]).astype(complex)), zero_field(shape, box))
         prob = CauchyProblem(
-            spec, SymbolPolynomial.laplacian(3), shape, box, phis,
+            spec, laplacian(3), shape, box, phis,
             lambda t: np.cos(t) * np.sin(x[1]), (0.0, 0.25, 0.5),
         )
         want = [f.data for _, f in solve(prob, nodes=8)[0]]
@@ -622,7 +629,7 @@ class TestStiffGrid:
         x = mesh(shape, box)[0]
         for forcing, ref in ((None, free), (lambda t: self.forcing(x, t), forced)):
             prob = CauchyProblem(
-                spec, SymbolPolynomial.laplacian(1), shape, box, phis, forcing, (self.T,),
+                spec, laplacian(1), shape, box, phis, forcing, (self.T,),
                 measure="tau_prime",
             )
             uhat = np.fft.fft(solve(prob)[0][0][1].data) / self.N

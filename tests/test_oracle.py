@@ -14,8 +14,9 @@ from opcauchy.oracle import (
     save_verdict,
     _s_poly_coeffs,
 )
-from opcauchy.symbol_poly import CharacteristicSpec, SymbolPolynomial
+from opcauchy.symbol_poly import CharacteristicSpec
 
+from helpers import derivative
 from test_multiplier import sampled_field
 from test_symbol_poly import random_distinct_roots
 
@@ -182,7 +183,7 @@ def _heat_snapshots(shape, times):
 def _heat_problem(shape):
     return CauchyProblem(
         spec=CharacteristicSpec.first_order_product(roots=[1.0]),
-        P=SymbolPolynomial.derivative(1, 0, 2),
+        P=derivative(1, 0, 2),
         shape=shape,
         box=(2 * np.pi,),
         phi=[sampled_field(shape, (2 * np.pi,), np.sin)],

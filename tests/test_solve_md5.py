@@ -1,0 +1,37 @@
+"""tools/solve_md5.py: one md5 line per artifact, the same on every run."""
+
+import os
+import subprocess
+import sys
+from collections import defaultdict
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "solve_md5.py")
+ARTIFACTS = {"solution_t0.csv", "solution_t1.csv", "solution_t2.csv", "solution.opc",
+             "stability.txt"}
+
+
+def smoke_lines(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, TOOL, "--src", os.path.join(ROOT, "src"), "--seeds", "3", "--smoke"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_smoke_runs_print_the_same_sorted_lines_for_every_artifact(tmp_path):
+    lines = smoke_lines(tmp_path)
+    assert lines == sorted(lines) == smoke_lines(tmp_path)
+    files = defaultdict(set)
+    for line in lines:
+        digest, label = line.split("  ")
+        assert len(digest) == 32 and int(digest, 16) >= 0
+        case, name = label.rsplit("/", 1)
+        files[case].add(name)
+    cases = {f"{w}-3/{k}" for w in ("free3d", "forced3d", "stiff1d")
+             for k in ("first", "even", "repeated")}
+    assert set(files) == cases
+    for case, names in files.items():
+        probed = case in ("forced3d-3/repeated", "stiff1d-3/repeated")
+        assert names == ARTIFACTS | ({"probe_verdict.txt"} if probed else set()), case

@@ -8,8 +8,8 @@ from opcauchy.spherical import (
     SphereQuadrature,
     sinhc_spherical,
 )
-from opcauchy.symbol_poly import SymbolPolynomial
 
+from helpers import laplacian
 from test_multiplier import sampled_field
 
 BOX3 = (2 * np.pi,) * 3
@@ -90,7 +90,7 @@ class TestSinhcSpherical:
         shape = (32, 32, 32)
         u = band_limited_field(shape, 5, seed=21)
         q = SphereQuadrature.gauss_product(29)
-        lap = SymbolPolynomial.laplacian(3)
+        lap = laplacian(3)
         for a, t in ((1.0, 0.5), (2.0, 0.5), (1.0, 1.0)):
             integral = sinhc_spherical(u, a, t, q)
             spectral = apply_multiplier(

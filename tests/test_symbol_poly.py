@@ -13,6 +13,8 @@ from opcauchy.symbol_poly import (
     symbol_grid,
 )
 
+from helpers import derivative, laplacian
+
 
 def random_distinct_roots(rng, m, min_gap=0.1):
     while True:
@@ -112,16 +114,16 @@ def symbol_at(P, k, box):
 
 class TestSymbolEval:
     def test_second_derivative_1d(self):
-        P = SymbolPolynomial.derivative(1, 0, 2)
+        P = derivative(1, 0, 2)
         assert symbol_at(P, [1], [2 * np.pi]) == pytest.approx(-1)
 
     def test_laplacian_3d(self):
-        P = SymbolPolynomial.laplacian(3)
+        P = laplacian(3)
         p = symbol_at(P, [1, 2, 0], [2 * np.pi] * 3)
         assert p == pytest.approx(-5)
 
     def test_first_derivative_imaginary(self):
-        P = SymbolPolynomial.derivative(1, 0, 1)
+        P = derivative(1, 0, 1)
         assert symbol_at(P, [3], [2 * np.pi]) == pytest.approx(3j)
 
     def test_additive_in_terms(self):
@@ -140,7 +142,7 @@ class TestSymbolEval:
         assert symbol_at(P_sq, k, box) == pytest.approx(symbol_at(P, k, box) ** 2)
 
     def test_grid_matches_pointwise(self):
-        P = SymbolPolynomial.laplacian(2)
+        P = laplacian(2)
         shape, box = (8, 6), (2 * np.pi, 3.0)
         grid = symbol_grid(P, shape, box)
         ks = [np.fft.fftfreq(n, d=1.0 / n) for n in shape]

@@ -1,0 +1,88 @@
+"""The md5 of every artifact that the benchmark's problem files give.
+
+    python tools/solve_md5.py --src CHECKOUT/src [--seeds 3 4] [--smoke]
+
+For each workload in ``bench/workloads.py`` and each seed, the workload's
+three problem files are written by ``workloads.generate`` into a temporary
+directory.  Where the workload is forced, ``--mode probe`` writes the
+verdict that the repeated-root kind reads; then every file is solved with
+``--mode solve``.  Both run through ``cli.main`` of the opcauchy package
+found under ``--src``.  One ``md5  workload-seed/kind/file`` line is
+printed per artifact, sorted, so the artifacts of two checkouts compare
+with ``diff``.  ``--smoke`` solves each workload on its tiny grid.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads  # noqa: E402
+
+
+def import_cli(src):
+    """``opcauchy.cli`` imported from the directory ``src``."""
+    src = os.path.abspath(src)
+    sys.path.insert(0, src)
+    cli = importlib.import_module("opcauchy.cli")
+    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+        raise SystemExit(f"opcauchy imported from {cli.__file__}, not {src}")
+    return cli
+
+
+def artifacts(cli, workload, seed, workdir):
+    """{workload-seed/kind/file: path} of every file written for one seed."""
+    outs = {}
+
+    def run(kind, *argv):
+        out = os.path.join(workdir, kind)
+        with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
+            code = cli.main([*argv, "--out", out])
+        if code != 0:
+            raise SystemExit(f"{workload.name} seed {seed} {kind}: {argv[1]} exited with {code}")
+        outs[kind] = out
+
+    cases = workloads.generate(workload, seed, workdir)
+    if workload.forced:
+        run("repeated", "--mode", "probe")
+    for case in cases:
+        run(case.kind, "--mode", "solve", "--problem", case.path)
+    return {
+        f"{workload.name}-{seed}/{kind}/{name}": os.path.join(out, name)
+        for kind, out in outs.items()
+        for name in os.listdir(out)
+    }
+
+
+def md5_lines(cli, seeds, smoke):
+    lines = []
+    for workload in workloads.WORKLOADS.values():
+        if smoke:
+            workload = workloads.smoke(workload)
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as workdir:
+                for label, path in artifacts(cli, workload, seed, workdir).items():
+                    with open(path, "rb") as fh:
+                        lines.append(f"{hashlib.md5(fh.read()).hexdigest()}  {label}")
+    return sorted(lines)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="a checkout's src/")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[3, 4])
+    ap.add_argument("--smoke", action="store_true", help="tiny grids")
+    args = ap.parse_args(argv)
+    print("\n".join(md5_lines(import_cli(args.src), args.seeds, args.smoke)))
+
+
+if __name__ == "__main__":
+    main()
