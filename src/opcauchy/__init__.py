@@ -25,8 +25,6 @@ from .symbol_poly import (
     CharacteristicSpec,
     Kind,
     SymbolPolynomial,
-    partial_fraction_even,
-    partial_fraction_first,
     roots_from_coeffs,
 )
 
@@ -52,8 +50,6 @@ __all__ = [
     "inhomogeneous_mode",
     "kernel_discrepancy_probe",
     "mode_ode_solve",
-    "partial_fraction_even",
-    "partial_fraction_first",
     "residual_check",
     "roots_from_coeffs",
     "sinhc_spherical",

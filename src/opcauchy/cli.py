@@ -633,6 +633,12 @@ def main(argv=None):
     except OpcauchyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        cfg.read(args.problem or [])
+        shape = cfg.get("grid", "shape", fallback="?").strip()
+        print(f"error: out of memory for the grid of shape {shape}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

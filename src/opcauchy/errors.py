@@ -14,7 +14,7 @@ class NonmonicZero(OpcauchyError):
 
 
 class ZeroRoot(OpcauchyError):
-    """A zero root where the even-order kernel divides by the root."""
+    """A zero root, where the even-order kernel's nodes +-a_j coincide."""
 
 
 class UnresolvedKernel(OpcauchyError):

@@ -341,14 +341,15 @@ class Program:
         tdep = [False] * len(payloads)
         # real even were every leaf complex: made from abs values alone
         from_abs = [False] * len(payloads)
-        widen = [False] * len(payloads)
+        widen = [()] * len(payloads)  # per operand: made complex first
         t_free, t_dep = [], []
         for i in slots:
             payload, operands = payloads[i], args[i]
             tdep[i] = payload is _T or any([tdep[a] for a in operands])
             (t_dep if tdep[i] else t_free).append(i)
             from_abs[i] = payload == _ABS or bool(operands) and all([from_abs[a] for a in operands])
-            widen[i] = not from_abs[i] and (payload in _COMPLEX_FIRST or payload[0] == "^")
+            if payload in _COMPLEX_FIRST or payload[0] == "^":
+                widen[i] = [not from_abs[a] for a in operands]
         last = [None] * len(payloads)  # the slot that reads each slot last
         for i in t_free + t_dep:
             for a in args[i]:
@@ -378,7 +379,7 @@ class Program:
             operands = args[i]
             values = [vals[a] for a in operands]
             if widen[i]:
-                values = [_complex(v) for v in values]
+                values = [_complex(v) if w else v for v, w in zip(values, widen[i])]
             vals[i] = _apply(payloads[i], values, x, t)
             for a in operands:
                 if last[a] == i:

@@ -4,27 +4,21 @@ Every operator here is a function of the spatial operator alone, so on a
 periodic grid the whole construction reduces to scalar calculus in the
 symbol p.  Modes with equal p share every kernel value, so the kernels are
 evaluated once per distinct symbol value and gathered to the modes.  The
-impulse response G of each kind is a short sum of
-exponential-integrator kernels
-
-    T_k(t; mu) = t^(k+s-1) f_k(mu t^s),   f_k(z) = sum_i z^i / (s i + k + s - 1)!,
-
-with s = 1 for the first-order product (f_k = phi_k, f_0 = exp) and s = 2
-for the even-order product and the repeated root (f_k = sigma_k,
-sigma_-1(z) = cosh sqrt(z), sigma_0(z) = sinh sqrt(z) / sqrt(z)); terms with
-a negative factorial argument are dropped, so T_k = mu T_{k+s} below those
-closed forms.  Since
-T_k' = T_{k-1}, every time derivative of G is an index shift and the
-homogeneous part is exact; the forced part is one Gauss-Legendre sum over
-the Duhamel convolution (Hochbruck & Ostermann, Acta Numerica 19, 2010).
+impulse response G of a mode, the inverse Laplace transform of 1/Q(s), is
+the divided difference of e^(tz) over the mode's eigenvalues: a node shape
+sigma scaled by w = p^(1/s) (``_Shape``).  One evaluator serves every kind
+(McCurdy, Ng & Parlett, Math. Comp. 43, 1984): a Taylor series inside the
+series radius, the residue sum of the nodes beyond it.  Neither cancels
+large polynomial parts, so every time derivative of G, and with it the
+homogeneous part, is exact to roundoff on every mode; the forced part is
+one Gauss-Legendre sum over the Duhamel convolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -39,12 +33,17 @@ TAU_PRIME_MEASURE = "tau_prime"
 #: Real part of the exponent beyond which results saturate and are flagged.
 OVERFLOW_LIMIT = 700.0
 
+#: |tau| max|sigma| up to which a kernel is summed as its Taylor series;
+#: (q-1)/2 for a shape of q > 7 nodes, where the residue sum would lose
+#: e^r (q-1)!/r^(q-1) of its size to cancellation at the radius r.
+SERIES_RADIUS = 3.0
+
 #: (node, distinct symbol value) entries per kernel table of the Duhamel sum.
 _DUHAMEL_BATCH = 1 << 12
 
 
 # ---------------------------------------------------------------------------
-# Exponential-integrator kernels
+# Divided-difference kernels
 
 
 def _sat_exp(w):
@@ -53,133 +52,152 @@ def _sat_exp(w):
     return np.exp(np.minimum(w.real, OVERFLOW_LIMIT) + 1j * w.imag)
 
 
-@lru_cache(maxsize=None)
-def _series_coeffs(step, k, radius):
-    """Taylor coefficients 1/(s i + k + s - 1)! of f_k, i < 64, as many as
-    |z| < radius needs for roundoff; a tuple, since every caller shares it."""
-    coeffs = [1 / factorial(step * i + k + step - 1) for i in range(64)]
-    n = 1
-    while n < len(coeffs) and radius**n * coeffs[n] > 1e-18 * coeffs[0]:
-        n += 1
-    return tuple(coeffs[:n])
+@dataclass(frozen=True)
+class _Shape:
+    """G^(d)(t) = w^(d + deg N - q + 1) (N(x) x^d e^(tau x))[nodes], w =
+    p^(1/step), tau = t w: the divided difference over the (sigma,
+    multiplicity) ``nodes``, q in all, with N's ascending ``numerator``.
+    For step 2 each nonzero sigma stands for the pair +-sigma."""
+
+    step: int
+    nodes: tuple
+    numerator: tuple = (1.0,)
+
+    @property
+    def all_nodes(self):
+        signs = (1,) if self.step == 1 else (1, -1)
+        return tuple((s * x, k) for x, k in self.nodes for s in signs[: 1 + (x != 0)])
 
 
-def _series(z, step, k, radius):
-    """f_k(z) on the disc |z| < radius by Horner's rule."""
-    coeffs = _series_coeffs(step, k, radius)
-    acc = np.full_like(z, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
+def _plain_numerator(m):
+    """N of the plain measure on the nodes 0 (2m-3 times), +-1 (m-1 times):
+    sum_l r_l x^(2m-4-2l), r_l the x^l coefficient of (1-x)^(m-1) sum_i A_i
+    x^i, where A_i = (2m-2+2i)! g_i = prod_{k=1}^{m-2} (2i+2k+1) / (2^(m-1)
+    (m-1)!) for the coefficients g_i of its series sum_i g_i p^i t^(2m-2+2i)."""
+    A = [prod(2 * i + 2 * k + 1 for k in range(1, m - 1)) for i in range(m - 1)]
+    r = np.convolve(A, [(-1) ** k * comb(m - 1, k) for k in range(m)])[: m - 1]
+    out = np.zeros(2 * m - 3)
+    out[::-2] = r / (2 ** (m - 1) * factorial(m - 1))
+    return tuple(out)
 
 
-def _time_kernels(step, mu, t, lo, hi):
-    """{k: T_k(t; mu)} for every k in [lo, hi], over broadcast arrays mu and t.
+def _shape(spec, measure=TAU_PRIME_MEASURE):
+    """The node shape of ``spec``'s kernel; for the repeated root, that of ``measure``."""
+    if spec.kind is not Kind.REPEATED_ROOT:
+        return _Shape(spec.step, tuple((a, 1) for a in spec.roots))
+    if measure == PLAIN_MEASURE:
+        m = spec.m
+        return _Shape(2, ((0j, 2 * m - 3), (1 + 0j, m - 1)), _plain_numerator(m))
+    return _Shape(2, ((1 + 0j, spec.m),))
 
-    Outside the disc |z| < r = max(1, hi/2)^s, f_0 = exp (s = 1) or
-    sigma_-1 = cosh(w), sigma_0 = sinh(w)/w from one saturating exp(w),
-    w = sqrt(z) (s = 2), and the upward recurrence
-    f_k = (f_{k-s} - 1/(k-1)!) / z.  Inside it, the Taylor series of the top
-    s levels and the downward recurrence f_k = z f_{k+s} + 1/(k+s-1)!, for
-    the levels asked for only.  For hi <= 8 the error stays below 2e-14 of
-    f_k(|z|), the size of the series terms.
+
+def _residue(nodes, numerator, d, x0, mu):
+    """Ascending coefficients of P, e^(tau x0) P(tau) the term of the node x0
+    of multiplicity mu in (N(x) x^d e^(tau x))[nodes]: P = sum_r tau^r/r!
+    F_(mu-1-r), F_n the Taylor coefficients at x0 of N(x) x^d / prod_(other
+    nodes) (x - sigma)^k."""
+    poly = [0] * d + list(numerator)
+    F = [sum(c * comb(k, n) * x0 ** (k - n) for k, c in enumerate(poly) if k >= n)
+         for n in range(mu)]
+    for sigma, k in nodes:
+        if sigma != x0:
+            g = [(-1) ** n * comb(k + n - 1, n) / (x0 - sigma) ** (k + n) for n in range(mu)]
+            F = [sum(F[i] * g[n - i] for i in range(n + 1)) for n in range(mu)]
+    return tuple(F[mu - 1 - r] / factorial(r) for r in range(mu))
+
+
+@lru_cache(maxsize=1024)
+def _constants(shape, d):
+    """(limit, (j0, e, series), (power, residues)) of G^(d) on ``shape``.
+
+    Where |w| t <= limit, the series radius over max|sigma|, G^(d) = p^(j0/s)
+    t^(j0+e) sum_i series_i (p t^s)^i: e = q-1-deg N-d, series_i = H_j/(j+e)!
+    for j = j0+s i >= -e of the shape's parity, H_j = sum_k N_k h_(j+k-deg N)
+    with the complete homogeneous polynomials h_n of the nodes, up to 1e-17
+    of the sum of the terms' bounds.  Beyond, G^(d) = w^power sum_i
+    e^(tau sigma_i) P_i(tau), the P_i of ``shape.all_nodes`` in ``residues``.
     """
-    z = np.asarray(mu * t**step, dtype=complex)
-    radius = max(1.0, hi / 2) ** step
-    near = np.abs(z) < radius
-    outside = np.where(near, radius, z)  # the series replaces these values
-    if step == 1:
-        f = {0: _sat_exp(outside)}
-    else:
-        w = np.sqrt(outside)
-        e = _sat_exp(w)
-        inverse_e = 1 / e
-        f = {-1: (e + inverse_e) * 0.5, 0: (e - inverse_e) / (2 * w)}
-    inverse = 1 / outside
-    for k in range(1, hi + 1):
-        f[k] = (f[k - step] - 1 / factorial(k - 1)) * inverse
-    zs = z[near]
-    if zs.size:
-        inside = {}
-        for k in range(hi, max(lo, 1 - step) - 1, -1):
-            if k + step > hi:
-                inside[k] = _series(zs, step, k, radius)
-            else:
-                inside[k] = zs * inside[k + step] + 1 / factorial(k + step - 1)
-            f[k][near] = inside[k]
-    for k in range(max(lo, 2 - step), hi + 1):
-        f[k] = f[k] * t ** (k + step - 1)
-    for k in range(-step, lo - 1, -1):
-        f[k] = mu * f[k + step]
-    return {k: f[k] for k in range(lo, hi + 1)}
+    nodes, numerator, s = shape.all_nodes, shape.numerator, shape.step
+    q, D = sum(k for _, k in nodes), len(numerator) - 1
+    e = q - 1 - D - d
+    j0 = -(-max(0, -e) // s) * s
+    h, bound = [1.0] + [0.0] * (128 + j0), [1.0] + [0.0] * (128 + j0)
+    for sigma, k in nodes:
+        for _ in range(k):
+            for n in range(1, len(h)):
+                h[n] += sigma * h[n - 1]
+                bound[n] += abs(sigma) * bound[n - 1]
+    radius = max(SERIES_RADIUS, (q - 1) / 2)
+    reach = max(abs(x) for x, _ in nodes)
+    series, total = [], 0.0
+    for j in range(j0, 128 + j0, s):
+        H = sum(c * h[j + k - D] for k, c in enumerate(numerator) if j + k >= D)
+        term = sum(abs(c) * bound[j + k - D] for k, c in enumerate(numerator) if j + k >= D)
+        term *= (radius / reach) ** j / factorial(j + e)
+        if term < 1e-17 * total:
+            break
+        total += term
+        series.append(H / factorial(j + e))
+    residues = sum((_residue(nodes, numerator, d, x, k) for x, k in nodes), ())
+    return radius / reach, (j0, e, tuple(series)), (d + D - q + 1, residues)
 
 
-def _solve_exact(rows):
-    """Gauss-Jordan elimination of an augmented matrix of Fractions."""
-    n = len(rows)
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [v / rows[c][c] for v in rows[c]]
-        for r in range(n):
-            if r != c:
-                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
-    return [row[-1] for row in rows]
+def _series_sum(shape, constants, p, t):
+    """The rows G^(d)(t) of ``constants``' orders from the series."""
+    s = shape.step
+    width = max(len(series) for _, (_, _, series), _ in constants)
+    series = np.array([c + (0.0,) * (width - len(c)) for _, (_, _, c), _ in constants])
+    acc = np.polynomial.polynomial.polyval(p * t**s, series.T)
+    prefactors = [p ** (j0 // s) * t ** (j0 + e) for _, (j0, e, _), _ in constants]
+    return acc * np.array(np.broadcast_arrays(*prefactors))
 
 
-@lru_cache(maxsize=None)
-def _repeated_root_weights(m, measure):
-    """Exact (e, gamma) with G(t) = t^e sum_j gamma_j sigma_{e-1-j}(p t^2).
-
-    The measure's kernel is the nested integral
-    int_0^t (t^2 - tau^2)^(m-2) tau^beta K(tau) dtau / ((2m-2)!! (2m-4)!!)
-    with K(tau) = sinh(tau sqrt p)/sqrt p, beta = 1 for the tau' measure and
-    0 for the plain one.  Integrated term by term it is sum_i g_i p^i
-    t^(e+2i) with e = 2m-2+beta, and (e+2i)! g_i is a polynomial in i of
-    degree J-1, J = m-1+beta.  The J weights matched on i < J therefore
-    reproduce every coefficient.
-    """
-    beta = 1 if measure == TAU_PRIME_MEASURE else 0
-    e, count = 2 * m - 2 + beta, m - 1 + beta
-    denom = 2 ** (2 * m - 3) * factorial(m - 1) * factorial(m - 2)
-
-    def coeff(i):
-        moment = sum(
-            Fraction(comb(m - 2, l) * (-1) ** l, 2 * l + 2 * i + 2 + beta) for l in range(m - 1)
-        )
-        return moment / (factorial(2 * i + 1) * denom)
-
-    rows = [
-        [Fraction(1, factorial(e + 2 * i - j)) for j in range(count)] + [coeff(i)]
-        for i in range(count)
-    ]
-    return e, tuple(_solve_exact(rows))
+def _residue_sum(shape, constants, w, t):
+    """The rows G^(d)(t) of ``constants``' orders from the residue sum.  The
+    pair +-sigma of a positive sigma shares one exponential: Re(tau sigma)
+    >= 0, so e^(-tau sigma) = 1/e^(tau sigma) does not overflow."""
+    tau = w * t
+    terms = []  # e^(tau sigma) tau^r for each of ``shape.all_nodes`` and r < multiplicity
+    for x, k in shape.nodes:
+        exps = [_sat_exp(tau * x)]
+        if shape.step == 2 and x != 0:
+            exps.append(1 / exps[0] if x.imag == 0 < x.real else _sat_exp(-tau * x))
+        for term in exps:
+            terms.append(term)
+            for _ in range(k - 1):
+                terms.append(terms[-1] * tau)
+    residues = np.array([c for _, _, (_, c) in constants])
+    acc = sum(c.reshape(c.shape + (1,) * tau.ndim) * term for c, term in zip(residues.T, terms))
+    powers = [power for _, _, (power, _) in constants]
+    scales = [np.broadcast_to(w ** powers[0], tau.shape)]
+    for lower, higher in zip(powers, powers[1:]):
+        scales.append(scales[-1] * w ** (higher - lower))
+    return acc * np.array(scales)
 
 
-def _kernel_terms(spec, measure):
-    """G as groups (scale, terms) and their terms (w, a, k): the sum of
-    w t^a T_k(t; scale * p) with s = ``spec.step``."""
-    m, s = spec.m, spec.step
-    if spec.kind is Kind.REPEATED_ROOT:
-        e, gammas = _repeated_root_weights(m, measure)
-        return [(1.0, [(float(g), j, e - 1 - j) for j, g in enumerate(gammas)])]
-    # sum_j c_j T_{s(m-1)}(t; a_j^s p): phi_{m-1} for s = 1, sigma_{2m-2} for
-    # s = 2; a * a, not a**2, which can flip the sign of a zero imaginary part
-    return [(a * a if s == 2 else a, [(c, 0, s * (m - 1))]) for c, a in zip(spec.pf, spec.roots)]
+def _divided_differences(shape, p, t, orders):
+    """The array of G^(d)(t), d in ``orders``, over broadcast arrays p and t.
+    Each entry takes the series or the residue sum by its own |w| t, and
+    every operation is elementwise, so an entry's value does not depend on
+    the other entries of the call.  For step 2, w is the principal sqrt(p)."""
+    p = np.asarray(p, dtype=complex)
+    w = p if shape.step == 1 else np.sqrt(p)
+    constants = [_constants(shape, d) for d in orders]
+    near = np.abs(w) * t <= constants[0][0]
+    if near.all():
+        return _series_sum(shape, constants, p, t)
+    if not near.any():
+        return _residue_sum(shape, constants, w, t)
+    p, w, t = (np.broadcast_to(a, near.shape) for a in (p, w, t))
+    out = np.empty((len(constants),) + near.shape, dtype=complex)
+    out[:, near] = _series_sum(shape, constants, p[near], t[near])
+    out[:, ~near] = _residue_sum(shape, constants, w[~near], t[~near])
+    return out
 
 
 def _kernel(spec, p, t, orders, measure=TAU_PRIME_MEASURE):
     """[G^(d)(t) for d in orders] on the mode array p at broadcastable t."""
-    out = [0.0] * len(orders)
-    for scale, terms in _kernel_terms(spec, measure):
-        ks = [k for _, _, k in terms]
-        table = _time_kernels(spec.step, scale * p, t, min(ks) - max(orders), max(ks))
-        for n, d in enumerate(orders):
-            for w, a, k in terms:
-                # Leibniz: (t^a T_k)^(d) = sum_r C(d,r) a!/(a-r)! t^(a-r) T_{k-d+r}
-                for r in range(min(d, a) + 1):
-                    out[n] = out[n] + w * comb(d, r) * perm(a, r) * t ** (a - r) * table[k - d + r]
-    return out
+    return _divided_differences(_shape(spec, measure), p, t, orders)
 
 
 def _modes(p):
@@ -224,8 +242,8 @@ def _like(p, out):
 
 
 def sinhc_sqrt(z):
-    """sinh(sqrt(z)) / sqrt(z) = sigma_0(z), entire in z, saturating on overflow."""
-    return _like(z, _time_kernels(2, _modes(z), 1.0, 0, 0)[0])
+    """sinh(sqrt(z)) / sqrt(z), entire in z, saturating: the kernel of +-1 at t = 1."""
+    return _like(z, _divided_differences(_Shape(2, ((1 + 0j, 1),)), _modes(z), 1.0, (0,))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +308,9 @@ def homogeneous_mode(spec, p, phihat, t):
     """Initial-data part of the mode solution.
 
     Assembles sum_k b_k p^{m-k} sum_r d^{q}/dt^{q} [G](t) phihat_r / b_m
-    with every derivative an exact index shift of G's kernels; each factor
-    b_k p^{m-k} G^{(q)} is formed on the distinct symbol values, then gathered.
+    with every derivative of G from one evaluation of its divided
+    differences; each factor b_k p^{m-k} G^{(q)} is formed on the distinct
+    symbol values, then gathered.
     """
     if len(phihat) != spec.data_count:
         raise ValueError(f"expected {spec.data_count} initial coefficients")
@@ -410,33 +429,34 @@ class StabilityReport:
 
     max_growth: tuple  # per root, max over the grid of Re(a_j p(k))
     overflowed: tuple  # integer wavevectors whose modes saturated
-    condition: float  # max |partial-fraction weight|
+    condition: float  # max_i |prod_(k != i) (sigma_i - sigma_k)^-mu_k| of the node shape
     nonfinite: int  # NaN or infinite output coefficients, summed over the times
 
 
-def _growth_rates(spec, pgrid):
-    """Re(lambda) of the fastest-growing mode eigenvalue, per kernel group:
-    Re(mu p) for the first-order kind, |Re sqrt(mu p)| otherwise."""
+def _growth_rates(shape, pgrid):
+    """Re(lambda) of the fastest-growing mode eigenvalue, per node (pair) of
+    the shape: Re(sigma p) for step 1, |Re sqrt(sigma^2 p)| for step 2."""
     return [
-        np.real(mu * pgrid) if spec.step == 1 else np.abs(np.real(np.sqrt(mu * pgrid)))
-        for mu, _ in _kernel_terms(spec, TAU_PRIME_MEASURE)
+        np.real(x * pgrid) if shape.step == 1 else np.abs(np.real(np.sqrt(x * x * pgrid)))
+        for x, _ in shape.nodes
     ]
 
 
 def stability_report(spec, pgrid, shape, t_max, nonfinite):
-    rates = _growth_rates(spec, pgrid)
+    kernel_shape = _shape(spec)
+    rates = _growth_rates(kernel_shape, pgrid)
     over = np.any([rate * t_max > OVERFLOW_LIMIT for rate in rates], axis=0)
     # the integer wavevector of each flagged mode, in row-major order
     columns = zip(wavevectors(shape), np.nonzero(over))
     flagged = tuple(zip(*[k.ravel()[i].astype(int).tolist() for k, i in columns]))
-    cond = max((abs(c) for c in spec.pf), default=1.0)
+    nodes = kernel_shape.all_nodes
+    cond = max(abs(np.prod([(x - y) ** -k for y, k in nodes if y != x])) for x, _ in nodes)
     return StabilityReport(
         max_growth=tuple(float(np.max(r)) for r in rates),
         overflowed=flagged,
         condition=float(cond),
         nonfinite=nonfinite,
     )
-
 
 
 def solve(problem: CauchyProblem, nodes=64):

@@ -1,7 +1,7 @@
 """Periodic grid fields, their FFT transforms, and Fourier multipliers.
 
-The operator functions themselves (``sinhc_sqrt`` and the phi/sigma kernel
-tables) live in ``kernels``; ``apply_multiplier`` applies any function of
+The operator functions themselves (``sinhc_sqrt`` and the divided-difference
+kernels) live in ``kernels``; ``apply_multiplier`` applies any function of
 the symbol to a field.
 """
 

@@ -1,4 +1,4 @@
-"""Characteristic polynomials, roots, partial fractions, and spatial symbols.
+"""Characteristic polynomials, roots, and spatial symbols.
 
 The characteristic data describes which product operator acts in time:
 
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateRoots, NonmonicZero, ZeroRoot
 
 #: Relative gap below which two roots are treated as coincident.  The
-#: partial-fraction weights blow up like 1/gap, so tighter gaps are rejected.
+#: kernels' residue weights blow up like 1/gap, so tighter gaps are rejected.
 DISTINCT_ROOT_RTOL = 1e-8
 
 
@@ -96,32 +96,6 @@ def roots_from_coeffs(b):
     return tuple(complex(r) for r in roots[order])
 
 
-def _first_order_weights(roots, label):
-    """c_j = a_j^{m-1} / prod_{i != j} (a_j - a_i) of distinct ``roots``."""
-    _check_distinct(roots, label)
-    m = len(roots)
-    out = []
-    for j, aj in enumerate(roots):
-        denom = np.prod([aj - ai for i, ai in enumerate(roots) if i != j])
-        out.append(aj ** (m - 1) / denom)
-    return tuple(out)
-
-
-def partial_fraction_first(roots):
-    """Weights c_j = a_j^{m-1} / prod_{i != j} (a_j - a_i)."""
-    return _first_order_weights([complex(r) for r in roots], "roots")
-
-
-def partial_fraction_even(roots):
-    """Weights d_j = a_j^{2m-2} / prod_{i != j} (a_j^2 - a_i^2): the
-    first-order weights of the squared roots (CPython raises a complex to an
-    integer power by squaring, so (a_j^2)^{m-1} is bitwise a_j^{2m-2})."""
-    roots = [complex(r) for r in roots]
-    if any(r == 0 for r in roots):
-        raise ZeroRoot("zero root: the sinh kernel divides by a_j")
-    return _first_order_weights([r * r for r in roots], "squared roots")
-
-
 @dataclass(frozen=True)
 class CharacteristicSpec:
     """Characteristic data of the time operator.
@@ -129,15 +103,13 @@ class CharacteristicSpec:
     ``b`` holds ascending coefficients: b_0..b_m for the first-order product,
     the b_{2k} list for the even-order product (index k is the coefficient of
     d^{2k}/dt^{2k} times P^{m-k}), and the expanded (x^2 - 1)^m coefficients
-    for the repeated-root kind.  ``pf`` holds the partial-fraction weights of
-    the product kinds.
+    for the repeated-root kind.
     """
 
     kind: Kind
     m: int
     b: tuple
     roots: tuple
-    pf: tuple
 
     @classmethod
     def first_order_product(cls, roots=None, coeffs=None):
@@ -152,7 +124,8 @@ class CharacteristicSpec:
         m = len(roots)
         if m < 1:
             raise ValueError("need at least one root")
-        return cls(Kind.FIRST_ORDER_PRODUCT, m, b, roots, partial_fraction_first(roots))
+        _check_distinct(roots)
+        return cls(Kind.FIRST_ORDER_PRODUCT, m, b, roots)
 
     @classmethod
     def even_order_product(cls, roots):
@@ -160,10 +133,13 @@ class CharacteristicSpec:
         m = len(roots)
         if m < 2:
             raise ValueError("even-order product needs m >= 2")
-        pf = partial_fraction_even(roots)
+        if any(r == 0 for r in roots):
+            raise ZeroRoot("zero root: the even-order kernel's nodes +-a_j coincide")
+        squares = [r * r for r in roots]
+        _check_distinct(squares, "squared roots")
         # b_{2k} from prod (x^2 - a_j^2), a polynomial in x^2.
-        b = tuple(complex(c) for c in poly_from_roots([r * r for r in roots]))
-        return cls(Kind.EVEN_ORDER_PRODUCT, m, b, roots, pf)
+        b = tuple(complex(c) for c in poly_from_roots(squares))
+        return cls(Kind.EVEN_ORDER_PRODUCT, m, b, roots)
 
     @classmethod
     def repeated_root(cls, m):
@@ -173,7 +149,7 @@ class CharacteristicSpec:
         # (y - 1)^m in y = x^2; coefficient of d^{2k}/dt^{2k} P^{m-k} is
         # (-1)^{m-k} C(m, k).
         b = tuple(complex((-1) ** (m - k) * comb(m, k)) for k in range(m + 1))
-        return cls(Kind.REPEATED_ROOT, m, b, (), ())
+        return cls(Kind.REPEATED_ROOT, m, b, ())
 
     @property
     def step(self):

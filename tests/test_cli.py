@@ -481,6 +481,21 @@ class TestRunModes:
         assert "error:" in err and "forcing" in err
         assert not (out / "solution.opc").exists()
 
+    def test_memory_error_prints_only_the_error(self, tmp_path, capsys, monkeypatch):
+        # a grid that does not fit ends the run with one line naming its shape
+        def no_room(P, shape, box):
+            raise MemoryError
+
+        monkeypatch.setattr(kernels, "symbol_grid", no_room)
+        problem = write_problem(tmp_path, HEAT_PRODUCT)
+        out = tmp_path / "out"
+        code = main(["--mode", "solve", "--problem", problem, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0] == "error: out of memory for the grid of shape 32"
+        assert not (out / "solution.opc").exists()
+
     @pytest.mark.parametrize("old,new,named", [
         ("[output]", "[forcing]\nf = exp(1000*x1)*cos(t)\n\n[output]", "forcing"),
         ("[output]", "[forcing]\nf = exp(1000*t)*sin(x1)\n\n[output]", "forcing"),

@@ -110,8 +110,8 @@ def walk(tree, x, t=None):
         parts = [value(k) for k in tree[1:] if isinstance(k, tuple)]
         vals = [v for v, _ in parts]
         from_abs = tree[:2] == ("call", "abs") or all([f for _, f in parts])
-        if not from_abs and (kind == "pow" or tree[1] in _COMPLEX_FIRST):
-            vals = [as_complex(v) for v in vals]
+        if kind == "pow" or tree[1] in _COMPLEX_FIRST:
+            vals = [v if f else as_complex(v) for v, f in parts]
         if kind == "neg":
             return -vals[0], from_abs
         if kind == "call":
@@ -577,6 +577,9 @@ class TestProgram:
         assert bits(evaluate(hs, COORDS[:1])[0]) == bits(walk(call("sin", X1), COORDS[:1]))
 
     @settings(max_examples=300, deadline=None)
+    @example(  # an operand made from abs values alone stays real beside a complex one
+        tree=binop("/", num("1.5i"), call("abs", num("2.5"))), t=0.0)
+    @example(tree=binop("/", num("1e-300"), call("abs", num("1e-300"))), t=0.0)
     @given(tree=st.recursive(_leaves, _grower([f for f in sorted(_NUMPY) if f != "sqrt"]),
                              max_leaves=8),
            t=st.sampled_from([0.0, -0.0, 0.3, 2.0, 710.0]))

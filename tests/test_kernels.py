@@ -9,14 +9,18 @@ from opcauchy import kernels
 from opcauchy.errors import UnresolvedKernel
 from opcauchy.kernels import (
     PLAIN_MEASURE,
+    SERIES_RADIUS,
     TAU_PRIME_MEASURE,
     CauchyProblem,
     homogeneous_mode,
     inhomogeneous_mode,
     solve,
+    _constants,
+    _divided_differences,
     _kernel,
-    _repeated_root_weights,
-    _time_kernels,
+    _plain_numerator,
+    _Shape,
+    _shape,
 )
 from opcauchy.multiplier import Field, mesh
 from opcauchy.oracle import fd_weights, mode_ode_solve
@@ -184,11 +188,18 @@ def f_mpmath(step, k, z):
 
 
 class TestTimeKernels:
-    """phi_k (s = 1) and sigma_k (s = 2) against mpmath; T_k(1; z) = f_k(z)."""
+    """phi_k (s = 1) and sigma_k (s = 2) against mpmath, from the evaluator.
+
+    T_k(t; z) = t^(k+s-1) f_k(z t^s) is the kernel of the nodes 0 (k times)
+    and 1 (s = 1) or +-1 (s = 2), and T_(k-d) is its d-th time derivative.
+    """
 
     @staticmethod
     def table(step, z, lo, hi):
-        return _time_kernels(step, np.asarray(z, dtype=complex), 1.0, lo, hi)
+        """{k: T_k(1; z) = f_k(z)} for k in [lo, hi]."""
+        shape = _Shape(step, ((0j, hi), (1 + 0j, 1)))
+        derivs = _divided_differences(shape, np.asarray(z, dtype=complex), 1.0, range(hi - lo + 1))
+        return {hi - d: g for d, g in enumerate(derivs)}
 
     @pytest.mark.parametrize("step", [1, 2])
     def test_real_negative_and_complex_arguments(self, step):
@@ -204,10 +215,11 @@ class TestTimeKernels:
 
     @pytest.mark.parametrize("step", [1, 2])
     def test_either_side_of_series_switch(self, step):
-        # up to level hi the series covers |z| < max(1, hi/2)^s
+        # the series covers |tau| max|sigma| = |z|^(1/s) up to the radius of
+        # the hi + s nodes
         angles = np.linspace(0, 2 * np.pi, 7, endpoint=False)
         for hi in range(1, 9):
-            switch = max(1, hi / 2) ** step
+            switch = max(SERIES_RADIUS, (hi + step - 1) / 2) ** step
             z = np.concatenate(
                 [switch * (1 + side) * np.exp(1j * angles) for side in (-1e-9, 1e-9)]
             )
@@ -221,13 +233,13 @@ class TestTimeKernels:
     @pytest.mark.parametrize("step", [1, 2])
     def test_series_value_does_not_depend_on_the_call(self, step):
         # the series term count follows the disc radius, not the largest |z|
-        # of the call
+        # of the call, and a value beyond the switch leaves the others alone
         rng = np.random.default_rng(5)
         small = 0.1 * rng.random(8) * np.exp(2j * np.pi * rng.random(8))
         lo = -step
         for hi in (3, 4, 6):
-            edge = 0.99 * max(1, hi / 2) ** step
-            mixed = self.table(step, np.append(small, edge), lo, hi)
+            edge = 0.99 * max(SERIES_RADIUS, (hi + step - 1) / 2) ** step
+            mixed = self.table(step, np.append(small, [edge, 4 * edge]), lo, hi)
             for i, z in enumerate(small):
                 alone = self.table(step, [z], lo, hi)
                 for k in range(lo, hi + 1):
@@ -246,10 +258,17 @@ class TestTimeKernels:
                 assert np.array_equal(one[k], many[k][i : i + 1]), (k, zi)
 
     def test_cached_series_coefficients_cannot_be_changed(self):
-        # every call of one (step, k, radius) shares the cached coefficients
-        coeffs = kernels._series_coeffs(2, 0, 4.0)
-        assert isinstance(coeffs, tuple) and coeffs[0] == 1.0
-        assert kernels._series_coeffs(2, 0, 4.0) is coeffs
+        # every call of one (shape, order) shares the cached constants, all tuples
+        shape = _shape(CharacteristicSpec.repeated_root(3), PLAIN_MEASURE)
+        constants = _constants(shape, 2)
+        assert _constants(shape, 2) is constants
+
+        def frozen(value):
+            if isinstance(value, tuple):
+                return all(frozen(v) for v in value)
+            return isinstance(value, (int, float, complex))
+
+        assert frozen(constants)
 
     @pytest.mark.parametrize("step", [1, 2])
     def test_origin(self, step):
@@ -262,18 +281,33 @@ class TestRepeatedRootWeights:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_tau_prime_is_the_impulse_response_series(self, m):
         # G = sum_i C(m-1+i, i) p^i t^(2m-1+2i) / (2m-1+2i)!, the inverse
-        # Laplace transform of (s^2 - p)^-m, coefficient by coefficient
-        e, gammas = _repeated_root_weights(m, TAU_PRIME_MEASURE)
-        assert e == 2 * m - 1
-        for i in range(20):
-            got = sum(g * Fraction(1, factorial(e + 2 * i - j)) for j, g in enumerate(gammas))
-            assert got == Fraction(comb(m - 1 + i, i), factorial(2 * m - 1 + 2 * i))
+        # Laplace transform of (s^2 - p)^-m, coefficient by coefficient: the
+        # series of the nodes +-1, m times each, with N = 1
+        shape = _shape(CharacteristicSpec.repeated_root(m), TAU_PRIME_MEASURE)
+        assert shape.numerator == (1.0,)
+        _, (j0, e, series), _ = _constants(shape, 0)
+        assert (j0, e) == (0, 2 * m - 1) and len(series) > 8
+        for i, c in enumerate(series):
+            assert c == pytest.approx(comb(m - 1 + i, i) / factorial(2 * m - 1 + 2 * i), rel=5e-16)
 
     def test_published_weights(self):
-        assert _repeated_root_weights(2, TAU_PRIME_MEASURE)[1] == (-Fraction(1, 2), Fraction(1, 2))
-        assert _repeated_root_weights(3, TAU_PRIME_MEASURE)[1] == (
-            Fraction(3, 8), -Fraction(3, 8), Fraction(1, 8)
-        )
+        # the plain measure's numerators, ascending: r_l is the x^l
+        # coefficient of (1-x)^(m-1) sum_i (2m-2+2i)! g_i x^i for the exact
+        # coefficients g_i of the nested integral's series
+        assert _plain_numerator(2) == (0.5,)
+        assert _plain_numerator(3) == (-1 / 8, 0.0, 3 / 8)
+        assert _plain_numerator(4) == (1 / 16, 0.0, -5 / 24, 0.0, 5 / 16)
+        for m in range(2, 7):
+            denom = 2 ** (2 * m - 3) * factorial(m - 1) * factorial(m - 2)
+            A = [
+                factorial(2 * m - 2 + 2 * i) * sum(
+                    Fraction(comb(m - 2, l) * (-1) ** l, 2 * l + 2 * i + 2) for l in range(m - 1)
+                ) / (factorial(2 * i + 1) * denom)
+                for i in range(m - 1)
+            ]
+            r = [sum((-1) ** k * comb(m - 1, k) * A[l - k] for k in range(l + 1))
+                 for l in range(m - 1)]
+            assert _plain_numerator(m)[::-2] == tuple(float(rl) for rl in r)
 
     @pytest.mark.parametrize("measure", [PLAIN_MEASURE, TAU_PRIME_MEASURE])
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -494,19 +528,18 @@ class TestDistinctSymbols:
             lambda t: np.cos(t) * np.sin(x[1]), times,
         )
         received = []
-        table = kernels._time_kernels
+        evaluate = kernels._divided_differences
 
-        def spy(step, mu, t, lo, hi):
-            received.append(np.broadcast(mu, t).size)
-            return table(step, mu, t, lo, hi)
+        def spy(kernel_shape, p, t, orders):
+            received.append(np.broadcast(p, t).size)
+            return evaluate(kernel_shape, p, t, orders)
 
-        monkeypatch.setattr(kernels, "_time_kernels", spy)
+        monkeypatch.setattr(kernels, "_divided_differences", spy)
         solve(prob, nodes=nodes)
         distinct = np.unique(self.laplacian_grid(shape, box)).size
-        groups = len(spec.roots)
         assert distinct == 32 and np.prod(shape) == 512
         # one homogeneous evaluation plus the Duhamel nodes, per output time
-        assert sum(received) == len(times) * (nodes + 1) * distinct * groups
+        assert sum(received) == len(times) * (nodes + 1) * distinct
 
     def test_distinct_values_found_once_per_solve(self, monkeypatch):
         # solve finds the distinct symbol values once and hands them to the
@@ -636,3 +669,115 @@ class TestStiffGrid:
             expect = np.concatenate([ref, np.conj(ref[1 : self.N - half + 1][::-1])])
             err = np.max(np.abs(uhat - expect)) / np.max(np.abs(expect))
             assert err <= 1e-8, err
+
+
+def exact_kernel_derivatives(spec, p, ts, orders):
+    """{(t, d): G^(d)(t)} of the mode p for t in ``ts``, d in ``orders``: the
+    divided differences of z^d e^(tz) over the mode's eigenvalues at 50
+    digits, from the residue sum where the eigenvalues are distinct and
+    max |lambda| t > 30, else from the Taylor series sum_n t^n/n!
+    h_(n+d-q+1) with the complete homogeneous polynomials h_j."""
+    with mpmath.workdps(50):
+        p = mpmath.mpc(p)
+        if spec.step == 1:
+            lam = [mpmath.mpc(a) * p for a in spec.roots]
+        else:
+            w = mpmath.sqrt(p)
+            roots = spec.roots or (1,) * spec.m
+            lam = [sign * mpmath.mpc(a) * w for a in roots for sign in (1, -1)]
+        reach = max(abs(x) for x in lam) * max(ts)
+        out = {}
+        if spec.roots and reach > 30:
+            for t, d in ((t, d) for t in ts for d in orders):
+                out[t, d] = complex(mpmath.fsum(
+                    x**d * mpmath.exp(t * x) / mpmath.fprod(x - y for y in lam if y is not x)
+                    for x in lam
+                ))
+            return out
+        q, size = len(lam), int(3 * reach) + 80
+        h = [mpmath.mpc(1)] + [mpmath.mpc(0)] * size
+        for x in lam:
+            for j in range(1, size + 1):
+                h[j] += x * h[j - 1]
+        for t in ts:
+            t = mpmath.mpf(t)
+            for d in orders:
+                total, power = mpmath.mpc(0), mpmath.mpf(1)  # power = t^n / n!
+                for n in range(size + q - 1 - d):
+                    if n + d >= q - 1:
+                        total += power * h[n + d - q + 1]
+                    power = power * t / (n + 1)
+                out[float(t), d] = complex(total)
+        return out
+
+
+def exact_homogeneous(spec, p, phihat, ts):
+    """{t: the assembly of ``homogeneous_mode`` on the exact kernel derivatives}."""
+    s = spec.step
+    pairs = [(k, r, s * k - 1 - r) for k in range(1, spec.m + 1) for r in range(s * k)]
+    derivs = exact_kernel_derivatives(spec, p, ts, range(s * spec.m))
+    with mpmath.workdps(50):
+        return {
+            t: complex(mpmath.fsum(
+                mpmath.mpc(spec.b[k]) * mpmath.mpc(p) ** (spec.m - k)
+                * mpmath.mpc(derivs[t, d]) * mpmath.mpc(phihat[r])
+                for k, r, d in pairs
+            ) / mpmath.mpc(spec.lead))
+            for t in ts
+        }
+
+
+class TestCancellation:
+    """The homogeneous part where the exact value is far below the sizes of
+    the exponential-integrator terms: no polynomial parts cancel."""
+
+    @pytest.mark.parametrize("roots,p,bound", [
+        ((1, 2, 3), -100, 1e-14),
+        ((1, 2, 3), -4000, 1e-14),
+        ((1, 2, 3), -16129, 1e-14),
+        ((1, 1.01, 2), -10, 1e-14),
+        ((1, 1.01, 2), -4000, 1e-14),
+        ((1, 1 + 1e-6, 2), -1, 1e-14),
+        ((1, 1 + 1e-6, 2), -4000, 1e-14),
+        ((1, 1 + 1e-6, 2), -10, 1e-12),
+    ])
+    def test_first_kind_against_a_vandermonde_solve(self, roots, p, bound):
+        # u(t) = sum_j C_j e^(a_j p t) with sum_j C_j (a_j p)^r = phi_r
+        spec = CharacteristicSpec.first_order_product(roots=roots)
+        data, t = (1.0, 0.3, -0.2), 0.5
+        with mpmath.workdps(80):
+            lam = [mpmath.mpf(a) * p for a in roots]
+            V = mpmath.matrix([[x**r for x in lam] for r in range(3)])
+            C = mpmath.lu_solve(V, mpmath.matrix(data))
+            exact = complex(mpmath.fsum(c * mpmath.exp(x * t) for c, x in zip(C, lam)))
+        assert abs(homogeneous_mode(spec, p, data, t) - exact) <= bound
+
+
+class TestEveryMode:
+    """homogeneous_mode on p = -k^2 for every k <= 127 against the exact
+    divided differences, relative to max(|u|, max_r |phi_r| e^(t max Re lambda))."""
+
+    @pytest.mark.parametrize("spec", [
+        CharacteristicSpec.first_order_product(roots=[1, 2, 3]),
+        CharacteristicSpec.even_order_product([1, 1.5, 2]),
+        CharacteristicSpec.repeated_root(3),
+    ], ids=lambda s: s.kind.value)
+    def test_matches_exact_divided_differences(self, spec):
+        rng = np.random.default_rng(83)
+        k = np.arange(128)
+        p = -(k * k).astype(float)
+        phihat = [rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
+                  for _ in range(spec.data_count)]
+        # Re lambda: a_j p for the first kind, 0 for the others on p <= 0
+        growth = p * min(r.real for r in spec.roots) if spec.step == 1 else 0 * p
+        ts = (0.1, 0.25, 0.5)
+        got = {t: homogeneous_mode(spec, p, phihat, t) for t in ts}
+        for n in k:
+            size = max(abs(phi[n]) for phi in phihat)
+            live = [t for t in ts if size * np.exp(t * growth[n]) >= 1e-290]
+            if not live:
+                continue
+            want = exact_homogeneous(spec, p[n], [phi[n] for phi in phihat], live)
+            for t in live:
+                scale = max(abs(want[t]), size * np.exp(t * growth[n]))
+                assert abs(got[t][n] - want[t]) <= 1e-13 * scale, (n, t)

@@ -4,8 +4,10 @@ import pytest
 
 from opcauchy.kernels import (
     OVERFLOW_LIMIT,
+    SERIES_RADIUS,
+    _divided_differences,
     _sat_exp,
-    _time_kernels,
+    _Shape,
     sinhc_sqrt,
     stability_report,
 )
@@ -23,13 +25,16 @@ def sampled_field(shape, box, fn):
 
 
 def cosh_sqrt(z):
-    """cosh(sqrt(z)) = sigma_-1(z) from the kernel table."""
-    return complex(_time_kernels(2, np.atleast_1d(complex(z)), 1.0, -1, -1)[-1][0])
+    """cosh(sqrt(z)) = d/dt [t sinhc_sqrt(t^2 z)] at t = 1: the first
+    derivative of the kernel of the shape +-1."""
+    shape = _Shape(2, ((1 + 0j, 1),))
+    return complex(_divided_differences(shape, np.atleast_1d(complex(z)), 1.0, (1,))[0][0])
 
 
 def exp_prop(t, a, p):
-    """exp(t a p) = phi_0(a p t) from the kernel table."""
-    out = _time_kernels(1, a * np.atleast_1d(np.asarray(p, dtype=complex)), t, 0, 0)[0]
+    """exp(t a p): the kernel of the single node a."""
+    modes = np.atleast_1d(np.asarray(p, dtype=complex))
+    out = _divided_differences(_Shape(1, ((complex(a), 1),)), modes, t, (0,))[0]
     return out if np.ndim(p) else complex(out[0])
 
 
@@ -74,10 +79,11 @@ class TestScalarFunctions:
         assert cosh_sqrt(4.0) == pytest.approx(cosh_sqrt_series(4.0), abs=1e-15)
 
     def test_series_closed_form_continuity(self):
-        # values straddling |z| = 0.25 and |z| = 1, where the kernel table
-        # switches from its series to the closed form, agree to full precision
+        # values straddling |z| = SERIES_RADIUS^2, where the kernel switches
+        # from its series to the residue sum, and two radii inside, agree
+        # with the series oracle to full precision
         rng = np.random.default_rng(3)
-        for radius in (0.25, 1.0):
+        for radius in (0.25, 1.0, SERIES_RADIUS**2):
             for _ in range(50):
                 angle = rng.uniform(0, 2 * np.pi)
                 z_in = radius * (1 - 4e-7) * np.exp(1j * angle)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from opcauchy.errors import DegenerateRoots, NonmonicZero, ZeroRoot
+from opcauchy.kernels import _constants, _shape
 from opcauchy.symbol_poly import (
     CharacteristicSpec,
     Kind,
     SymbolPolynomial,
-    partial_fraction_even,
-    partial_fraction_first,
     poly_from_roots,
     roots_from_coeffs,
     symbol_grid,
@@ -50,16 +49,27 @@ class TestRootsFromCoeffs:
             assert np.max(np.abs(np.sort_complex(rec) - src)) < 1e-10
 
 
+def residue_weights(spec):
+    """The weight of each node's (each +-pair's) exponential in the residue
+    sum of G^(q-1), q = data_count: a_j^(m-1) / prod_(i != j) (a_j - a_i)
+    for the first kind, a_j^(2m-2) / prod_(i != j) (a_j^2 - a_i^2) for the
+    even kind."""
+    _, _, (_, residues) = _constants(_shape(spec), spec.data_count - 1)
+    return [sum(residues[i : i + spec.step]) for i in range(0, len(residues), spec.step)]
+
+
 class TestPartialFractions:
+    """The residue weights of the kernels, and the root checks of the specs."""
+
     def test_first_two_roots(self):
-        c = partial_fraction_first([1, 2])
+        c = residue_weights(CharacteristicSpec.first_order_product(roots=[1, 2]))
         assert np.allclose(c, [-1, 2])
         assert abs(sum(c) - 1) < 1e-14
 
     def test_first_cube_roots_of_unity(self):
         w = np.exp(2j * np.pi / 3)
         roots = [1, w, w**2]
-        c = partial_fraction_first(roots)
+        c = residue_weights(CharacteristicSpec.first_order_product(roots=roots))
         for cj, aj in zip(c, roots):
             others = [a for a in roots if a != aj]
             assert abs(cj - aj**2 / np.prod([aj - a for a in others])) < 1e-14
@@ -70,24 +80,24 @@ class TestPartialFractions:
             CharacteristicSpec.even_order_product([1.0])
 
     def test_even_two_roots(self):
-        d = partial_fraction_even([1, 2])
+        d = residue_weights(CharacteristicSpec.even_order_product([1, 2]))
         assert np.allclose(d, [-1 / 3, 4 / 3])
         assert abs(sum(d) - 1) < 1e-14
 
     def test_even_complex_roots(self):
-        d = partial_fraction_even([1, 1j])
+        d = residue_weights(CharacteristicSpec.even_order_product([1, 1j]))
         assert np.allclose(d, [0.5, 0.5])
 
     def test_even_coincident_rejected(self):
         with pytest.raises(DegenerateRoots):
-            partial_fraction_even([1, 1])
+            CharacteristicSpec.even_order_product([1, 1])
         # distinct roots whose squares coincide are named as such
         with pytest.raises(DegenerateRoots, match="squared roots"):
-            partial_fraction_even([1, -1])
+            CharacteristicSpec.even_order_product([1, -1])
 
     def test_even_zero_root_rejected(self):
         with pytest.raises(ZeroRoot):
-            partial_fraction_even([0, 1])
+            CharacteristicSpec.even_order_product([0, 1])
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -173,7 +183,7 @@ class TestCharacteristicSpec:
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])
         assert spec.kind is Kind.FIRST_ORDER_PRODUCT
         assert np.allclose(spec.b, [2, -3, 1])
-        assert abs(sum(spec.pf) - 1) < 1e-14
+        assert spec.roots == (1, 2) and spec.m == 2
 
     def test_even_order_coefficients(self):
         spec = CharacteristicSpec.even_order_product([1, 2])
