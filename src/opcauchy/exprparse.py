@@ -69,7 +69,7 @@ _AXIS_RE = re.compile(r"x(\d+)")
 #: Deepest nesting of parentheses, calls and unary minuses a parse accepts.
 MAX_NESTING = 100
 
-# A slot's payload is all ``_apply`` needs besides its operands' values:
+# A slot's payload is all it needs besides its operands' values:
 # ("+",) ("-",) ("*",) ("/",) ("neg",) ("^", n) ("call", name)
 # ("const", value) ("x", axis) ("t",).  A constant is a float when its
 # imaginary part is zero, else a complex.  The parser makes no constant
@@ -273,22 +273,6 @@ def _complex(value):
     return complex(value)
 
 
-def _apply(payload, operands, x, t):
-    """The value of the slot with ``payload`` from its operands' values."""
-    kind = payload[0]
-    if kind in _OPERATORS:
-        return _OPERATORS[kind](*operands)
-    if kind == "call":
-        return FUNCTIONS[payload[1]](operands[0])
-    if kind == "const":
-        return payload[1]
-    if kind == "neg":
-        return -operands[0]
-    if kind == "^":
-        return operands[0] ** payload[1]
-    return t if kind == "t" else x[payload[1]]
-
-
 class Program:
     """Expressions over x1..x{dim} (and t if ``allow_t``) parsed into one
     table of their distinct subexpressions, one root slot per expression.
@@ -304,11 +288,14 @@ class Program:
     were read one after another; its ``source`` attribute is that
     expression's index.
 
-    The t-free slots run before the t-dependent ones; every slot is
-    computed once per call, kept, and each value except a root's is
-    dropped after its last use.  A Program holds no values: a ``sampler``
-    keeps the t-free values that a t-dependent slot or a root reads.  The
-    keys are dropped once parsing ends.
+    Each slot is classified once, from its operands' flags: whether it
+    reads t, whether it is made from ``abs`` values alone, and which
+    operands it makes complex first.  One flat loop runs the t-free slots,
+    then the t-dependent ones, computing each slot once per call and
+    dropping each value except a root's after its last reader.  A Program
+    holds no values: a ``sampler`` keeps the t-free values that a
+    t-dependent slot or a root reads.  The keys are dropped once parsing
+    ends.
     """
 
     def __init__(self, sources, dim, allow_t=False):
@@ -338,26 +325,36 @@ class Program:
     def _schedule(self, roots, slots):
         """Make ``roots`` the roots, run from the ``slots`` they read."""
         payloads, args = self._payloads, self._args
-        tdep = [False] * len(payloads)
-        # real even were every leaf complex: made from abs values alone
-        from_abs = [False] * len(payloads)
-        widen = [()] * len(payloads)  # per operand: made complex first
-        t_free, t_dep = [], []
+        # from_abs: real even were every leaf complex, made from abs values
+        # alone; widen, bit k: operand k is made complex first
+        tdep, from_abs, widen = [False] * len(args), [False] * len(args), [0] * len(args)
+        last, t_free, t_dep = [None] * len(args), [], []  # last: each slot's last reader
         for i in slots:
             payload, operands = payloads[i], args[i]
-            tdep[i] = payload is _T or any([tdep[a] for a in operands])
+            if len(operands) == 2:
+                a, b = operands
+                tdep[i] = tdep[a] or tdep[b]
+                from_abs[i] = from_abs[a] and from_abs[b]
+                if payload is _DIV:
+                    widen[i] = (not from_abs[a]) | (not from_abs[b]) << 1
+                last[a] = last[b] = i
+            elif operands:
+                (a,) = operands
+                tdep[i] = tdep[a]
+                from_abs[i] = payload == _ABS or from_abs[a]
+                if payload in _COMPLEX_FIRST or payload[0] == "^":
+                    widen[i] = not from_abs[a]
+                last[a] = i
+            else:
+                tdep[i] = payload is _T
             (t_dep if tdep[i] else t_free).append(i)
-            from_abs[i] = payload == _ABS or bool(operands) and all([from_abs[a] for a in operands])
-            if payload in _COMPLEX_FIRST or payload[0] == "^":
-                widen[i] = [not from_abs[a] for a in operands]
-        last = [None] * len(payloads)  # the slot that reads each slot last
-        for i in t_free + t_dep:
+        for i in t_dep:  # they run after every t-free slot
             for a in args[i]:
                 last[a] = i
         for r in roots:
             last[r] = None
-        self.roots, self._t_free, self._t_dep, self._last = roots, t_free, t_dep, last
-        self._widen = widen
+        self.roots, self._t_free, self._t_dep = roots, t_free, t_dep
+        self._last, self._widen = last, widen
 
     def _with_roots(self, roots):
         """A Program over this one's table with other ``roots``; it runs
@@ -376,14 +373,28 @@ class Program:
     def _exec(self, order, vals, x, t):
         payloads, args, last, widen = self._payloads, self._args, self._last, self._widen
         for i in order:
-            operands = args[i]
-            values = [vals[a] for a in operands]
-            if widen[i]:
-                values = [_complex(v) if w else v for v, w in zip(values, widen[i])]
-            vals[i] = _apply(payloads[i], values, x, t)
-            for a in operands:
+            payload, operands = payloads[i], args[i]
+            if len(operands) == 2:
+                a, b = operands
+                u, v = vals[a], vals[b]
+                if widen[i]:
+                    u = _complex(u) if widen[i] & 1 else u
+                    v = _complex(v) if widen[i] & 2 else v
+                vals[i] = _OPERATORS[payload[0]](u, v)
                 if last[a] == i:
                     vals[a] = None
+                if last[b] == i:
+                    vals[b] = None
+            elif operands:
+                (a,) = operands
+                u = _complex(vals[a]) if widen[i] else vals[a]
+                vals[i] = (-u if payload is _NEG
+                           else FUNCTIONS[payload[1]](u) if payload[0] == "call"
+                           else u ** payload[1])
+                if last[a] == i:
+                    vals[a] = None
+            else:
+                vals[i] = x[payload[1]] if payload[0] == "x" else t if payload is _T else payload[1]
 
 
 def _terms(payloads, args, root):

@@ -106,6 +106,20 @@ def _residue(nodes, numerator, d, x0, mu):
     return tuple(F[mu - 1 - r] / factorial(r) for r in range(mu))
 
 
+@lru_cache(maxsize=64)
+def _complete(shape, length):
+    """(h, bound): the complete homogeneous polynomials h_n of
+    ``shape.all_nodes`` and those of their moduli, n < ``length``.  The
+    recurrence runs forward, so a longer table has the same leading entries."""
+    h, bound = [1.0] + [0.0] * (length - 1), [1.0] + [0.0] * (length - 1)
+    for sigma, k in shape.all_nodes:
+        for _ in range(k):
+            for n in range(1, length):
+                h[n] += sigma * h[n - 1]
+                bound[n] += abs(sigma) * bound[n - 1]
+    return tuple(h), tuple(bound)
+
+
 @lru_cache(maxsize=1024)
 def _constants(shape, d):
     """(limit, (j0, e, series), (power, residues)) of G^(d) on ``shape``.
@@ -121,12 +135,8 @@ def _constants(shape, d):
     q, D = sum(k for _, k in nodes), len(numerator) - 1
     e = q - 1 - D - d
     j0 = -(-max(0, -e) // s) * s
-    h, bound = [1.0] + [0.0] * (128 + j0), [1.0] + [0.0] * (128 + j0)
-    for sigma, k in nodes:
-        for _ in range(k):
-            for n in range(1, len(h)):
-                h[n] += sigma * h[n - 1]
-                bound[n] += abs(sigma) * bound[n - 1]
+    # an order reads at most 128 + j0 entries: one table serves every j0 < 16
+    h, bound = _complete(shape, 144 + j0 // 16 * 16)
     radius = max(SERIES_RADIUS, (q - 1) / 2)
     reach = max(abs(x) for x, _ in nodes)
     series, total = [], 0.0

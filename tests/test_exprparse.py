@@ -602,6 +602,30 @@ class TestProgram:
         assert np.array_equal(got.real[finite], np.real(expect)[finite])
         assert np.array_equal(got.imag[finite], np.imag(expect)[finite])
 
+    def test_slot_reading_one_operand_twice(self, trig_calls):
+        # both operands are the one sin slot: it is read twice, then dropped
+        tree = binop("*", call("sin", X1), call("sin", X1))
+        (got,) = evaluate(Program([source(tree)], 1), COORDS[:1])
+        assert trig_calls == {"sin": 1}
+        assert bits(got) == bits(walk(tree, COORDS[:1]))
+
+    def test_operand_widened_by_one_reader_stays_real_for_another(self):
+        # '/' reads x1+1 as complex, '*' reads the same slot as float64
+        wave = binop("+", X1, num("1"))
+        tree = binop("+", binop("/", wave, num("2")), binop("*", wave, num("3")))
+        for x in (COORDS[:1], [2.5]):
+            assert bits(evaluate(Program([source(tree)], 1), x)[0]) == bits(walk(tree, x))
+
+    def test_sampler_keeps_its_t_free_values_across_samples(self, trig_calls):
+        # sin(x1) is t-free and read last by t-dependent slots: each sample
+        # drops it from its own copy of the values, never from the held ones
+        tree = binop("+", binop("*", call("sin", X1), T), binop("/", call("sin", X1), T))
+        sample = sampler(Program([source(tree)], 1, allow_t=True), COORDS[:1])
+        with np.errstate(all="ignore"):
+            for t in (0.3, 2.0, 0.3, -0.0):
+                assert bits(sample(t)[0]) == bits(walk(tree, COORDS[:1], t))
+        assert trig_calls == {"sin": 1}
+
     def test_new_coordinates_are_not_served_stale(self):
         # each call evaluates afresh at its own coordinates; t*sin(x1)
         # carries the sign of a zero x1
@@ -1010,3 +1034,68 @@ class TestSeparate:
         finite = np.isfinite(expect) & np.isfinite(got)
         got, expect = (np.broadcast_to(v, finite.shape)[finite] for v in (got, expect))
         assert np.all(np.abs(got - expect) <= 1e-9 * (1.0 + np.abs(expect)))
+
+
+def reference_schedule(program, n):
+    """(t_free, t_dep, last, widen, from_abs) of ``program`` by the
+    definitions, over the first ``n`` slots of its table: a slot depends on
+    t if it is t or an operand does; it is made from abs values alone if it
+    is an abs call or has operands, all made from abs values alone; the
+    operands of '/', '^', sqrt, exp, sinh and cosh that are not are made
+    complex first (``widen``, per operand)."""
+    payloads, args = program._payloads[:n], program._args[:n]
+    read, stack = set(), list(program.roots)
+    while stack:
+        i = stack.pop()
+        if i not in read:
+            read.add(i)
+            stack.extend(args[i])
+    tdep, from_abs, widen = {}, {}, {}
+    for i in range(n):
+        payload, operands = payloads[i], args[i]
+        tdep[i] = payload == ("t",) or any(tdep[a] for a in operands)
+        from_abs[i] = payload == ("call", "abs") or bool(operands) and all(
+            from_abs[a] for a in operands)
+        if payload[0] == "^" or payload == ("/",) or payload[:1] == ("call",) and (
+                payload[1] in _COMPLEX_FIRST):
+            widen[i] = tuple(not from_abs[a] for a in operands)
+        else:
+            widen[i] = (False,) * len(operands)
+    order = sorted(read)
+    t_free = [i for i in order if not tdep[i]]
+    t_dep = [i for i in order if tdep[i]]
+    last = [None] * n
+    for i in t_free + t_dep:
+        for a in args[i]:
+            last[a] = i
+    for r in program.roots:
+        last[r] = None
+    return t_free, t_dep, last, {i: widen[i] for i in order}, from_abs
+
+
+class TestSchedule:
+    """Each slot's classification, from its operands' flags, against the
+    definitions applied to the whole table."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(trees=[binop("/", call("abs", X1), power(call("abs", binop("-", T, X1)), 2))])
+    @given(trees=st.one_of(trees_with_repeats().map(lambda tree: [tree]), forests_with_repeats()))
+    def test_classification_matches_the_definitions(self, trees):
+        program = Program([source(tree) for tree in trees], 3, allow_t=True)
+        programs = [program]
+        if len(trees) == 1:  # and the views that separate makes
+            programs += [view for view in separate(program) if view is not None]
+        n = len(program._payloads)
+        for prog in programs:
+            t_free, t_dep, last, widen, _ = reference_schedule(prog, len(prog._last))
+            assert (prog._t_free, prog._t_dep, prog._last) == (t_free, t_dep, last)
+            got = {i: tuple(bool(prog._widen[i] >> k & 1) for k in range(len(prog._args[i])))
+                   for i in widen}
+            assert got == widen
+        # a slot's made-from-abs flag, read as whether a sqrt of it widens it
+        from_abs = reference_schedule(program, n)[4]
+        for i in range(n):
+            program._payloads.append(("call", "sqrt"))
+            program._args.append((i,))
+        probe = program._with_roots(list(range(n, 2 * n)))
+        assert [not probe._widen[n + i] for i in range(n)] == [from_abs[i] for i in range(n)]

@@ -270,6 +270,48 @@ class TestTimeKernels:
 
         assert frozen(constants)
 
+    @staticmethod
+    def reference_constants(shape, d):
+        """``_constants`` with h_n and their bounds built for order ``d`` alone."""
+        nodes, numerator, s = shape.all_nodes, shape.numerator, shape.step
+        q, D = sum(k for _, k in nodes), len(numerator) - 1
+        e = q - 1 - D - d
+        j0 = -(-max(0, -e) // s) * s
+        h, bound = [1.0] + [0.0] * (128 + j0), [1.0] + [0.0] * (128 + j0)
+        for sigma, k in nodes:
+            for _ in range(k):
+                for n in range(1, len(h)):
+                    h[n] += sigma * h[n - 1]
+                    bound[n] += abs(sigma) * bound[n - 1]
+        radius = max(SERIES_RADIUS, (q - 1) / 2)
+        reach = max(abs(x) for x, _ in nodes)
+        series, total = [], 0.0
+        for j in range(j0, 128 + j0, s):
+            H = sum(c * h[j + k - D] for k, c in enumerate(numerator) if j + k >= D)
+            term = sum(abs(c) * bound[j + k - D] for k, c in enumerate(numerator) if j + k >= D)
+            term *= (radius / reach) ** j / factorial(j + e)
+            if term < 1e-17 * total:
+                break
+            total += term
+            series.append(H / factorial(j + e))
+        residues = sum((kernels._residue(nodes, numerator, d, x, k) for x, k in nodes), ())
+        return radius / reach, (j0, e, tuple(series)), (d + D - q + 1, residues)
+
+    @pytest.mark.parametrize("spec,measure", [
+        (CharacteristicSpec.first_order_product(roots=[1, 2, 3]), TAU_PRIME_MEASURE),
+        (CharacteristicSpec.even_order_product(roots=[1, 1.5, 2]), TAU_PRIME_MEASURE),
+        *((CharacteristicSpec.repeated_root(m), measure)
+          for m in range(2, 6) for measure in (TAU_PRIME_MEASURE, PLAIN_MEASURE)),
+    ])
+    def test_constants_from_one_table_per_shape(self, spec, measure):
+        # the shape's table is shared by its orders, high order first and
+        # last, and by an order whose j0 needs a longer one; every constant
+        # is bitwise that of a table built for the order alone
+        shape = _shape(spec, measure)
+        for d in [2 * spec.m, *range(2 * spec.m + 1), 40]:
+            got = _constants.__wrapped__(shape, d)
+            assert repr(got) == repr(self.reference_constants(shape, d)), d
+
     @pytest.mark.parametrize("step", [1, 2])
     def test_origin(self, step):
         table = self.table(step, [0.0], 1 - step, 6)
