@@ -9,8 +9,8 @@ Problem files are flat INI-style text (see README for the full format):
     [forcing]   f = expr            (optional)
     [output]    times = 0.25,0.5,1
 
-Exit codes: 0 success, 2 validation error, 3 numerical-flag failure,
-4 inconclusive probe.
+Exit codes: 0 success, 2 validation error or an output path that cannot be
+written, 3 numerical-flag failure, 4 inconclusive probe.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import itertools
+import math
+import re
 import struct
 import sys
 from dataclasses import replace
@@ -33,6 +35,8 @@ from .errors import (
     NonIntegerExponent,
     OpcauchyError,
     UnknownVariable,
+    new_file,
+    output_to,
 )
 from .kernels import CauchyProblem, sinhc_sqrt, solve
 from .multiplier import Field, apply_multiplier, mesh
@@ -374,34 +378,53 @@ def write_csv(path, u: Field, t):
     """One row per grid point: coordinates, Re u, Im u, in row-major order.
 
     The bytes are those of ``np.savetxt(fmt="%.17e", delimiter=",")`` with
-    the same two-line header.  Each axis's coordinates are formatted once;
-    each chunk of rows is one uint8 matrix of zero-padded fields, written
-    with the padding removed.
+    the same two-line header.  Each axis's coordinates are formatted once.
+    A block is the rows that share their leading-axis values: the trailing
+    axes whose rows fit in ``CSV_CHUNK_ROWS``, or else one row.  A chunk is
+    whole blocks in one matrix of zero-padded fields, reused by every chunk:
+    its separators and the trailing axes' text are laid out once per call,
+    and a chunk sets only each block's leading-axis text and its values
+    before it is written with the padding removed.
     """
-    header = ",".join([f"x{d + 1}" for d in range(u.dim)] + ["re_u", "im_u"])
-    axes = [_format_e17(x.ravel()) for x in mesh(u.shape, u.box)]
+    dim, shape, width = u.dim, u.shape, _E17_WIDTH + 1
+    header = ",".join([f"x{d + 1}" for d in range(dim)] + ["re_u", "im_u"])
+    axes = [_format_e17(x.ravel()) for x in mesh(shape, u.box)]
     # Re and Im of each point, side by side
     values = np.ascontiguousarray(u.data, np.complex128).reshape(-1).view(np.float64)
-    size = values.size // 2
-    with open(path, "wb") as fh:
+    lead = dim
+    while lead and math.prod(shape[lead - 1 :]) <= CSV_CHUNK_ROWS:
+        lead -= 1
+    block = math.prod(shape[lead:])
+    blocks = values.size // 2 // block
+    per_chunk = min(CSV_CHUNK_ROWS // block, blocks)
+    text = bytearray(per_chunk * block * (dim + 2) * width)
+    rows = np.frombuffer(text, np.uint8).reshape(per_chunk, block, dim + 2, width)
+    rows[..., -1] = ord(",")
+    rows[:, :, -1, -1] = ord("\n")
+    grid = rows.reshape(per_chunk, *shape[lead:], dim + 2, width)
+    for d in range(lead, dim):
+        place = [1] * (dim + 1 - lead)
+        place[1 + d - lead] = shape[d]
+        grid[..., d, :-1] = axes[d].reshape(*place, _E17_WIDTH)
+    with new_file(path) as fh:
         fh.write(f"# t = {t!r}\n# {header}\n".encode())
-        for lo in range(0, size, CSV_CHUNK_ROWS):
-            hi = min(lo + CSV_CHUNK_ROWS, size)
-            text = bytearray((hi - lo) * (u.dim + 2) * (_E17_WIDTH + 1))
-            rows = np.frombuffer(text, np.uint8).reshape(hi - lo, u.dim + 2, -1)
-            rows[:, :, -1] = ord(",")
-            rows[:, -1, -1] = ord("\n")
-            for d, index in enumerate(np.unravel_index(np.arange(lo, hi), u.shape)):
-                rows[:, d, :-1] = axes[d][index]
-            rows[:, -2:, :-1] = _format_e17(values[2 * lo : 2 * hi]).reshape(hi - lo, 2, -1)
-            fh.write(text.translate(None, b"\0"))
+        for first in range(0, blocks, per_chunk):
+            n = min(per_chunk, blocks - first)
+            index = np.arange(first, first + n)
+            for d in reversed(range(lead)):
+                rows[:n, :, d, :-1] = axes[d][index % shape[d], None]
+                index //= shape[d]
+            lo, hi = 2 * first * block, 2 * (first + n) * block
+            rows[:n, :, -2:, :-1] = _format_e17(values[lo:hi]).reshape(n, block, 2, -1)
+            chunk = text if n == per_chunk else text[: rows[:n].nbytes]
+            fh.write(chunk.translate(None, b"\0"))
 
 
 def write_opc1(path, snapshots, box):
     """Binary dump: magic OPC1; little-endian u32 ndim, u32 shape[], f64 box[],
     u32 ntimes, f64 times[]; then per time interleaved Re,Im f64 row-major."""
     shape = snapshots[0][1].shape
-    with open(path, "wb") as fh:
+    with new_file(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(shape)))
         fh.write(struct.pack(f"<{len(shape)}I", *shape))
@@ -437,6 +460,11 @@ def read_opc1(path):
     return out
 
 
+def _write_lines(path, lines):
+    with new_file(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+
+
 def _write_stability(path, report):
     lines = ["# stability report"]
     for j, g in enumerate(report.max_growth):
@@ -446,7 +474,7 @@ def _write_stability(path, report):
     lines.append(f"overflowed_modes = {len(report.overflowed)}")
     for k in report.overflowed:
         lines.append(f"overflowed = {' '.join(str(c) for c in k)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _verdict_path(config):
@@ -476,11 +504,25 @@ CONVERGENCE_NODE_COUNTS = (8, 16, 24, 32, 48, 64, 96)
 CONVERGENCE_REF_NODES = 192
 
 
+#: The name of the CSV of output time i, which ``solve`` writes as ``solution_t{i}.csv``.
+_SNAPSHOT_CSV = re.compile(r"solution_t(0|[1-9][0-9]*)\.csv")
+
+
+def _remove_stale_csvs(out, count):
+    """Remove each ``solution_t<i>.csv`` in ``out`` with i >= ``count``: an earlier
+    run's output time that this run does not have."""
+    with output_to(out):
+        for path in out.iterdir():
+            match = _SNAPSHOT_CSV.fullmatch(path.name)
+            if match and int(match[1]) >= count:
+                path.unlink()
+
+
 def _run_solve(config):
     problem = _with_measure(load_problem(config.problem), config)
     snapshots, report = solve(problem, nodes=config.quad_nodes)
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _remove_stale_csvs(out, len(snapshots))
     for idx, (t, u) in enumerate(snapshots):
         write_csv(out / f"solution_t{idx}.csv", u, t)
     write_opc1(out / "solution.opc", snapshots, problem.box)
@@ -505,21 +547,18 @@ def _run_verify(config):
     snapshots, _ = solve(dense, nodes=config.quad_nodes)
     report = oracle.residual_check(snapshots, dense)
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = [
         "# residual verification",
         f"max_relative_residual = {report.max_residual:.6e}",
     ]
     for r, e in enumerate(report.ic_errors):
         lines.append(f"ic_error_{r} = {e:.6e}")
-    (out / "verify.txt").write_text("\n".join(lines) + "\n")
+    _write_lines(out / "verify.txt", lines)
     print(f"max relative residual {report.max_residual:.3e}")
     return 0
 
 
 def _run_probe(config):
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         results = [
             oracle.kernel_discrepancy_probe(m, seed=config.seed + m)
@@ -545,13 +584,12 @@ def _run_convergence(config):
         )
         rows.append((n, err))
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["# quadrature convergence: nodes, max abs error vs "
              f"{CONVERGENCE_REF_NODES}-node reference"]
     for n, err in rows:
         lines.append(f"{n} {err:.6e}")
         print(f"nodes {n:4d}  error {err:.3e}")
-    (out / "convergence.txt").write_text("\n".join(lines) + "\n")
+    _write_lines(out / "convergence.txt", lines)
     return 0
 
 
@@ -575,12 +613,11 @@ def _run_compare_spherical(config):
             den = max(np.linalg.norm(spectral), 1e-300)
             rows.append((a, t, float(num / den)))
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["# spherical vs spectral propagator: a, t, relative L2 difference"]
     for a, t, err in rows:
         lines.append(f"{a} {t} {err:.6e}")
         print(f"a {a:g}  t {t:g}  relative L2 difference {err:.3e}")
-    (out / "compare_spherical.txt").write_text("\n".join(lines) + "\n")
+    _write_lines(out / "compare_spherical.txt", lines)
     return 0
 
 
@@ -623,22 +660,33 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    out, made, code = Path(args.out), [], 2
     try:
         if args.mode != "probe" and args.problem is None:
             raise ConfigError("--problem is required for this mode")
-        return _MODES[args.mode](args)
+        # the output directory is made before any work, so an unusable one fails first
+        with output_to(out):
+            made = list(itertools.takewhile(lambda d: not d.exists(), [out, *out.parents]))
+            out.mkdir(parents=True, exist_ok=True)
+        code = _MODES[args.mode](args)
     except InconclusiveProbe as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code = 4
     except OpcauchyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError:
         cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
         cfg.read(args.problem or [])
         shape = cfg.get("grid", "shape", fallback="?").strip()
         print(f"error: out of memory for the grid of shape {shape}", file=sys.stderr)
-        return 2
+    if code:
+        # a failed run leaves behind no directory that it made and left empty
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+    return code
 
 
 if __name__ == "__main__":

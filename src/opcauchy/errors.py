@@ -1,4 +1,8 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules, and ``new_file``, which
+opens every artifact they write."""
+
+import contextlib
+import os
 
 
 class OpcauchyError(Exception):
@@ -51,3 +55,33 @@ class UnknownVariable(OpcauchyError):
 
 class NonIntegerExponent(OpcauchyError):
     """'^' used with a non-integer exponent."""
+
+
+class UnwritableOutput(OpcauchyError):
+    """The output directory or an artifact in it cannot be written."""
+
+
+@contextlib.contextmanager
+def output_to(path):
+    """Raise an OSError of the block as UnwritableOutput naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def new_file(path):
+    """A binary handle on a new file at ``path``.
+
+    A file already at ``path`` is removed first, never truncated in place:
+    a hard link or an open handle to it keeps its bytes, and a symlink at
+    ``path`` is replaced, not followed.  ext4 writes a truncated and
+    rewritten file back when it is closed, and a file renamed over another
+    too; a new file stays in the page cache.
+    """
+    with output_to(path):
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        with open(path, "xb") as fh:
+            yield fh

@@ -34,7 +34,13 @@ division, integer powers and sqrt compute other values than the complex
 ones (``sqrt(-1.0)`` is NaN), and the SIMD float64 exp, sinh and cosh of
 some numpy builds differ from the complex ones in the last bit.  They
 leave alone operands made from ``abs`` values alone, which are real even
-when every leaf is complex.  So each value equals, up to the sign of a
+when every leaf is complex.  A number, not an array, is made a numpy
+complex where a walk that makes every leaf complex has a numpy number, and
+a Python complex elsewhere, since the two round complex division and
+powers differently.  That walk's number is a numpy one when it reads a
+function's value, unless Python's complex arithmetic kept it a Python
+complex: a Python complex with a real numpy number made from ``abs``
+values alone on its right.  So each value equals, up to the sign of a
 zero, that of a walk that makes every leaf complex, with one exception:
 ``sqrt`` of a negative real value not made from ``abs`` values alone is
 the principal root +i*sqrt(|a|), where that walk's sign followed the sign
@@ -265,12 +271,13 @@ class _Reader:
         return slot
 
 
-def _complex(value):
-    """``value`` as complex: a Python number as a Python complex, a numpy
-    scalar or array as a numpy complex one (itself if it is complex)."""
-    if isinstance(value, (np.ndarray, np.generic)):
+def _complex(value, numpy):
+    """``value`` as complex: an array as a numpy complex one (itself if it is
+    complex); a number as a numpy complex where ``numpy`` is set, else as a
+    Python complex."""
+    if isinstance(value, np.ndarray):
         return value.astype(complex, copy=False)
-    return complex(value)
+    return np.complex128(value) if numpy else complex(value)
 
 
 class Program:
@@ -326,8 +333,10 @@ class Program:
         """Make ``roots`` the roots, run from the ``slots`` they read."""
         payloads, args = self._payloads, self._args
         # from_abs: real even were every leaf complex, made from abs values
-        # alone; widen, bit k: operand k is made complex first
+        # alone; numpy: a numpy number, not a Python one, were every leaf
+        # complex; widen, bit k: operand k is made complex first
         tdep, from_abs, widen = [False] * len(args), [False] * len(args), [0] * len(args)
+        numpy = [False] * len(args)
         last, t_free, t_dep = [None] * len(args), [], []  # last: each slot's last reader
         for i in slots:
             payload, operands = payloads[i], args[i]
@@ -335,6 +344,8 @@ class Program:
                 a, b = operands
                 tdep[i] = tdep[a] or tdep[b]
                 from_abs[i] = from_abs[a] and from_abs[b]
+                # Python's complex arithmetic takes a real numpy operand on the right
+                numpy[i] = numpy[a] or numpy[b] and not from_abs[b]
                 if payload is _DIV:
                     widen[i] = (not from_abs[a]) | (not from_abs[b]) << 1
                 last[a] = last[b] = i
@@ -342,11 +353,13 @@ class Program:
                 (a,) = operands
                 tdep[i] = tdep[a]
                 from_abs[i] = payload == _ABS or from_abs[a]
+                numpy[i] = payload[0] == "call" or numpy[a]
                 if payload in _COMPLEX_FIRST or payload[0] == "^":
                     widen[i] = not from_abs[a]
                 last[a] = i
             else:
                 tdep[i] = payload is _T
+                numpy[i] = payload[0] == "x"
             (t_dep if tdep[i] else t_free).append(i)
         for i in t_dep:  # they run after every t-free slot
             for a in args[i]:
@@ -354,7 +367,7 @@ class Program:
         for r in roots:
             last[r] = None
         self.roots, self._t_free, self._t_dep = roots, t_free, t_dep
-        self._last, self._widen = last, widen
+        self._last, self._widen, self._numpy = last, widen, numpy
 
     def _with_roots(self, roots):
         """A Program over this one's table with other ``roots``; it runs
@@ -371,15 +384,16 @@ class Program:
         return view
 
     def _exec(self, order, vals, x, t):
-        payloads, args, last, widen = self._payloads, self._args, self._last, self._widen
+        payloads, args, last, widen, numpy = (
+            self._payloads, self._args, self._last, self._widen, self._numpy)
         for i in order:
             payload, operands = payloads[i], args[i]
             if len(operands) == 2:
                 a, b = operands
                 u, v = vals[a], vals[b]
                 if widen[i]:
-                    u = _complex(u) if widen[i] & 1 else u
-                    v = _complex(v) if widen[i] & 2 else v
+                    u = _complex(u, numpy[a]) if widen[i] & 1 else u
+                    v = _complex(v, numpy[b]) if widen[i] & 2 else v
                 vals[i] = _OPERATORS[payload[0]](u, v)
                 if last[a] == i:
                     vals[a] = None
@@ -387,7 +401,7 @@ class Program:
                     vals[b] = None
             elif operands:
                 (a,) = operands
-                u = _complex(vals[a]) if widen[i] else vals[a]
+                u = _complex(vals[a], numpy[a]) if widen[i] else vals[a]
                 vals[i] = (-u if payload is _NEG
                            else FUNCTIONS[payload[1]](u) if payload[0] == "call"
                            else u ** payload[1])

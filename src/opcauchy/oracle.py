@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InconclusiveProbe, InsufficientSnapshots
+from .errors import InconclusiveProbe, InsufficientSnapshots, new_file
 from .multiplier import to_spectral
 from .quadrature import gauss_rule
 from .symbol_poly import CharacteristicSpec, symbol_grid
@@ -292,8 +292,8 @@ def save_verdict(path, results):
             lines.append(
                 f"# {m} {p.real:+.6e} {p.imag:+.6e} {t:.6f} {label} {ep:.6e} {et:.6e}"
             )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with new_file(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
 
 
 def load_verdict(path):

@@ -325,7 +325,8 @@ def savetxt_bytes(u, t):
 
 
 class TestCsv:
-    @pytest.mark.parametrize("chunk", [7, cli.CSV_CHUNK_ROWS])
+    # 1: blocks of one row; 13: several blocks per chunk, and a partial last chunk
+    @pytest.mark.parametrize("chunk", [1, 7, 13, cli.CSV_CHUNK_ROWS])
     @pytest.mark.parametrize("shape", [(7,), (5, 6), (3, 4, 5)])
     def test_bytes_match_savetxt(self, tmp_path, monkeypatch, shape, chunk):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
@@ -697,6 +698,76 @@ class TestRunModes:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+
+def artifact_bytes(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestArtifacts:
+    """Every artifact is a new file, in a directory made before any work."""
+
+    @pytest.mark.parametrize("mode,out,reason", [
+        ("solve", "file", "File exists"),
+        ("probe", "file/sub", "Not a directory"),
+    ])
+    def test_unusable_out_exit_2(self, tmp_path, capsys, monkeypatch, mode, out, reason):
+        # the output directory fails before the problem is read
+        monkeypatch.setattr(cli, "load_problem", None)
+        (tmp_path / "file").write_text("not a directory\n")
+        out = tmp_path / out
+        code = main(["--mode", mode, "--problem", "p.ini", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out}: {reason}"]
+        assert (tmp_path / "file").read_text() == "not a directory\n"
+
+    def test_unwritable_artifact_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "solution.opc").mkdir(parents=True)
+        code = main(["--mode", "solve", "--problem", write_problem(tmp_path, HEAT_PRODUCT),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write {out / 'solution.opc'}: Is a directory"
+        ]
+
+    def test_rewrite_makes_new_files(self, tmp_path):
+        # a second solve into one --out writes the bytes of a solve into an empty one,
+        # and a hard link to an earlier artifact, or a symlink at its path, keeps its bytes
+        first = write_problem(tmp_path, HEAT_PRODUCT.replace("sin(x1)", "cos(2*x1)"), "first.ini")
+        second = write_problem(tmp_path, HEAT_PRODUCT)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["--mode", "solve", "--problem", first, "--out", str(out)]) == 0
+        before = artifact_bytes(out)
+        for name in ["solution_t0.csv", "solution.opc"]:
+            (tmp_path / f"link-{name}").hardlink_to(out / name)
+        (tmp_path / "target.txt").write_text("kept\n")
+        (out / "stability.txt").unlink()
+        (out / "stability.txt").symlink_to(tmp_path / "target.txt")
+        assert main(["--mode", "solve", "--problem", second, "--out", str(out)]) == 0
+        assert main(["--mode", "solve", "--problem", second, "--out", str(fresh)]) == 0
+        assert artifact_bytes(out) == artifact_bytes(fresh)
+        for name in ["solution_t0.csv", "solution.opc"]:
+            assert (tmp_path / f"link-{name}").read_bytes() == before[name]
+            assert before[name] != (out / name).read_bytes()
+        assert not (out / "stability.txt").is_symlink()
+        assert (tmp_path / "target.txt").read_text() == "kept\n"
+
+    def test_stale_csvs_are_removed(self, tmp_path):
+        # a solve at two output times into the --out of one at four
+        out = tmp_path / "out"
+        four = write_problem(tmp_path, HEAT_PRODUCT.replace("0.5, 1.0", "0.25, 0.5, 0.75, 1.0"),
+                             "four.ini")
+        assert main(["--mode", "solve", "--problem", four, "--out", str(out)]) == 0
+        others = ["solution_t02.csv", "solution_tx.csv", "solution_t3.txt", "t9.csv"]
+        for name in others:
+            (out / name).write_text("kept\n")
+        two = write_problem(tmp_path, HEAT_PRODUCT)
+        assert main(["--mode", "solve", "--problem", two, "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ["solution.opc", "solution_t0.csv", "solution_t1.csv", "stability.txt", *others]
+        )
+        assert [t for t, _ in read_opc1(out / "solution.opc")] == [0.5, 1.0]
 
 
 #: The three kinds on a 1-D Laplacian, with zero data and a forcing to fill in.

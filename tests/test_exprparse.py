@@ -75,11 +75,12 @@ def source(tree, top=True):
     return f"({source(a, top=False)}{op}{source(b, top=False)})"
 
 
-def as_complex(value):
-    """``value`` as complex, a Python number as a Python complex."""
-    if isinstance(value, (np.ndarray, np.generic)):
+def as_complex(value, numpy):
+    """``value`` as complex: an array as a numpy complex one, a number as a
+    numpy complex where ``numpy`` is set, else as a Python complex."""
+    if isinstance(value, np.ndarray):
         return value.astype(complex)
-    return complex(value)
+    return np.complex128(value) if numpy else complex(value)
 
 
 def walk(tree, x, t=None):
@@ -87,38 +88,46 @@ def walk(tree, x, t=None):
     as computed: real constants, coordinates and the time stay real, the
     operands of '/', '^', sqrt, exp, sinh and cosh are made complex unless
     they are made from abs values alone (so real in ``complex_walk`` too),
-    and each operation is applied by numpy, or Python on numbers, to its
+    a number as a numpy complex where ``complex_walk`` has a numpy one, and
+    each operation is applied by numpy, or Python on numbers, to its
     operands' values."""
 
     def value(tree):
-        """(the value of ``tree``, whether it is made from abs values alone)."""
+        """(the value of ``tree``, whether it is made from abs values alone,
+        whether ``complex_walk`` makes it a numpy value)."""
         kind = tree[0]
         if kind == "num":
             text = tree[1]
             if text == "i":
-                return 1j, False
+                return 1j, False, False
             if text.endswith("i"):
                 imag = float(text[:-1])
-                return (complex(0.0, imag) if imag else 0.0), False
-            return float(text), False
+                return (complex(0.0, imag) if imag else 0.0), False, False
+            return float(text), False, False
         if kind == "var":
             if tree[1] != "t":
-                return x[int(tree[1][1:]) - 1], False
+                return x[int(tree[1][1:]) - 1], False, True
             if t is None:
                 raise TypeError("t read with no time given")
-            return t, False
+            return t, False, False
         parts = [value(k) for k in tree[1:] if isinstance(k, tuple)]
-        vals = [v for v, _ in parts]
-        from_abs = tree[:2] == ("call", "abs") or all([f for _, f in parts])
+        vals = [v for v, _, _ in parts]
+        from_abs = tree[:2] == ("call", "abs") or all([f for _, f, _ in parts])
+        if kind == "bin":
+            # Python's complex arithmetic takes a real numpy operand on the right
+            (_, _, left), (_, right_abs, right) = parts
+            numpy = left or right and not right_abs
+        else:
+            numpy = kind == "call" or parts[0][2]
         if kind == "pow" or tree[1] in _COMPLEX_FIRST:
-            vals = [v if f else as_complex(v) for v, f in parts]
+            vals = [v if f else as_complex(v, n) for v, f, n in parts]
         if kind == "neg":
-            return -vals[0], from_abs
+            return -vals[0], from_abs, numpy
         if kind == "call":
-            return _NUMPY[tree[1]](vals[0]), from_abs
+            return _NUMPY[tree[1]](vals[0]), from_abs, numpy
         if kind == "pow":
-            return vals[0] ** tree[2], from_abs
-        return _OPS[tree[1]](*vals), from_abs
+            return vals[0] ** tree[2], from_abs, numpy
+        return _OPS[tree[1]](*vals), from_abs, numpy
 
     return value(tree)[0]
 
