@@ -37,8 +37,8 @@ def _operator_orders(spec):
 
 #: Gauss-Legendre nodes per panel of the propagator's Duhamel sum.
 _PANEL_NODES = 16
-#: Taylor terms of exp(M) at ||M||_1 <= 1/2; the first term left out,
-#: 2^-21/21!, is below the 2^-64 roundoff of np.clongdouble.
+#: Taylor terms of each e^((c_k/c_0) S) that ``_exponentials`` sums, at 1-norm
+#: <= 1/2; the first term left out, 2^-21/21!, is below the 2^-64 roundoff of np.clongdouble.
 _TAYLOR_TERMS = 20
 #: Order of accuracy of the finite-difference time derivatives of ``residual_check``.
 RESIDUAL_FD_ORDER = 6
@@ -46,22 +46,19 @@ RESIDUAL_FD_ORDER = 6
 PROBE_NODES = 96
 
 
-def _expm(M):
-    """exp of every matrix of a (n, q, q) np.clongdouble stack.
-
-    Each M is scaled by 2^-j to 1-norm at most 1/2, its Taylor series is
-    summed by Horner, and the result is squared j times.
-    """
-    _, j = np.frexp(2 * np.abs(M).sum(axis=-2).max(axis=-1))
-    j = np.maximum(j, 0)
-    S = M * np.ldexp(np.longdouble(1), -j)[:, None, None]
-    eye = np.eye(M.shape[-1], dtype=M.dtype)
-    E = eye
-    for n in range(_TAYLOR_TERMS, 0, -1):
-        E = eye + (S @ E) / n
-    for s in range(int(j.max())):
-        sel = j > s
-        E[sel] = E[sel] @ E[sel]
+def _exponentials(A, c):
+    """e^(c_k A) for the np.longdouble multiples 0 <= c_k <= c_0 (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 2011): with S = c_0 A 2^-j of 1-norm at
+    most 1/2, each e^(c_k A 2^-j) = sum_n (c_k/c_0)^n S^n/n! over one table
+    of S^n/n!, summed from the smallest term up, then squared j times."""
+    j = max(int(np.frexp(2 * np.abs(A * c[0]).sum(axis=0).max())[1]), 0)
+    S = A * (c[0] * np.ldexp(np.longdouble(1), -j))
+    powers = [np.eye(len(A), dtype=A.dtype)]
+    for n in range(1, _TAYLOR_TERMS + 1):
+        powers.append(powers[-1] @ S / n)
+    E = np.tensordot(np.vander(c / c[0], _TAYLOR_TERMS + 1), np.array(powers[::-1]), 1)
+    for _ in range(j):
+        E = E @ E
     return E
 
 
@@ -75,7 +72,9 @@ def mode_ode_solve(spec, p, phihat, fhat, t, nodes=64):
     state-transition matrix in np.clongdouble.  The Duhamel term takes K
     equal panels of width h with a 16-point Gauss rule each:
     state <- e^{Ah} state + sum_i w_i f(tau_i) e^{A(h - x_i)} e_{q-1}.
-    K keeps rho h <= 2 and at least ``nodes`` nodes in all.
+    K keeps rho h <= 2 and at least ``nodes`` nodes in all.  The 17 panel
+    exponentials share one scaling and one table of powers
+    (``_exponentials``); without forcing, e^{At} is the case of one multiple.
     """
     coeffs = _s_poly_coeffs(spec, p)
     q = len(coeffs) - 1
@@ -92,12 +91,12 @@ def mode_ode_solve(spec, p, phihat, fhat, t, nodes=64):
     A = A.astype(np.clongdouble) * (d[None, :] / d[:, None])
     state = np.asarray(phihat, dtype=np.clongdouble) / d
     if fhat is None:
-        return complex((_expm(A[None] * np.longdouble(t))[0] @ state)[0])
+        return complex((_exponentials(A, np.array([t], dtype=np.longdouble))[0] @ state)[0])
 
     panels = max(math.ceil(rho * t / 2), math.ceil(nodes / _PANEL_NODES))
     h = np.longdouble(t) / panels
     x, w = (np.asarray(v, dtype=np.longdouble) * h for v in gauss_rule(_PANEL_NODES, 1.0))
-    E = _expm(A[None] * np.concatenate([[h], h - x])[:, None, None])
+    E = _exponentials(A, np.concatenate([[h], h - x]))
     step, cols = E[0], E[1:, :, q - 1] * (w / (coeffs[q] * d[q - 1]))[:, None]
     # 1024 panels at a time bound the forcing samples held at once
     for first in range(0, panels, 1024):

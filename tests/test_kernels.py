@@ -1,3 +1,5 @@
+import tracemalloc
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -27,7 +29,7 @@ from opcauchy.oracle import fd_weights, mode_ode_solve
 from opcauchy.quadrature import gauss_rule
 from opcauchy.symbol_poly import CharacteristicSpec, Kind, symbol_grid
 
-from helpers import laplacian, zero_field
+from helpers import derivative, laplacian, zero_field
 from test_symbol_poly import random_distinct_roots
 
 
@@ -118,6 +120,75 @@ class TestInhomogeneous:
         val = inhomogeneous_mode(spec, -1.0, np.cos, 1.0, measure="tau_prime")
         ref = mode_ode_solve(spec, -1.0, [0j] * 4, np.cos, 1.0)
         assert abs(val - ref) < 1e-6 * (1 + abs(ref))
+
+
+class TestRestSum:
+    """The rest of the forcing against a node-by-node Duhamel sum, bit for bit."""
+
+    SPEC = CharacteristicSpec.repeated_root(3)
+
+    @staticmethod
+    def node_by_node(spec, p, fhat, t, nodes):
+        """sum_i G(t - tau_i) w_i fhat(tau_i) / b_m, added one node at a time."""
+        modes = np.atleast_1d(np.asarray(p, dtype=complex))
+        values, index = np.unique(modes.ravel(), return_inverse=True)
+        tau, w = gauss_rule(nodes, t)
+        table = _kernel(spec, values, (t - tau)[:, None], (0,), TAU_PRIME_MEASURE)[0]
+        total = np.zeros(modes.shape, dtype=complex)
+        for i, row in enumerate(table):
+            total += row[index.reshape(modes.shape)] * (w[i] * fhat(tau[i]))
+        return total / spec.lead
+
+    def check(self, p, rest, t, nodes):
+        calls = []
+
+        def fhat(tau):
+            calls.append(tau)
+            return rest(tau)
+
+        got = inhomogeneous_mode(self.SPEC, p, fhat, t, nodes, TAU_PRIME_MEASURE)
+        # one call per node, in node order
+        assert np.array_equal(calls, gauss_rule(nodes, t)[0])
+        want = self.node_by_node(self.SPEC, p, rest, t, nodes)
+        assert np.array_equal(np.atleast_1d(got), want)
+
+    @pytest.mark.parametrize("rest", [np.cos, lambda tau: np.exp(1j * tau) * (1 + tau)],
+                             ids=["real", "complex"])
+    def test_scalar_symbol_as_the_probe_calls_it(self, rest):
+        self.check(-2.3 + 0.7j, rest, 0.8, 96)
+
+    def test_grid_over_three_table_batches(self):
+        shape, box = (256,), (2 * np.pi,)
+        pgrid = symbol_grid(derivative(1, 0, 2), shape, box)
+        distinct = np.unique(pgrid).size
+        # 129 distinct p: table batches of 31 nodes, so 64 nodes take three
+        assert distinct == 129 and kernels._DUHAMEL_BATCH // distinct == 31
+        rng = np.random.default_rng(17)
+        a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        self.check(pgrid, lambda tau: np.cos(3 * tau) * a + tau * b, 0.5, 64)
+
+    def test_rest_that_returns_a_number(self):
+        pgrid = symbol_grid(derivative(1, 0, 2), (256,), (2 * np.pi,))
+        self.check(pgrid, lambda tau: complex(np.cos(3 * tau), tau), 0.5, 64)
+
+    def test_peak_memory_of_a_32_cubed_rest(self):
+        # under d^2/dx1^2 alone a 32^3 grid has 17 distinct p, so one table
+        # batch holds all 64 nodes; the node terms are still stacked by the
+        # modes they cover
+        shape, box = (32, 32, 32), (2 * np.pi,) * 3
+        pgrid = symbol_grid(derivative(3, 0, 2), shape, box)
+        assert np.unique(pgrid).size == 17
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        spec = CharacteristicSpec.first_order_product(roots=[1.0])
+        tracemalloc.start()
+        try:
+            inhomogeneous_mode(spec, pgrid, lambda tau: np.cos(tau) * c, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the node-at-a-time loop that this sum replaced peaked at 2 399 824 bytes
+        assert peak <= 2399824
 
 
 def kind_spec(kind, m):

@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from opcauchy import oracle
 from opcauchy.errors import InconclusiveProbe, InsufficientSnapshots
 from opcauchy.kernels import PLAIN_MEASURE, TAU_PRIME_MEASURE, CauchyProblem
 from opcauchy.multiplier import Field, mesh
@@ -117,6 +118,13 @@ def _exact_mode(spec, p, phihat, omega, t, dps=45):
         return complex((mpmath.expm(B * mpmath.mpf(t)) * mpmath.matrix(y0))[0])
 
 
+def _mp(x):
+    """The np.longdouble or np.clongdouble x in mpmath, exactly: a double
+    and the double of its remainder."""
+    parts = [(float(v), float(v - float(v))) for v in (np.real(x), np.imag(x))]
+    return mpmath.mpc(*(mpmath.mpf(hi) + mpmath.mpf(lo) for hi, lo in parts))
+
+
 @pytest.mark.skipif(
     np.finfo(np.longdouble).nmant < 63,
     reason="np.longdouble is not the 64-bit-mantissa extended type here, "
@@ -145,6 +153,27 @@ class TestPropagatorAccuracy:
                     # against the data; a forced one against its own size
                     scale = abs(ref) if omega else max(abs(ref), abs(phihat[0]))
                     assert abs(got - ref) <= 1e-14 * scale, (k, t, omega, got, ref)
+
+    @pytest.mark.parametrize("spec, p", [
+        (CharacteristicSpec.repeated_root(3), -9.0),
+        (CharacteristicSpec.first_order_product(roots=[1, 2, 3]), -127.0**2),
+    ], ids=["repeated-3", "first-k127"])
+    def test_panel_exponentials(self, spec, p, monkeypatch):
+        # one forced call's 17 multiples c of A, from one scaling and one
+        # table of powers, each against a 40-digit exponential
+        calls = []
+        exponentials = oracle._exponentials
+        monkeypatch.setattr(oracle, "_exponentials",
+                            lambda A, c: calls.append((A, c, exponentials(A, c))) or calls[-1][2])
+        mode_ode_solve(spec, p, [0j] * spec.data_count, np.cos, 0.5)
+        ((A, c, E),) = calls
+        assert len(c) == 17
+        with mpmath.workdps(40):
+            M = mpmath.matrix([[_mp(a) for a in row] for row in A])
+            for ck, Ek in zip(c, E):
+                ref = mpmath.expm(M * _mp(ck))
+                got = mpmath.matrix([[_mp(e) for e in row] for row in Ek])
+                assert mpmath.mnorm(got - ref, 1) <= 1e-16 * mpmath.mnorm(ref, 1), ck
 
     def test_fast_forcing_resolved_at_default_nodes(self):
         # the spectral radius alone asks for one panel (rho t / 2 = 1); the

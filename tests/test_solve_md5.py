@@ -29,8 +29,9 @@ def test_smoke_runs_print_the_same_sorted_lines_for_every_artifact(tmp_path):
         assert len(digest) == 32 and int(digest, 16) >= 0
         case, name = label.rsplit("/", 1)
         files[case].add(name)
+    # "rest": the first kind with a forcing that is all rest
     cases = {f"{w}-3/{k}" for w in ("free3d", "forced3d", "stiff1d")
-             for k in ("first", "even", "repeated")}
+             for k in ("first", "even", "repeated", "rest")}
     assert set(files) == cases
     for case, names in files.items():
         probed = case in ("forced3d-3/repeated", "stiff1d-3/repeated")

@@ -6,10 +6,13 @@ For each workload in ``bench/workloads.py`` and each seed, the workload's
 three problem files are written by ``workloads.generate`` into a temporary
 directory.  Where the workload is forced, ``--mode probe`` writes the
 verdict that the repeated-root kind reads; then every file is solved with
-``--mode solve``.  Both run through ``cli.main`` of the opcauchy package
-found under ``--src``.  One ``md5  workload-seed/kind/file`` line is
-printed per artifact, sorted, so the artifacts of two checkouts compare
-with ``diff``.  ``--smoke`` solves each workload on its tiny grid.
+``--mode solve``.  The ``first`` file is also solved with its forcing
+replaced by ``REST``, as the case ``rest``: no workload's own forcing has
+a rest, so this case alone covers that path of the solver.  All run
+through ``cli.main`` of the opcauchy package found under ``--src``.  One
+``md5  workload-seed/kind/file`` line is printed per artifact, sorted, so
+the artifacts of two checkouts compare with ``diff``.  ``--smoke`` solves
+each workload on its tiny grid.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 import workloads  # noqa: E402
 
+#: A forcing whose rest, the part that is no sum of g_j(t) h_j(x), is all of it.
+REST = "[forcing]\nf = cos(t*x1)"
+
 
 def import_cli(src):
     """``opcauchy.cli`` imported from the directory ``src``."""
@@ -36,6 +42,16 @@ def import_cli(src):
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"opcauchy imported from {cli.__file__}, not {src}")
     return cli
+
+
+def with_rest(case, workdir):
+    """The path of a copy of ``case``'s problem file whose forcing is REST."""
+    sections = [s for s in case.text.split("\n\n") if not s.startswith("[forcing]")]
+    sections.insert(next(i for i, s in enumerate(sections) if s.startswith("[output]")), REST)
+    path = os.path.join(workdir, "rest.ini")
+    with open(path, "w") as fh:
+        fh.write("\n\n".join(sections))
+    return path
 
 
 def artifacts(cli, workload, seed, workdir):
@@ -55,6 +71,8 @@ def artifacts(cli, workload, seed, workdir):
         run("repeated", "--mode", "probe")
     for case in cases:
         run(case.kind, "--mode", "solve", "--problem", case.path)
+    first = next(case for case in cases if case.kind == "first")
+    run("rest", "--mode", "solve", "--problem", with_rest(first, workdir))
     return {
         f"{workload.name}-{seed}/{kind}/{name}": os.path.join(out, name)
         for kind, out in outs.items()
