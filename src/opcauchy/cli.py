@@ -38,7 +38,7 @@ from .errors import (
     new_file,
     output_to,
 )
-from .kernels import CauchyProblem, sinhc_sqrt, solve
+from .kernels import PLAIN_MEASURE, TAU_PRIME_MEASURE, CauchyProblem, sinhc_sqrt, solve
 from .multiplier import Field, apply_multiplier, mesh
 from .spherical import SphereQuadrature, sinhc_spherical
 from .symbol_poly import CharacteristicSpec, Kind, SymbolPolynomial
@@ -420,10 +420,10 @@ def write_csv(path, u: Field, t):
             fh.write(chunk.translate(None, b"\0"))
 
 
-def write_opc1(path, snapshots, box):
+def write_opc1(path, snapshots):
     """Binary dump: magic OPC1; little-endian u32 ndim, u32 shape[], f64 box[],
     u32 ntimes, f64 times[]; then per time interleaved Re,Im f64 row-major."""
-    shape = snapshots[0][1].shape
+    shape, box = snapshots[0][1].shape, snapshots[0][1].box
     with new_file(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(shape)))
@@ -477,6 +477,43 @@ def _write_stability(path, report):
     _write_lines(path, lines)
 
 
+def save_verdict(path, results):
+    """Persist probe results as a key-value text file plus evidence table."""
+    results = list(results)
+    winners = {r.winner for r in results}
+    if len(winners) != 1:
+        raise InconclusiveProbe("probe runs disagree on the winner")
+    winner = winners.pop()
+    ms = sorted({row[0] for r in results for row in r.rows})
+    lines = [
+        "# repeated-root forcing kernel probe verdict",
+        f"winner = {winner}",
+        f"m_values = {','.join(str(m) for m in ms)}",
+        f"samples = {sum(len(r.rows) for r in results)}",
+        f"min_ratio = {min(r.min_ratio for r in results):.6e}",
+        "# m re_p im_p t forcing err_plain err_tau_prime",
+    ]
+    for r in results:
+        for m, p, t, label, ep, et in r.rows:
+            lines.append(
+                f"# {m} {p.real:+.6e} {p.imag:+.6e} {t:.6f} {label} {ep:.6e} {et:.6e}"
+            )
+    _write_lines(path, lines)
+
+
+def load_verdict(path):
+    """Read back the winning measure from a verdict file."""
+    winner = None
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("winner"):
+                winner = line.split("=", 1)[1].strip()
+    if winner not in (PLAIN_MEASURE, TAU_PRIME_MEASURE):
+        raise ValueError(f"no valid winner recorded in {path}")
+    return winner
+
+
 def _verdict_path(config):
     return Path(config.out) / VERDICT_FILENAME
 
@@ -491,7 +528,7 @@ def _with_measure(problem, config):
             f"repeated-root problems with forcing need a probe verdict; run "
             f"--mode probe first (expected {path})"
         )
-    return replace(problem, measure=oracle.load_verdict(path))
+    return replace(problem, measure=load_verdict(path))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +562,7 @@ def _run_solve(config):
     _remove_stale_csvs(out, len(snapshots))
     for idx, (t, u) in enumerate(snapshots):
         write_csv(out / f"solution_t{idx}.csv", u, t)
-    write_opc1(out / "solution.opc", snapshots, problem.box)
+    write_opc1(out / "solution.opc", snapshots)
     _write_stability(out / "stability.txt", report)
     print(f"wrote {len(snapshots)} snapshot(s) to {out}")
     flags = []
@@ -559,15 +596,8 @@ def _run_verify(config):
 
 
 def _run_probe(config):
-    try:
-        results = [
-            oracle.kernel_discrepancy_probe(m, seed=config.seed + m)
-            for m in (2, 3)
-        ]
-    except InconclusiveProbe as exc:
-        print(f"probe inconclusive: {exc}")
-        return 4
-    oracle.save_verdict(_verdict_path(config), results)
+    results = [oracle.kernel_discrepancy_probe(m, seed=config.seed + m) for m in (2, 3)]
+    save_verdict(_verdict_path(config), results)
     print(f"verdict: {results[0].winner} (min ratio {min(r.min_ratio for r in results):.1e})")
     return 0
 

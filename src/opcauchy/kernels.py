@@ -194,10 +194,6 @@ def _divided_differences(shape, p, t, orders):
     w = p if shape.step == 1 else np.sqrt(p)
     constants = [_constants(shape, d) for d in orders]
     near = np.abs(w) * t <= constants[0][0]
-    if near.all():
-        return _series_sum(shape, constants, p, t)
-    if not near.any():
-        return _residue_sum(shape, constants, w, t)
     p, w, t = (np.broadcast_to(a, near.shape) for a in (p, w, t))
     out = np.empty((len(constants),) + near.shape, dtype=complex)
     out[:, near] = _series_sum(shape, constants, p[near], t[near])
@@ -464,12 +460,12 @@ def _growth_rates(shape, pgrid):
     ]
 
 
-def stability_report(spec, pgrid, shape, t_max, nonfinite):
+def stability_report(spec, pgrid, t_max, nonfinite):
     kernel_shape = _shape(spec)
     rates = _growth_rates(kernel_shape, pgrid)
     over = np.any([rate * t_max > OVERFLOW_LIMIT for rate in rates], axis=0)
     # the integer wavevector of each flagged mode, in row-major order
-    columns = zip(wavevectors(shape), np.nonzero(over))
+    columns = zip(wavevectors(pgrid.shape), np.nonzero(over))
     flagged = tuple(zip(*[k.ravel()[i].astype(int).tolist() for k, i in columns]))
     nodes = kernel_shape.all_nodes
     cond = max(abs(np.prod([(x - y) ** -k for y, k in nodes if y != x])) for x, _ in nodes)
@@ -512,5 +508,5 @@ def solve(problem: CauchyProblem, nodes=64):
         snapshots.append((t, Field(problem.shape, problem.box, from_spectral(uhat))))
 
     t_max = max(problem.t_points) if problem.t_points else 0.0
-    report = stability_report(spec, pgrid, problem.shape, t_max, nonfinite)
+    report = stability_report(spec, pgrid, t_max, nonfinite)
     return snapshots, report

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InconclusiveProbe, InsufficientSnapshots, new_file
+from .errors import InconclusiveProbe, InsufficientSnapshots
 from .multiplier import to_spectral
 from .quadrature import gauss_rule
 from .symbol_poly import CharacteristicSpec, symbol_grid
@@ -44,6 +44,8 @@ _TAYLOR_TERMS = 20
 RESIDUAL_FD_ORDER = 6
 #: Gauss-Legendre nodes of the Duhamel sum that the probe compares with the oracle.
 PROBE_NODES = 96
+#: Random (p, t, forcing) samples of each probe run.
+PROBE_SAMPLES = 9
 
 
 def _exponentials(A, c):
@@ -146,8 +148,6 @@ def fd_weights(xs, x0, d):
 class ResidualReport:
     max_residual: float  # relative L2 residual over evaluated interior times
     ic_errors: tuple  # per initial derivative, relative L2 error at t = 0
-    residual_times: tuple
-    per_time: tuple
 
 
 def residual_check(snapshots, problem):
@@ -181,7 +181,7 @@ def residual_check(snapshots, problem):
         )
     half = width // 2
 
-    residual_times, per_time = [], []
+    residuals = []
     for i in range(half, nt - half):
         stencil = slice(i - half, i + half + 1)
         xs = ts[stencil]
@@ -195,9 +195,7 @@ def residual_check(snapshots, problem):
             scale = max(scale, float(np.linalg.norm(term)))
         fh = problem.forcing_hat(ts[i]) if problem.forced else 0.0
         scale = max(scale, float(np.linalg.norm(fh)), 1e-300)
-        rel = float(np.linalg.norm(total - fh)) / scale
-        residual_times.append(float(ts[i]))
-        per_time.append(rel)
+        residuals.append(float(np.linalg.norm(total - fh)) / scale)
 
     phihat = [to_spectral(f.data) for f in problem.phi]
     ic_errors = []
@@ -208,12 +206,7 @@ def residual_check(snapshots, problem):
         err = np.linalg.norm(du0 - phihat[r]) / (1.0 + np.linalg.norm(phihat[r]))
         ic_errors.append(float(err))
 
-    return ResidualReport(
-        max_residual=max(per_time) if per_time else np.inf,
-        ic_errors=tuple(ic_errors),
-        residual_times=tuple(residual_times),
-        per_time=tuple(per_time),
-    )
+    return ResidualReport(max_residual=max(residuals), ic_errors=tuple(ic_errors))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +227,7 @@ _PROBE_FORCINGS = [
 ]
 
 
-def kernel_discrepancy_probe(m, samples=9, seed=7):
+def kernel_discrepancy_probe(m, seed=7):
     """Decide the repeated-root forcing measure empirically.
 
     For random (p, t, forcing) both candidate kernels are compared against
@@ -246,7 +239,7 @@ def kernel_discrepancy_probe(m, samples=9, seed=7):
     spec = CharacteristicSpec.repeated_root(m)
     zeros = [0j] * (2 * m)
     rows = []
-    for i in range(samples):
+    for i in range(PROBE_SAMPLES):
         radius = 0.5 + 3.5 * rng.random()
         angle = np.pi / 2 + np.pi * rng.random()  # Re p <= 0
         p = radius * np.exp(1j * angle)
@@ -268,41 +261,3 @@ def kernel_discrepancy_probe(m, samples=9, seed=7):
     if min(ratios_plain_wins) >= 1e3:
         return ProbeResult(kernels.PLAIN_MEASURE, float(min(ratios_plain_wins)), tuple(rows))
     raise InconclusiveProbe("neither repeated-root measure dominates", rows=rows)
-
-
-def save_verdict(path, results):
-    """Persist probe results as a key-value text file plus evidence table."""
-    results = list(results)
-    winners = {r.winner for r in results}
-    if len(winners) != 1:
-        raise InconclusiveProbe("probe runs disagree on the winner")
-    winner = winners.pop()
-    ms = sorted({row[0] for r in results for row in r.rows})
-    lines = [
-        "# repeated-root forcing kernel probe verdict",
-        f"winner = {winner}",
-        f"m_values = {','.join(str(m) for m in ms)}",
-        f"samples = {sum(len(r.rows) for r in results)}",
-        f"min_ratio = {min(r.min_ratio for r in results):.6e}",
-        "# m re_p im_p t forcing err_plain err_tau_prime",
-    ]
-    for r in results:
-        for m, p, t, label, ep, et in r.rows:
-            lines.append(
-                f"# {m} {p.real:+.6e} {p.imag:+.6e} {t:.6f} {label} {ep:.6e} {et:.6e}"
-            )
-    with new_file(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
-
-
-def load_verdict(path):
-    """Read back the winning measure from a verdict file."""
-    winner = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("winner"):
-                winner = line.split("=", 1)[1].strip()
-    if winner not in (kernels.PLAIN_MEASURE, kernels.TAU_PRIME_MEASURE):
-        raise ValueError(f"no valid winner recorded in {path}")
-    return winner

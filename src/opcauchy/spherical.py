@@ -24,7 +24,6 @@ class SphereQuadrature:
 
     nodes: np.ndarray  # (M, 3) unit vectors
     weights: np.ndarray  # (M,)
-    order: int
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -53,7 +52,7 @@ class SphereQuadrature:
             axis=1,
         )
         weights = np.outer(wt, np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()
-        return cls(nodes, weights, order)
+        return cls(nodes, weights)
 
 
 def sinhc_spherical(u: Field, a, t, q: SphereQuadrature) -> Field:
@@ -69,12 +68,12 @@ def sinhc_spherical(u: Field, a, t, q: SphereQuadrature) -> Field:
     if t < 0:
         raise ValueError("t must be nonnegative")
     uhat = np.fft.fftn(u.data)
-    kmesh = wavevectors(u.shape)
-    mult = np.zeros(u.shape, dtype=complex)
-    box = np.asarray(u.box)
-    for s, w in zip(q.nodes, q.weights):
-        shift = a * t * s
-        arg = sum(2 * np.pi * kmesh[d] * (shift[d] / box[d]) for d in range(3))
-        mult += w * np.exp(1j * arg)
+    # e^(i k . (a t s)) factorises per axis: one (M, n_d) table per axis
+    shift = a * t * q.nodes
+    tables = [
+        np.exp(1j * (2 * np.pi * k.ravel() * (shift[:, d, None] / L)))
+        for d, (k, L) in enumerate(zip(wavevectors(u.shape), u.box))
+    ]
+    mult = np.einsum("m,ma,mb,mc->abc", q.weights, *tables, optimize=True)
     mult *= t / FULL_SOLID_ANGLE
     return Field(u.shape, u.box, np.fft.ifftn(uhat * mult))

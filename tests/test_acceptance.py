@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from opcauchy.cli import load_verdict, save_verdict
 from opcauchy.kernels import (
     CauchyProblem,
     homogeneous_mode,
@@ -14,13 +15,7 @@ from opcauchy.kernels import (
     solve,
 )
 from opcauchy.multiplier import Field, apply_multiplier, mesh
-from opcauchy.oracle import (
-    kernel_discrepancy_probe,
-    load_verdict,
-    mode_ode_solve,
-    residual_check,
-    save_verdict,
-)
+from opcauchy.oracle import kernel_discrepancy_probe, mode_ode_solve, residual_check
 from opcauchy.spherical import SphereQuadrature, sinhc_spherical
 from opcauchy.symbol_poly import CharacteristicSpec, Kind
 

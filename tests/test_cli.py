@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcauchy import cli, kernels
+from opcauchy import cli, kernels, oracle
 from opcauchy.cli import (
     MAGIC,
     ConfigError,
@@ -19,6 +19,7 @@ from opcauchy.cli import (
     write_csv,
     write_opc1,
 )
+from opcauchy.errors import InconclusiveProbe
 from opcauchy.kernels import solve
 from opcauchy.multiplier import Field, mesh, to_spectral
 from opcauchy.oracle import mode_ode_solve
@@ -123,6 +124,33 @@ times = 0.5
 """
 
 
+CUBIC = """
+[equation]
+kind = first_order_product
+m = 3
+roots = 1 2 3
+
+[operator]
+dim = 1
+terms = alpha=2: coeff=1
+
+[grid]
+shape = 32
+box = 6.283185307179586
+
+[initial]
+phi0 = sin(x1)
+phi1 = cos(2*x1)
+phi2 = 0
+
+[forcing]
+f = cos(t)*sin(3*x1)
+
+[output]
+times = 0.5, 1.0
+"""
+
+
 def write_problem(tmp_path, text, name="problem.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -218,7 +246,7 @@ class TestOpc1Format:
             for t in (0.25, 0.5)
         ]
         path = tmp_path / "dump.opc"
-        write_opc1(path, snaps, box)
+        write_opc1(path, snaps)
         back = read_opc1(path)
         assert len(back) == 2
         for (t0, u0), (t1, u1) in zip(snaps, back):
@@ -235,7 +263,7 @@ class TestOpc1Format:
         snaps = [(0.25, Field(data.shape, box, data)),
                  (0.5, Field(data.shape, box, data[::-1].copy()))]
         path = tmp_path / "special.opc"
-        write_opc1(path, snaps, box)
+        write_opc1(path, snaps)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             back = read_opc1(path)
@@ -260,7 +288,7 @@ class TestOpc1Format:
         shape, box = (4, 3), (1.0, 2.0)
         snaps = [(t, Field(shape, box, np.full(shape, t + 1j))) for t in (0.25, 0.5)]
         path = tmp_path / "damaged.opc"
-        write_opc1(path, snaps, box)
+        write_opc1(path, snaps)
         path.write_bytes(edit(path.read_bytes()))
         return path
 
@@ -678,6 +706,60 @@ class TestRunModes:
                       for _, u in read_opc1(out / "solution.opc"))
             assert len(counts) == 1 and counts[0] > 0 and bad > 0
 
+    def test_overflow_exit_3(self, tmp_path, capsys):
+        # backward heat: mode -16 of a 32-point grid grows like e^(256 t), e^768 at t = 3
+        text = HEAT_PRODUCT.replace("m = 2\nroots = 1 2", "m = 1\nroots = -1")
+        text = text.replace("phi1 = 0\n", "").replace("times = 0.5, 1.0", "times = 3")
+        problem = write_problem(tmp_path, text)
+        strict, permissive = tmp_path / "strict", tmp_path / "permissive"
+        assert main(["--mode", "solve", "--problem", problem, "--out", str(strict)]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "1 mode(s) overflowed; rerun with --permissive-overflow")
+        assert main(["--mode", "solve", "--problem", problem, "--out", str(permissive),
+                     "--permissive-overflow"]) == 0
+        for out in (strict, permissive):
+            lines = (out / "stability.txt").read_text().splitlines()
+            assert "overflowed_modes = 1" in lines and "overflowed = -16" in lines
+
+    def test_inconclusive_probe_exit_4(self, tmp_path, capsys, monkeypatch):
+        def inconclusive(m, seed):
+            raise InconclusiveProbe("neither repeated-root measure dominates")
+
+        monkeypatch.setattr(oracle, "kernel_discrepancy_probe", inconclusive)
+        out = tmp_path / "made" / "out"
+        assert main(["--mode", "probe", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: neither repeated-root measure dominates"]
+        # no verdict, and the directories the run made are gone
+        assert not (tmp_path / "made").exists()
+
+    @pytest.mark.parametrize("mode,text,old,new,line", [
+        ("solve", HEAT_PRODUCT, "roots = 1 2", "roots = 1,2,3 2",
+         "error: equation.roots: expected 're' or 're,im', got '1,2,3'"),
+        ("solve", HEAT_PRODUCT, "[grid]", "[mesh]", "error: missing [grid] section"),
+        ("solve", HEAT_PRODUCT, "box = 6.283185307179586\n", "",
+         "error: missing key 'box' in [grid]"),
+        ("solve", HEAT_PRODUCT, "alpha=2:", "alpha=2 0:",
+         "error: operator term 'alpha=2 0: coeff=1': alpha must have 1 entries"),
+        ("solve", HEAT_PRODUCT, "terms = alpha=2: coeff=1", "terms = ;",
+         "error: operator: no terms given"),
+        ("solve", HEAT_PRODUCT, "roots = 1 2\n", "", "error: equation: need 'roots' or 'coeffs'"),
+        ("solve", HEAT_PRODUCT, "times = 0.5, 1.0", "times =",
+         "error: output.times: need at least one time"),
+        ("compare-spherical", HEAT_PRODUCT, "", "", "error: compare-spherical needs a 3-D problem"),
+        ("compare-spherical", WAVE_3D, "roots = 1 2", "roots = -1 -2",
+         "error: compare-spherical needs a positive real root as the speed"),
+    ], ids=["pair", "section", "key", "alpha-count", "no-terms", "no-roots", "no-times",
+            "spherical-dim", "spherical-speed"])
+    def test_config_error_messages(self, tmp_path, capsys, mode, text, old, new, line):
+        assert old in text
+        problem = write_problem(tmp_path, text.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["--mode", mode, "--problem", problem, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
     def test_finite_run_reports_zero_nonfinite(self, tmp_path):
         problem = write_problem(tmp_path, HEAT_PRODUCT)
         out = tmp_path / "out"
@@ -882,3 +964,42 @@ class TestSeparableForcing:
         scale = max(np.max(np.abs(u)) for u in (u1, u2, u12, c * u1))
         assert np.max(np.abs(u12 - (u1 + u2))) <= 1e-13 * scale
         assert np.max(np.abs(uc - c * u1)) <= 1e-13 * scale
+
+
+class TestCoefficientInput:
+    """The first kind given by ``coeffs =``, its characteristic coefficients."""
+
+    @staticmethod
+    def solved(tmp_path, equation):
+        """(the loaded problem, its snapshots from ``--mode solve``) for CUBIC's
+        ``roots = 1 2 3`` replaced by ``equation``."""
+        name = equation.split()[0]
+        path = write_problem(tmp_path, CUBIC.replace("roots = 1 2 3", equation), f"{name}.ini")
+        out = tmp_path / name
+        assert main(["--mode", "solve", "--problem", path, "--out", str(out)]) == 0
+        return load_problem(path), read_opc1(out / "solution.opc")
+
+    def test_monic_coeffs_solve_like_their_roots(self, tmp_path):
+        _, by_roots = self.solved(tmp_path, "roots = 1 2 3")
+        problem, by_coeffs = self.solved(tmp_path, "coeffs = -6 11 -6 1")
+        assert problem.spec.lead == 1
+        for (_, u), (_, v) in zip(by_roots, by_coeffs):
+            assert np.max(np.abs(u.data - v.data)) <= 1e-12
+
+    def test_non_monic_coeffs_match_oracle(self, tmp_path):
+        problem, snapshots = self.solved(tmp_path, "coeffs = -12 22 -12 2")
+        assert problem.spec.lead == 2
+        x = mesh(problem.shape, problem.box)[0]
+        h = to_spectral(np.sin(3 * x))
+        phihat = [to_spectral(f.data) for f in problem.phi]
+        excited = np.flatnonzero(np.abs(h) + sum(np.abs(c) for c in phihat) > 1e-12)
+        assert excited.size == 6  # k = +-1, +-2, +-3
+        pgrid = symbol_grid(problem.P, problem.shape, problem.box)
+        for t, u in snapshots:
+            got = to_spectral(u.data)
+            ref = np.array([
+                mode_ode_solve(problem.spec, complex(pgrid[k]), [c[k] for c in phihat],
+                               lambda tau, k=k: np.cos(tau) * h[k], t)
+                for k in excited
+            ])
+            assert np.max(np.abs(got[excited] - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -1,4 +1,4 @@
-import tracemalloc
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
@@ -589,6 +589,36 @@ class TestSolve:
         )
 
 
+def problem_with(**changes):
+    """A first-kind problem on a 16-point grid, with ``changes`` to its fields."""
+    shape, box = (16,), (2 * np.pi,)
+    fields = dict(spec=CharacteristicSpec.first_order_product(roots=[1, 2]),
+                  P=derivative(1, 0, 2), shape=shape, box=box,
+                  phi=(zero_field(shape, box),) * 2)
+    return CauchyProblem(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: problem_with(phi=(zero_field((16,), (2 * np.pi,)),)),
+     "kind first_order_product with m=2 needs 2 initial fields, got 1"),
+    (lambda: problem_with(phi=(zero_field((8,), (2 * np.pi,)),) * 2),
+     "all initial fields must share the problem grid"),
+    (lambda: problem_with(measure="exact"), "unknown measure 'exact'"),
+    (lambda: problem_with(time_profiles=lambda t: (np.cos(t),), spatial_profiles=(np.ones(8),)),
+     "all spatial profiles must be samples on the problem grid"),
+    (lambda: problem_with(spatial_profiles=(np.ones(16),)),
+     "spatial profiles need their time profiles"),
+    (lambda: homogeneous_mode(CharacteristicSpec.first_order_product(roots=[1, 2]), -1.0,
+                              [1.0], 0.5),
+     "expected 2 initial coefficients"),
+], ids=["field-count", "field-grid", "measure", "profile-grid", "no-time-profiles",
+        "data-count"])
+def test_invalid_input_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+        build()
+    assert type(caught.value) is ValueError
+
+
 class TestRestSamples:
     """The rest of the forcing may return anything that broadcasts to the grid."""
 
@@ -728,6 +758,27 @@ class TestDistinctSymbols:
         assert np.array_equal(hom, ref_h)
         assert np.array_equal(inh, ref_i)
         assert np.array_equal(sep, ref_s)
+
+    @pytest.mark.parametrize("spec,measure", [
+        (CharacteristicSpec.first_order_product(roots=[1, 2, 3]), TAU_PRIME_MEASURE),
+        (CharacteristicSpec.even_order_product([1, 1.5, 2]), TAU_PRIME_MEASURE),
+        (CharacteristicSpec.repeated_root(3), PLAIN_MEASURE),
+        (CharacteristicSpec.repeated_root(3), TAU_PRIME_MEASURE),
+    ], ids=["first", "even", "repeated-plain", "repeated-tau_prime"])
+    def test_entries_do_not_depend_on_the_call(self, spec, measure):
+        # one call over 96 sorted times against one call per time: at each
+        # scale some single-time calls are all series, some all residue sum
+        # and some mixed, yet every entry is bitwise the same
+        shape = _shape(spec, measure)
+        rng = np.random.default_rng(37)
+        times = np.sort(rng.random(96))
+        for scale in (0.5, 5.0, 50.0, 500.0):
+            p = scale * (1 + rng.random(20)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 20))
+            whole = _divided_differences(shape, p, times[:, None], (0, 1, 2))
+            for i, t in enumerate(times):
+                alone = _divided_differences(shape, p, float(t), (0, 1, 2))
+                assert np.array_equal(whole[:, i].view(np.uint64), alone.view(np.uint64)), (
+                    scale, t)
 
     def test_scalar_symbol_returns_complex(self):
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])

@@ -149,6 +149,16 @@ class TestFieldTransforms:
         x = np.random.default_rng(8).normal(size=shape)
         assert np.fft.fftn(x).tobytes() == np.fft.fftn(x.astype(complex)).tobytes()
 
+    @pytest.mark.parametrize("shape,box,data,message", [
+        ((4, 4), (1.0, 1.0), np.zeros((4, 3)), "data shape does not match grid shape"),
+        ((1, 4), (1.0, 1.0), np.zeros((1, 4)), "grid must have at least 2 points per axis"),
+        ((4,), (np.inf,), np.zeros(4), "box lengths must be positive and finite"),
+    ], ids=["data", "points", "box"])
+    def test_invalid_field_messages(self, shape, box, data, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as caught:
+            Field(shape, box, data)
+        assert type(caught.value) is ValueError
+
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         shape, box = (16, 12), (2 * np.pi, 3.0)
@@ -212,7 +222,7 @@ class TestApplyMultiplier:
         assert np.isfinite(out.data).all()  # growing modes saturate, not inf
         # the stability report of the same symbol grid names the flagged modes
         spec = CharacteristicSpec.first_order_product(roots=[-1])
-        flagged = stability_report(spec, symbol_grid(P, shape, box), shape, t, 0).overflowed
+        flagged = stability_report(spec, symbol_grid(P, shape, box), t, 0).overflowed
         assert flagged  # -p(k) is large positive for high k
         assert all(isinstance(k, tuple) for k in flagged)
 
@@ -223,7 +233,7 @@ class TestApplyMultiplier:
         pgrid = symbol_grid(P, shape, box)
         spec = CharacteristicSpec.first_order_product(roots=[-1])  # backward heat
         t = 700 / 5e4
-        flagged = stability_report(spec, pgrid, shape, t, 0).overflowed
+        flagged = stability_report(spec, pgrid, t, 0).overflowed
         brute = tuple(
             tuple(int(np.fft.fftfreq(n, 1 / n)[i]) for n, i in zip(shape, index))
             for index in np.ndindex(*shape)

@@ -1,23 +1,25 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
 
 from opcauchy import oracle
+from opcauchy.cli import load_verdict, save_verdict
 from opcauchy.errors import InconclusiveProbe, InsufficientSnapshots
 from opcauchy.kernels import PLAIN_MEASURE, TAU_PRIME_MEASURE, CauchyProblem
 from opcauchy.multiplier import Field, mesh
 from opcauchy.oracle import (
+    PROBE_SAMPLES,
     fd_weights,
     kernel_discrepancy_probe,
-    load_verdict,
     mode_ode_solve,
     residual_check,
-    save_verdict,
     _s_poly_coeffs,
 )
 from opcauchy.symbol_poly import CharacteristicSpec
 
-from helpers import derivative
+from helpers import derivative, zero_field
 from test_multiplier import sampled_field
 from test_symbol_poly import random_distinct_roots
 
@@ -247,6 +249,19 @@ class TestResidualCheck:
                 _heat_snapshots(shape, np.linspace(0, 1, 5)), _heat_problem(shape)
             )
 
+    @pytest.mark.parametrize("spec,count,message", [
+        (CharacteristicSpec.first_order_product(roots=[1.0]), 8,
+         "need at least 9 snapshots for order-1 time derivatives"),
+        (CharacteristicSpec.even_order_product([1.0, 2.0]), 10,
+         "need at least 11 snapshots for order-4 time derivatives"),
+    ], ids=["first", "even"])
+    def test_fewer_snapshots_than_the_stencil(self, spec, count, message):
+        shape = (32,)
+        problem = CauchyProblem(spec, derivative(1, 0, 2), shape, (2 * np.pi,),
+                                [zero_field(shape, (2 * np.pi,))] * spec.data_count)
+        with pytest.raises(InsufficientSnapshots, match=f"^{re.escape(message)}$"):
+            residual_check(_heat_snapshots(shape, np.linspace(0, 1, count)), problem)
+
     def test_nonuniform_spacing_rejected(self):
         shape = (32,)
         times = list(np.linspace(0, 1, 25))
@@ -258,13 +273,13 @@ class TestResidualCheck:
 class TestProbe:
     def test_decisive_for_small_orders(self):
         for m in (2, 3):
-            result = kernel_discrepancy_probe(m, samples=6, seed=5 + m)
+            result = kernel_discrepancy_probe(m, seed=5 + m)
             assert result.winner in (PLAIN_MEASURE, TAU_PRIME_MEASURE)
             assert result.min_ratio >= 1e3
-            assert len(result.rows) == 6
+            assert len(result.rows) == PROBE_SAMPLES
 
     def test_verdict_round_trip(self, tmp_path):
-        results = [kernel_discrepancy_probe(m, samples=4, seed=m) for m in (2, 3)]
+        results = [kernel_discrepancy_probe(m, seed=m) for m in (2, 3)]
         path = tmp_path / "verdict.txt"
         save_verdict(path, results)
         assert load_verdict(path) == results[0].winner

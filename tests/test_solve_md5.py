@@ -1,4 +1,5 @@
-"""tools/solve_md5.py: one md5 line per artifact, the same on every run."""
+"""tools/solve_md5.py: one md5 line per artifact and per probe verdict, the
+same on every run."""
 
 import os
 import subprocess
@@ -32,7 +33,12 @@ def test_smoke_runs_print_the_same_sorted_lines_for_every_artifact(tmp_path):
     # "rest": the first kind with a forcing that is all rest
     cases = {f"{w}-3/{k}" for w in ("free3d", "forced3d", "stiff1d")
              for k in ("first", "even", "repeated", "rest")}
-    assert set(files) == cases
+    # the verdict of --mode probe --seed s, for s = 0..9
+    probes = {f"probe-{s}" for s in range(10)}
+    assert set(files) == cases | probes
     for case, names in files.items():
+        if case in probes:
+            assert names == {"probe_verdict.txt"}, case
+            continue
         probed = case in ("forced3d-3/repeated", "stiff1d-3/repeated")
         assert names == ARTIFACTS | ({"probe_verdict.txt"} if probed else set()), case

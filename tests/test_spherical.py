@@ -63,9 +63,9 @@ class TestQuadrature:
     def test_bad_weights_rejected(self):
         q = SphereQuadrature.gauss_product(5)
         with pytest.raises(ValueError):
-            SphereQuadrature(q.nodes, -q.weights, 5)
+            SphereQuadrature(q.nodes, -q.weights)
         with pytest.raises(ValueError):
-            SphereQuadrature(q.nodes, 0.5 * q.weights, 5)
+            SphereQuadrature(q.nodes, 0.5 * q.weights)
 
 
 class TestSinhcSpherical:

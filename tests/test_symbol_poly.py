@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,17 @@ class TestCharacteristicSpec:
     def test_degenerate_roots_rejected(self):
         with pytest.raises(DegenerateRoots):
             CharacteristicSpec.first_order_product(roots=[1, 1 + 1e-12])
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: SymbolPolynomial(0, ()), "dim must be >= 1"),
+        (lambda: SymbolPolynomial(2, (((2,), 1.0),)), "multi-index length must equal dim"),
+        (lambda: CharacteristicSpec.first_order_product(), "need roots or coeffs"),
+        (lambda: roots_from_coeffs([1.0, 2.0]), "degree must be at least 2"),
+    ], ids=["dim", "multi-index", "neither", "degree"])
+    def test_invalid_input_messages(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            build()
+        assert type(caught.value) is ValueError
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(2, np.nan)])
     def test_non_finite_roots_and_coeffs_rejected(self, bad):

@@ -10,9 +10,11 @@ verdict that the repeated-root kind reads; then every file is solved with
 replaced by ``REST``, as the case ``rest``: no workload's own forcing has
 a rest, so this case alone covers that path of the solver.  All run
 through ``cli.main`` of the opcauchy package found under ``--src``.  One
-``md5  workload-seed/kind/file`` line is printed per artifact, sorted, so
-the artifacts of two checkouts compare with ``diff``.  ``--smoke`` solves
-each workload on its tiny grid.
+``md5  workload-seed/kind/file`` line is printed per artifact, and one
+``md5  probe-s/probe_verdict.txt`` line per verdict of ``--mode probe
+--seed s`` for each s in ``PROBE_SEEDS``, all sorted, so the artifacts of
+two checkouts compare with ``diff``.  ``--smoke`` solves each workload on
+its tiny grid; the probe has no grid, and runs the same either way.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import workloads  # noqa: E402
 
 #: A forcing whose rest, the part that is no sum of g_j(t) h_j(x), is all of it.
 REST = "[forcing]\nf = cos(t*x1)"
+#: The seeds of ``--mode probe`` whose verdicts are hashed on every run.
+PROBE_SEEDS = range(10)
 
 
 def import_cli(src):
@@ -54,25 +58,35 @@ def with_rest(case, workdir):
     return path
 
 
+def run(cli, label, out, *argv):
+    """``cli.main`` of ``argv`` into ``out``, its stdout discarded; a run
+    that does not exit with 0 ends the tool with a message naming ``label``."""
+    with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
+        code = cli.main([*argv, "--out", out])
+    if code != 0:
+        raise SystemExit(f"{label}: {argv[1]} exited with {code}")
+
+
+def md5_line(path, label):
+    with open(path, "rb") as fh:
+        return f"{hashlib.md5(fh.read()).hexdigest()}  {label}"
+
+
 def artifacts(cli, workload, seed, workdir):
     """{workload-seed/kind/file: path} of every file written for one seed."""
     outs = {}
 
-    def run(kind, *argv):
-        out = os.path.join(workdir, kind)
-        with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
-            code = cli.main([*argv, "--out", out])
-        if code != 0:
-            raise SystemExit(f"{workload.name} seed {seed} {kind}: {argv[1]} exited with {code}")
-        outs[kind] = out
+    def solve(kind, *argv):
+        outs[kind] = os.path.join(workdir, kind)
+        run(cli, f"{workload.name} seed {seed} {kind}", outs[kind], *argv)
 
     cases = workloads.generate(workload, seed, workdir)
     if workload.forced:
-        run("repeated", "--mode", "probe")
+        solve("repeated", "--mode", "probe")
     for case in cases:
-        run(case.kind, "--mode", "solve", "--problem", case.path)
+        solve(case.kind, "--mode", "solve", "--problem", case.path)
     first = next(case for case in cases if case.kind == "first")
-    run("rest", "--mode", "solve", "--problem", with_rest(first, workdir))
+    solve("rest", "--mode", "solve", "--problem", with_rest(first, workdir))
     return {
         f"{workload.name}-{seed}/{kind}/{name}": os.path.join(out, name)
         for kind, out in outs.items()
@@ -88,8 +102,13 @@ def md5_lines(cli, seeds, smoke):
         for seed in seeds:
             with tempfile.TemporaryDirectory() as workdir:
                 for label, path in artifacts(cli, workload, seed, workdir).items():
-                    with open(path, "rb") as fh:
-                        lines.append(f"{hashlib.md5(fh.read()).hexdigest()}  {label}")
+                    lines.append(md5_line(path, label))
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in PROBE_SEEDS:
+            out = os.path.join(workdir, str(seed))
+            run(cli, f"probe seed {seed}", out, "--mode", "probe", "--seed", str(seed))
+            lines.append(md5_line(os.path.join(out, "probe_verdict.txt"),
+                                  f"probe-{seed}/probe_verdict.txt"))
     return sorted(lines)
 
 
