@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import itertools
 import math
+import os
 import re
 import struct
 import sys
@@ -35,8 +37,7 @@ from .errors import (
     NonIntegerExponent,
     OpcauchyError,
     UnknownVariable,
-    new_file,
-    output_to,
+    UnwritableOutput,
 )
 from .kernels import PLAIN_MEASURE, TAU_PRIME_MEASURE, CauchyProblem, sinhc_sqrt, solve
 from .multiplier import Field, apply_multiplier, mesh
@@ -108,15 +109,7 @@ def _parse_operator(cfg):
         terms.append((alpha, _parse_complex_pair(coeff_txt, "coeff")))
     if not terms:
         raise ConfigError("operator: no terms given")
-    return _validated(SymbolPolynomial, dim, tuple(terms))
-
-
-def _validated(model, *args, **kwargs):
-    """Build ``model(*args, **kwargs)``; a ValueError from its checks becomes a ConfigError."""
-    try:
-        return model(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SymbolPolynomial(dim, tuple(terms))
 
 
 def _program(sources, keys, dim, allow_t):
@@ -127,8 +120,25 @@ def _program(sources, keys, dim, allow_t):
         raise ConfigError(f"{keys[exc.source]}: {exc}") from exc
 
 
+def _read_ini(path):
+    """The problem file at ``path`` as UTF-8 INI text; ``%`` is an ordinary character."""
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    if not cfg.read(path, encoding="utf-8"):
+        raise ConfigError(f"cannot read problem file {path}")
+    return cfg
+
+
 def load_problem(path):
-    """Parse a problem file into a CauchyProblem.
+    """Parse a problem file into a CauchyProblem; any ValueError, ArithmeticError or
+    configparser.Error of the loading becomes a ConfigError: the path, then its first line."""
+    try:
+        return _parse_problem(path)
+    except (ValueError, ArithmeticError, configparser.Error) as exc:
+        raise ConfigError(f"{path}: " + str(exc).partition("\n")[0]) from exc
+
+
+def _parse_problem(path):
+    """The problem file at ``path`` as a CauchyProblem.
 
     The initial fields are parsed straight into the slots of one
     ``exprparse.Program``, with no tree, and evaluated in one call, so a
@@ -139,11 +149,7 @@ def load_problem(path):
     t-free parts are evaluated once, and a sample at a time t computes only
     the t-dependent parts.
     """
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cfg.read(path)
-    if not read:
-        raise ConfigError(f"cannot read problem file {path}")
-
+    cfg = _read_ini(path)
     kind_txt = _require(cfg, "equation", "kind").strip()
     try:
         kind = Kind(kind_txt)
@@ -155,17 +161,17 @@ def load_problem(path):
     if kind is Kind.FIRST_ORDER_PRODUCT:
         if cfg.has_option("equation", "roots"):
             roots = _equation_numbers(cfg, "roots", m, "roots")
-            spec = _validated(CharacteristicSpec.first_order_product, roots=roots)
+            spec = CharacteristicSpec.first_order_product(roots=roots)
         elif cfg.has_option("equation", "coeffs"):
             coeffs = _equation_numbers(cfg, "coeffs", m + 1, "coefficients")
-            spec = _validated(CharacteristicSpec.first_order_product, coeffs=coeffs)
+            spec = CharacteristicSpec.first_order_product(coeffs=coeffs)
         else:
             raise ConfigError("equation: need 'roots' or 'coeffs'")
     elif kind is Kind.EVEN_ORDER_PRODUCT:
         roots = _equation_numbers(cfg, "roots", m, "roots")
-        spec = _validated(CharacteristicSpec.even_order_product, roots)
+        spec = CharacteristicSpec.even_order_product(roots)
     else:
-        spec = _validated(CharacteristicSpec.repeated_root, m)
+        spec = CharacteristicSpec.repeated_root(m)
 
     P = _parse_operator(cfg)
     dim = P.dim
@@ -189,10 +195,7 @@ def load_problem(path):
             f"phi0..phi{spec.data_count - 1}"
         )
     grid_mesh = mesh(shape, box)
-    phis = [
-        _validated(Field, shape, box, vals)
-        for vals in _grid_values(program, keys, grid_mesh, shape)
-    ]
+    phis = [Field(shape, box, vals) for vals in _grid_values(program, keys, grid_mesh, shape)]
 
     forcing, time_profiles, spatial_profiles = None, None, ()
     if cfg.has_section("forcing") and cfg.has_option("forcing", "f"):
@@ -220,8 +223,8 @@ def load_problem(path):
     for section in cfg.sections():
         cfg.remove_section(section)
 
-    return _validated(
-        CauchyProblem, spec, P, shape, box, tuple(phis), forcing, times,
+    return CauchyProblem(
+        spec, P, shape, box, tuple(phis), forcing, times,
         time_profiles=time_profiles, spatial_profiles=spatial_profiles,
     )
 
@@ -268,6 +271,32 @@ CSV_CHUNK_ROWS = 2048
 
 #: Longest ``"%.17e"`` text of a float64: "-d.ddddddddddddddddde-ddd".
 _E17_WIDTH = 25
+
+
+@contextlib.contextmanager
+def output_to(path):
+    """Raise an OSError of the block as UnwritableOutput naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def new_file(path):
+    """A binary handle on a new file at ``path``.
+
+    A file already at ``path`` is removed first, never truncated in place:
+    a hard link or an open handle to it keeps its bytes, and a symlink at
+    ``path`` is replaced, not followed.  ext4 writes a truncated and
+    rewritten file back when it is closed, and a file renamed over another
+    too; a new file stays in the page cache.
+    """
+    with output_to(path):
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        with open(path, "xb") as fh:
+            yield fh
 
 
 def _format_e17(x):
@@ -436,27 +465,39 @@ def write_opc1(path, snapshots):
 
 
 def read_opc1(path):
-    """The (t, Field) snapshots ``write_opc1`` wrote, each value bit for bit; a
-    file cut short or run on past its last snapshot raises ValueError naming it."""
+    """The (t, Field) snapshots ``write_opc1`` wrote, each value bit for bit.  Each size
+    the header implies is compared with the bytes left before it is read: a file cut
+    short, run on or with another magic or grid raises ValueError naming it."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        left = os.fstat(fh.fileno()).st_size
+
+        def take(size):
+            nonlocal left
+            if size > left:
+                raise ValueError(f"{path}: damaged OPC1 file: cut short")
+            left -= size
+            return size
+
+        def unpack(fmt):
+            return struct.unpack(fmt, fh.read(take(struct.calcsize(fmt))))
+
+        if unpack("4s") != (MAGIC,):
             raise ValueError(f"{path}: bad magic")
+        (ndim,) = unpack("<I")
+        shape, box = unpack(f"<{ndim}I"), unpack(f"<{ndim}d")
+        (ntimes,) = unpack("<I")
+        times = unpack(f"<{ntimes}d")
+        size = math.prod(shape)
+        take(16 * size * ntimes)
+        if left:
+            raise ValueError(f"{path}: bytes after the last snapshot")
+        out = []
         try:
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            box = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
-            (ntimes,) = struct.unpack("<I", fh.read(4))
-            times = struct.unpack(f"<{ntimes}d", fh.read(8 * ntimes))
-            size = int(np.prod(shape))
-            out = []
             for t in times:
                 raw = np.frombuffer(fh.read(16 * size), dtype="<c16")
-                data = raw.reshape(shape).astype(np.complex128)
-                out.append((t, Field(tuple(shape), tuple(box), data)))
-        except (struct.error, ValueError) as exc:
+                out.append((t, Field(shape, box, raw.reshape(shape).astype(np.complex128))))
+        except ValueError as exc:
             raise ValueError(f"{path}: damaged OPC1 file: {exc}") from None
-        if fh.read(1):
-            raise ValueError(f"{path}: bytes after the last snapshot")
     return out
 
 
@@ -705,9 +746,7 @@ def main(argv=None):
     except OpcauchyError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:
-        cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        cfg.read(args.problem or [])
-        shape = cfg.get("grid", "shape", fallback="?").strip()
+        shape = _read_ini(args.problem).get("grid", "shape", fallback="?").strip()
         print(f"error: out of memory for the grid of shape {shape}", file=sys.stderr)
     if code:
         # a failed run leaves behind no directory that it made and left empty

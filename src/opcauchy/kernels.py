@@ -338,10 +338,7 @@ def homogeneous_mode(spec, p, phihat, t):
     derivs = _kernel(spec, values, t, orders)
     acc = np.zeros(modes.shape, dtype=complex)
     for k, r, order in pairs:
-        phi = phihat[r]
-        if np.isscalar(phi) and phi == 0:
-            continue
-        acc = acc + gather(spec.b[k] * values ** (spec.m - k) * derivs[order]) * phi
+        acc = acc + gather(spec.b[k] * values ** (spec.m - k) * derivs[order]) * phihat[r]
     return _like(p, acc / spec.lead)
 
 

@@ -120,12 +120,11 @@ class CharacteristicSpec:
             roots = roots_from_coeffs(b)
         else:
             roots = _finite(roots, "roots")
+            if not roots:
+                raise ValueError("need at least one root")
+            _check_distinct(roots)
             b = tuple(complex(c) for c in poly_from_roots(roots))
-        m = len(roots)
-        if m < 1:
-            raise ValueError("need at least one root")
-        _check_distinct(roots)
-        return cls(Kind.FIRST_ORDER_PRODUCT, m, b, roots)
+        return cls(Kind.FIRST_ORDER_PRODUCT, len(roots), b, roots)
 
     @classmethod
     def even_order_product(cls, roots):

@@ -311,6 +311,14 @@ class TestOpc1Format:
             read_opc1(path)
         assert len(read_opc1(self.damaged(tmp_path, lambda raw: raw))) == 2
 
+    @pytest.mark.parametrize("shape", [(2**30, 2**28), (2**31, 2**31)])
+    def test_header_larger_than_the_file_raises_value_error(self, tmp_path, shape):
+        # the sizes are checked against the file before any read: nothing is allocated
+        path = self.damaged(tmp_path, lambda raw: raw[:8] + struct.pack("<2I", *shape) + raw[16:52]
+                            + bytes(64))
+        with pytest.raises(ValueError, match="damaged.opc"):
+            read_opc1(path)
+
 
 _TENS = np.array([float(f"1e{k}") for k in range(-323, 309)])
 
@@ -759,6 +767,28 @@ class TestRunModes:
         assert main(["--mode", mode, "--problem", problem, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [line]
         assert not out.exists()
+
+    @pytest.mark.parametrize("raw,named", [
+        (("m = 2\n" + HEAT_PRODUCT).encode(), "File contains no section headers."),
+        (HEAT_PRODUCT.replace("m = 2", "m = 2\nm = 3").encode(),
+         "option 'm' in section 'equation' already exists"),
+        ((HEAT_PRODUCT + "\n[grid]\nshape = 16\n").encode(), "section 'grid' already exists"),
+        (HEAT_PRODUCT.replace("phi0 = sin(x1)", "phi0 = %(x)s").encode(),
+         "initial.phi0: unexpected character '%'"),
+        (HEAT_PRODUCT.replace("m = 2", "m = 2  # caf\xe9").encode("latin-1"),
+         "can't decode byte 0xe9"),
+        (REPEATED_FORCED.replace("m = 2", "m = 1100").encode(), "int too large to convert"),
+    ], ids=["no-section", "repeated-key", "repeated-section", "percent", "not-utf8",
+            "repeated-m-1100"])
+    def test_malformed_problem_file_exit_2(self, tmp_path, capsys, raw, named):
+        problem = tmp_path / "problem.ini"
+        problem.write_bytes(raw)
+        out = tmp_path / "made" / "out"
+        assert main(["--mode", "solve", "--problem", str(problem), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert str(problem) in err[0] or "initial.phi0" in err[0]
+        assert not (tmp_path / "made").exists()
 
     def test_finite_run_reports_zero_nonfinite(self, tmp_path):
         problem = write_problem(tmp_path, HEAT_PRODUCT)

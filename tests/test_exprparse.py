@@ -250,9 +250,8 @@ class TestParsing:
         assert bits(ev("(x1^2)^3", COORDS[:1])) == bits(walk(tree, COORDS[:1]))
 
     def test_syntax_errors_carry_offset(self):
-        with pytest.raises(ExprSyntaxError) as exc:
+        with pytest.raises(ExprSyntaxError, match=r"\(at offset 6\)$"):
             Program(["sin(x1"], 1)
-        assert exc.value.offset == 6
         with pytest.raises(ExprSyntaxError):
             Program(["1 + "], 1)
         with pytest.raises(ExprSyntaxError):

@@ -446,6 +446,15 @@ class TestHomogeneous:
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])
         assert homogeneous_mode(spec, -1.0, [0.0, 0.0], 0.8) == pytest.approx(0)
 
+    def test_zero_datum_of_a_scalar_call_is_summed_as_in_a_grid_call(self):
+        # b_1 p G(t) overflows at p = 1e308: a zero datum times it is NaN, as on a grid
+        spec = CharacteristicSpec.first_order_product(roots=[1, 2])
+        with np.errstate(all="ignore"):
+            scalar = homogeneous_mode(spec, 1e308, [0.0, 1.0], 1.0)
+            grid = homogeneous_mode(spec, np.array([1e308, -1.0]), [np.zeros(2), np.ones(2)], 1.0)
+        assert np.isnan(grid[0])
+        np.testing.assert_array_equal(scalar, grid[0])
+
     def test_heat_product_mode(self):
         spec = CharacteristicSpec.first_order_product(roots=[1, 2])
         for t in (0.0, 0.3, 1.0):

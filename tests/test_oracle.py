@@ -6,7 +6,7 @@ import pytest
 
 from opcauchy import oracle
 from opcauchy.cli import load_verdict, save_verdict
-from opcauchy.errors import InconclusiveProbe, InsufficientSnapshots
+from opcauchy.errors import InsufficientSnapshots
 from opcauchy.kernels import PLAIN_MEASURE, TAU_PRIME_MEASURE, CauchyProblem
 from opcauchy.multiplier import Field, mesh
 from opcauchy.oracle import (
@@ -254,7 +254,9 @@ class TestResidualCheck:
          "need at least 9 snapshots for order-1 time derivatives"),
         (CharacteristicSpec.even_order_product([1.0, 2.0]), 10,
          "need at least 11 snapshots for order-4 time derivatives"),
-    ], ids=["first", "even"])
+        (CharacteristicSpec.first_order_product(roots=[1.0]), 1,
+         "need at least 9 snapshots for order-1 time derivatives"),
+    ], ids=["first", "even", "one"])
     def test_fewer_snapshots_than_the_stencil(self, spec, count, message):
         shape = (32,)
         problem = CauchyProblem(spec, derivative(1, 0, 2), shape, (2 * np.pi,),
@@ -289,7 +291,3 @@ class TestProbe:
         path.write_text("# nothing here\n")
         with pytest.raises(ValueError):
             load_verdict(path)
-
-    def test_inconclusive_carries_rows(self):
-        err = InconclusiveProbe("tie", rows=[(2, 0j, 0.5, "x", 1.0, 1.0)])
-        assert err.rows

@@ -8,12 +8,14 @@ directory.  Where the workload is forced, ``--mode probe`` writes the
 verdict that the repeated-root kind reads; then every file is solved with
 ``--mode solve``.  The ``first`` file is also solved with its forcing
 replaced by ``REST``, as the case ``rest``: no workload's own forcing has
-a rest, so this case alone covers that path of the solver.  All run
-through ``cli.main`` of the opcauchy package found under ``--src``.  One
-``md5  workload-seed/kind/file`` line is printed per artifact, and one
-``md5  probe-s/probe_verdict.txt`` line per verdict of ``--mode probe
---seed s`` for each s in ``PROBE_SEEDS``, all sorted, so the artifacts of
-two checkouts compare with ``diff``.  ``--smoke`` solves each workload on
+a rest, so this case alone covers that path of the solver.  The other
+modes run on the ``first`` file into its directory: ``--mode verify`` and
+``--mode convergence``, and ``--mode compare-spherical`` where the grid is
+3-D.  All run through ``cli.main`` of the opcauchy package found under
+``--src``.  One ``md5  workload-seed/kind/file`` line is printed per
+artifact, and one ``md5  probe-s/probe_verdict.txt`` line per verdict of
+``--mode probe --seed s`` for each s in ``PROBE_SEEDS``, all sorted, so the
+artifacts of two checkouts compare with ``diff``.  ``--smoke`` solves each workload on
 its tiny grid; the probe has no grid, and runs the same either way.
 """
 
@@ -86,6 +88,10 @@ def artifacts(cli, workload, seed, workdir):
     for case in cases:
         solve(case.kind, "--mode", "solve", "--problem", case.path)
     first = next(case for case in cases if case.kind == "first")
+    modes = ["verify", "convergence"] + (["compare-spherical"] if len(workload.shape) == 3 else [])
+    for mode in modes:
+        run(cli, f"{workload.name} seed {seed} first", outs["first"], "--mode", mode,
+            "--problem", first.path)
     solve("rest", "--mode", "solve", "--problem", with_rest(first, workdir))
     return {
         f"{workload.name}-{seed}/{kind}/{name}": os.path.join(out, name)
