@@ -33,7 +33,6 @@ from . import exprparse, oracle
 from .errors import (
     ExprSyntaxError,
     InconclusiveProbe,
-    NonFiniteForcing,
     NonIntegerExponent,
     OpcauchyError,
     UnknownVariable,
@@ -182,6 +181,8 @@ def _parse_problem(path):
         raise ConfigError(f"grid: shape and box need {dim} entries each")
     if min(shape) < 2:
         raise ConfigError("grid.shape: need at least 2 points per axis")
+    if math.prod(shape) * 16 > np.iinfo(np.intp).max:
+        raise ConfigError(f"grid.shape: {math.prod(shape)} points are too many to address")
 
     init = _require(cfg, "initial")
     # the fields before a missing one are read first, so their errors come first
@@ -205,9 +206,9 @@ def _parse_problem(path):
             spatial_profiles = tuple(
                 _grid_values(hs, ["forcing.f"] * len(hs.roots), grid_mesh, shape)
             )
-            time_profiles = _forcing_sampler(gs, ())
+            time_profiles = exprparse.sampler(gs, ())
         if rest is not None:
-            sample = _forcing_sampler(rest, grid_mesh)
+            sample = exprparse.sampler(rest, grid_mesh)
 
             def forcing(t):
                 return sample(t)[0]
@@ -232,34 +233,14 @@ def _parse_problem(path):
 def _grid_values(program, keys, grid_mesh, shape):
     """The t-free ``program``'s roots evaluated on the mesh's axes, each as computed
     and broadcast to ``shape`` (a read-only view); a value that is not finite at some
-    grid point, or arithmetic on Python numbers that faults (``1/0``), is a ConfigError."""
-    try:
-        values = exprparse.evaluate(program, grid_mesh)
-    except ArithmeticError as exc:
-        raise ConfigError(f"{', '.join(dict.fromkeys(keys))}: {exc}") from None
+    grid point is a ConfigError naming its key.  Expressions raise no arithmetic
+    error: a division by zero or an overflow gives such a value."""
     out = []
-    for key, vals in zip(keys, values):
+    for key, vals in zip(keys, exprparse.evaluate(program, grid_mesh)):
         if not np.isfinite(vals).all():
             raise ConfigError(f"{key} is not finite at every grid point")
         out.append(np.broadcast_to(vals, shape))
     return out
-
-
-def _forcing_sampler(program, x):
-    """``exprparse.sampler`` of a forcing ``program`` at ``x``; arithmetic on Python
-    numbers that faults is a ConfigError here, and NonFiniteForcing in a sample at t."""
-    try:
-        sample = exprparse.sampler(program, x)
-    except ArithmeticError as exc:
-        raise ConfigError(f"forcing.f: {exc}") from None
-
-    def at(t):
-        try:
-            return sample(t)
-        except ArithmeticError:
-            raise NonFiniteForcing(f"forcing is not finite at t = {np.min(t):.17g}") from None
-
-    return at
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +705,7 @@ def build_parser():
     ap.add_argument("--quad-nodes", type=_integer_at_least(1), default=64)
     ap.add_argument("--sphere-order", type=_integer_at_least(0), default=29)
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_integer_at_least(0), default=0)
     ap.add_argument("--permissive-overflow", action="store_true")
     return ap
 

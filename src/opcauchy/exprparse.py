@@ -29,23 +29,21 @@ Real values stay real: a constant with a zero imaginary part is a float,
 coordinates and the time are used as given, and ``+ - * neg sin cos abs``
 apply numpy, or Python on numbers, to their operands as they are, so a
 complex operand promotes by numpy's rules.  ``/``, ``^``, ``sqrt``,
-``exp``, ``sinh`` and ``cosh`` make their operands complex first: real
+``exp``, ``sinh`` and ``cosh`` make their operands numpy complex first,
+an array as a complex128 array and a number as an ``np.complex128``: real
 division, integer powers and sqrt compute other values than the complex
 ones (``sqrt(-1.0)`` is NaN), and the SIMD float64 exp, sinh and cosh of
 some numpy builds differ from the complex ones in the last bit.  They
 leave alone operands made from ``abs`` values alone, which are real even
-when every leaf is complex.  A number, not an array, is made a numpy
-complex where a walk that makes every leaf complex has a numpy number, and
-a Python complex elsewhere, since the two round complex division and
-powers differently.  That walk's number is a numpy one when it reads a
-function's value, unless Python's complex arithmetic kept it a Python
-complex: a Python complex with a real numpy number made from ``abs``
-values alone on its right.  So each value equals, up to the sign of a
-zero, that of a walk that makes every leaf complex, with one exception:
-``sqrt`` of a negative real value not made from ``abs`` values alone is
-the principal root +i*sqrt(|a|), where that walk's sign followed the sign
-of a zero imaginary part.  The roots' values are returned as computed:
-float64 where real, complex128 otherwise, a Python number for a constant.
+when every leaf is complex.  So each value equals, up to the sign of a
+zero, that of a walk that makes every leaf a numpy complex, with one
+exception: ``sqrt`` of a negative real value not made from ``abs`` values
+alone is the principal root +i*sqrt(|a|), where that walk's sign followed
+the sign of a zero imaginary part.  No arithmetic raises: a division by
+zero or an overflow, of numbers as of arrays, gives an infinity or a NaN,
+which the callers' finiteness checks report.  The roots' values are
+returned as computed: float64 where real, complex128 otherwise, a Python
+or numpy number for a constant.
 """
 
 from __future__ import annotations
@@ -53,6 +51,7 @@ from __future__ import annotations
 import copy
 import operator
 import re
+import sys
 
 import numpy as np
 
@@ -219,8 +218,11 @@ class _Reader:
             tok = self.tokens[self.pos]
         if not tok.isdecimal():
             raise NonIntegerExponent(f"'^' needs a constant integer exponent, got {tok!r}")
+        n = int(tok)
+        if n > sys.float_info.max:  # numpy takes an exponent as a float
+            raise self.error(f"exponent {tok[:20]}... too large")
         self.pos += 1
-        return sign * int(tok)
+        return sign * n
 
     def group(self):
         """'(' expr ')', one nesting level down."""
@@ -271,13 +273,12 @@ class _Reader:
         return slot
 
 
-def _complex(value, numpy):
-    """``value`` as complex: an array as a numpy complex one (itself if it is
-    complex); a number as a numpy complex where ``numpy`` is set, else as a
-    Python complex."""
+def _complex(value):
+    """``value`` as numpy complex: an array as a complex one (itself if it is
+    complex), a number as an ``np.complex128``."""
     if isinstance(value, np.ndarray):
         return value.astype(complex, copy=False)
-    return np.complex128(value) if numpy else complex(value)
+    return np.complex128(value)
 
 
 class Program:
@@ -297,7 +298,7 @@ class Program:
 
     Each slot is classified once, from its operands' flags: whether it
     reads t, whether it is made from ``abs`` values alone, and which
-    operands it makes complex first.  One flat loop runs the t-free slots,
+    operands it makes numpy complex first.  One flat loop runs the t-free slots,
     then the t-dependent ones, computing each slot once per call and
     dropping each value except a root's after its last reader.  A Program
     holds no values: a ``sampler`` keeps the t-free values that a
@@ -333,10 +334,8 @@ class Program:
         """Make ``roots`` the roots, run from the ``slots`` they read."""
         payloads, args = self._payloads, self._args
         # from_abs: real even were every leaf complex, made from abs values
-        # alone; numpy: a numpy number, not a Python one, were every leaf
-        # complex; widen, bit k: operand k is made complex first
+        # alone; widen, bit k: operand k is made complex first
         tdep, from_abs, widen = [False] * len(args), [False] * len(args), [0] * len(args)
-        numpy = [False] * len(args)
         last, t_free, t_dep = [None] * len(args), [], []  # last: each slot's last reader
         for i in slots:
             payload, operands = payloads[i], args[i]
@@ -344,8 +343,6 @@ class Program:
                 a, b = operands
                 tdep[i] = tdep[a] or tdep[b]
                 from_abs[i] = from_abs[a] and from_abs[b]
-                # Python's complex arithmetic takes a real numpy operand on the right
-                numpy[i] = numpy[a] or numpy[b] and not from_abs[b]
                 if payload is _DIV:
                     widen[i] = (not from_abs[a]) | (not from_abs[b]) << 1
                 last[a] = last[b] = i
@@ -353,13 +350,11 @@ class Program:
                 (a,) = operands
                 tdep[i] = tdep[a]
                 from_abs[i] = payload == _ABS or from_abs[a]
-                numpy[i] = payload[0] == "call" or numpy[a]
                 if payload in _COMPLEX_FIRST or payload[0] == "^":
                     widen[i] = not from_abs[a]
                 last[a] = i
             else:
                 tdep[i] = payload is _T
-                numpy[i] = payload[0] == "x"
             (t_dep if tdep[i] else t_free).append(i)
         for i in t_dep:  # they run after every t-free slot
             for a in args[i]:
@@ -367,7 +362,7 @@ class Program:
         for r in roots:
             last[r] = None
         self.roots, self._t_free, self._t_dep = roots, t_free, t_dep
-        self._last, self._widen, self._numpy = last, widen, numpy
+        self._last, self._widen = last, widen
 
     def _with_roots(self, roots):
         """A Program over this one's table with other ``roots``; it runs
@@ -384,16 +379,15 @@ class Program:
         return view
 
     def _exec(self, order, vals, x, t):
-        payloads, args, last, widen, numpy = (
-            self._payloads, self._args, self._last, self._widen, self._numpy)
+        payloads, args, last, widen = self._payloads, self._args, self._last, self._widen
         for i in order:
             payload, operands = payloads[i], args[i]
             if len(operands) == 2:
                 a, b = operands
                 u, v = vals[a], vals[b]
                 if widen[i]:
-                    u = _complex(u, numpy[a]) if widen[i] & 1 else u
-                    v = _complex(v, numpy[b]) if widen[i] & 2 else v
+                    u = _complex(u) if widen[i] & 1 else u
+                    v = _complex(v) if widen[i] & 2 else v
                 vals[i] = _OPERATORS[payload[0]](u, v)
                 if last[a] == i:
                     vals[a] = None
@@ -401,7 +395,7 @@ class Program:
                     vals[b] = None
             elif operands:
                 (a,) = operands
-                u = _complex(vals[a], numpy[a]) if widen[i] else vals[a]
+                u = _complex(vals[a]) if widen[i] else vals[a]
                 vals[i] = (-u if payload is _NEG
                            else FUNCTIONS[payload[1]](u) if payload[0] == "call"
                            else u ** payload[1])
@@ -514,9 +508,10 @@ def sampler(program, x):
     roots' order.
 
     The t-free slots run here, once; each call runs only the t-dependent
-    slots, and raises TypeError if there are any and ``t`` is None.
-    Overflow and division by zero raise no numpy warning: the callers check
-    the values for finiteness.
+    slots, and raises TypeError if there are any and ``t`` is None.  No
+    other error is raised: overflow and division by zero give an infinity
+    or a NaN, with no numpy warning, and the callers check the values for
+    finiteness.
     """
     held = [None] * len(program._payloads)
     with np.errstate(all="ignore"):

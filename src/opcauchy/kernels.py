@@ -235,10 +235,13 @@ class _SymbolGrid:
 
 
 def _modes_distinct(p):
-    """(the mode array of the symbol p, its ``_distinct``)."""
+    """(the mode array of the symbol p, its ``_distinct``); a scalar p is its
+    one distinct value, with the identity as its gather."""
     if isinstance(p, _SymbolGrid):
         return p.modes, p.distinct
     modes = _modes(p)
+    if np.ndim(p) == 0:
+        return modes, (modes, lambda table: table)
     return modes, _distinct(modes)
 
 

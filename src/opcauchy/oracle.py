@@ -172,8 +172,8 @@ def residual_check(snapshots, problem):
             f"need at least {width} snapshots for order-{d_max} time derivatives"
         )
     dt = ts[1] - ts[0]
-    if np.max(np.abs(np.diff(ts) - dt)) > 1e-10 * dt:
-        raise InsufficientSnapshots("snapshots must be uniformly spaced")
+    if not dt > 0 or np.max(np.abs(np.diff(ts) - dt)) > 1e-10 * dt:
+        raise InsufficientSnapshots("snapshots must be uniformly spaced at increasing times")
 
     uhat = np.stack([to_spectral(f.data) for _, f in snapshots])
     pgrid = symbol_grid(problem.P, problem.shape, problem.box)

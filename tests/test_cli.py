@@ -480,6 +480,19 @@ class TestRunModes:
         residual = float(text.splitlines()[1].split("=")[1])
         assert residual < 1e-6
 
+    def test_verify_with_no_time_step_exits_2(self, tmp_path, capsys):
+        # a last output time of 0 puts every snapshot at t = 0
+        problem = write_problem(tmp_path, HEAT_PRODUCT.replace("times = 0.5, 1.0", "times = 0"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--mode", "verify", "--problem", problem, "--out", str(out)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
     def test_convergence_mode(self, tmp_path):
         problem = write_problem(tmp_path, HEAT_PRODUCT)
         out = tmp_path / "out"
@@ -554,13 +567,13 @@ class TestRunModes:
 
     @pytest.mark.parametrize("mode,old,new,line", [
         ("solve", "phi0 = sin(x1)", "phi0 = 1/0",
-         "error: initial.phi0, initial.phi1: complex division by zero"),
+         "error: initial.phi0 is not finite at every grid point"),
         ("solve", "phi0 = sin(x1)", "phi0 = 0^-1",
-         "error: initial.phi0, initial.phi1: 0.0 to a negative or complex power"),
+         "error: initial.phi0 is not finite at every grid point"),
         ("solve", "[output]", "[forcing]\nf = (1/0)*cos(t)*sin(x1)\n\n[output]",
-         "error: forcing.f: complex division by zero"),
+         "error: forcing.f is not finite at every grid point"),
         ("solve", "[output]", "[forcing]\nf = cos(t+1/0)*sin(x1)\n\n[output]",
-         "error: forcing.f: complex division by zero"),
+         "error: forcing is not finite at t = "),
         ("solve", "[output]", "[forcing]\nf = cos(x1-t)*(t*1e300)^3\n\n[output]",
          "error: forcing is not finite at t = "),
         ("verify", "[output]", "[forcing]\nf = cos(x1-t)*(t*1e300)^3\n\n[output]",
@@ -568,7 +581,7 @@ class TestRunModes:
     ], ids=["data-division", "data-power", "spatial-profile", "time-profile", "rest",
             "rest-verify"])
     def test_scalar_arithmetic_faults_exit_2(self, tmp_path, capsys, mode, old, new, line):
-        # Python numbers raise where numpy arrays would give inf or nan
+        # numbers, like arrays, give inf or nan, which the finiteness checks report
         problem = write_problem(tmp_path, HEAT_PRODUCT.replace(old, new))
         out = tmp_path / "out"
         code = main(["--mode", mode, "--problem", problem, "--out", str(out)])
@@ -625,9 +638,10 @@ class TestRunModes:
         (HEAT_PRODUCT, "coeff=1", "coeff=nan", "must be finite"),
         (HEAT_PRODUCT, "coeff=1", "coeff=1,inf", "must be finite"),
         (HEAT_PRODUCT, "alpha=2", "alpha=-2", "negative"),
+        (WAVE_3D, "shape = 16 16 16", "shape = 1000000 1000000 1000000", "grid.shape"),
     ], ids=["m", "dim", "shape", "negative-shape", "box", "alpha", "times", "even-m1", "repeated-m1",
             "first-m0", "duplicate-alpha", "roots-nan", "roots-inf", "even-roots-inf",
-            "coeffs-nan", "coeff-nan", "coeff-inf", "negative-alpha"])
+            "coeffs-nan", "coeff-nan", "coeff-inf", "negative-alpha", "unaddressable-shape"])
     def test_bad_numbers_exit_2(self, tmp_path, capsys, text, old, new, named):
         assert old in text
         problem = write_problem(tmp_path, text.replace(old, new))
@@ -800,6 +814,7 @@ class TestRunModes:
         ("--quad-nodes", "0"),
         ("--quad-nodes", "-3"),
         ("--sphere-order", "-2"),
+        ("--seed", "-3"),
     ])
     def test_bad_node_counts_exit_2(self, tmp_path, capsys, flag, value):
         problem = write_problem(tmp_path, WAVE_3D)

@@ -75,79 +75,71 @@ def source(tree, top=True):
     return f"({source(a, top=False)}{op}{source(b, top=False)})"
 
 
-def as_complex(value, numpy):
-    """``value`` as complex: an array as a numpy complex one, a number as a
-    numpy complex where ``numpy`` is set, else as a Python complex."""
+def as_complex(value):
+    """``value`` as numpy complex: an array as a complex one, a number as an
+    ``np.complex128``."""
     if isinstance(value, np.ndarray):
         return value.astype(complex)
-    return np.complex128(value) if numpy else complex(value)
+    return np.complex128(value)
 
 
 def walk(tree, x, t=None):
     """The reference value of ``tree`` at coordinates ``x`` and time ``t``,
     as computed: real constants, coordinates and the time stay real, the
-    operands of '/', '^', sqrt, exp, sinh and cosh are made complex unless
-    they are made from abs values alone (so real in ``complex_walk`` too),
-    a number as a numpy complex where ``complex_walk`` has a numpy one, and
-    each operation is applied by numpy, or Python on numbers, to its
-    operands' values."""
+    operands of '/', '^', sqrt, exp, sinh and cosh are made numpy complex
+    unless they are made from abs values alone (so real in ``complex_walk``
+    too), and each operation is applied by numpy, or Python on numbers, to
+    its operands' values."""
 
     def value(tree):
-        """(the value of ``tree``, whether it is made from abs values alone,
-        whether ``complex_walk`` makes it a numpy value)."""
+        """(the value of ``tree``, whether it is made from abs values alone)."""
         kind = tree[0]
         if kind == "num":
             text = tree[1]
             if text == "i":
-                return 1j, False, False
+                return 1j, False
             if text.endswith("i"):
                 imag = float(text[:-1])
-                return (complex(0.0, imag) if imag else 0.0), False, False
-            return float(text), False, False
+                return (complex(0.0, imag) if imag else 0.0), False
+            return float(text), False
         if kind == "var":
             if tree[1] != "t":
-                return x[int(tree[1][1:]) - 1], False, True
+                return x[int(tree[1][1:]) - 1], False
             if t is None:
                 raise TypeError("t read with no time given")
-            return t, False, False
+            return t, False
         parts = [value(k) for k in tree[1:] if isinstance(k, tuple)]
-        vals = [v for v, _, _ in parts]
-        from_abs = tree[:2] == ("call", "abs") or all([f for _, f, _ in parts])
-        if kind == "bin":
-            # Python's complex arithmetic takes a real numpy operand on the right
-            (_, _, left), (_, right_abs, right) = parts
-            numpy = left or right and not right_abs
-        else:
-            numpy = kind == "call" or parts[0][2]
+        vals = [v for v, _ in parts]
+        from_abs = tree[:2] == ("call", "abs") or all([f for _, f in parts])
         if kind == "pow" or tree[1] in _COMPLEX_FIRST:
-            vals = [v if f else as_complex(v, n) for v, f, n in parts]
+            vals = [v if f else as_complex(v) for v, f in parts]
         if kind == "neg":
-            return -vals[0], from_abs, numpy
+            return -vals[0], from_abs
         if kind == "call":
-            return _NUMPY[tree[1]](vals[0]), from_abs, numpy
+            return _NUMPY[tree[1]](vals[0]), from_abs
         if kind == "pow":
-            return vals[0] ** tree[2], from_abs, numpy
-        return _OPS[tree[1]](*vals), from_abs, numpy
+            return vals[0] ** tree[2], from_abs
+        return _OPS[tree[1]](*vals), from_abs
 
     return value(tree)[0]
 
 
 def complex_walk(tree, x, t=None):
     """(value, finite): ``tree``'s value at ``x`` and ``t`` from a walk that
-    makes every constant, coordinate and time complex and applies each
-    operation by numpy, or Python on numbers, and whether every
-    intermediate value was finite (per point)."""
+    makes every constant, coordinate and time a numpy complex and applies
+    each operation by numpy, and whether every intermediate value was
+    finite (per point)."""
     finite = [True]
 
     def value(tree):
         kind = tree[0]
         if kind == "num":
             text = tree[1]
-            v = 1j if text == "i" else (
-                complex(0.0, float(text[:-1])) if text.endswith("i") else complex(float(text)))
+            v = np.complex128(1j if text == "i" else (
+                complex(0.0, float(text[:-1])) if text.endswith("i") else float(text)))
         elif kind == "var":
             v = t if tree[1] == "t" else x[int(tree[1][1:]) - 1]
-            v = complex(v) if np.isscalar(v) else np.asarray(v, complex)
+            v = np.complex128(v) if np.isscalar(v) else np.asarray(v, complex)
         elif kind == "neg":
             v = -value(tree[1])
         elif kind == "call":
@@ -274,6 +266,10 @@ class TestParsing:
         ("   ", ExprSyntaxError, "unexpected token '' (at offset 3)"),
         ("3e+", ExprSyntaxError, "trailing input 'e' (at offset 1)"),
         ("x1^-", NonIntegerExponent, "'^' needs a constant integer exponent, got ''"),
+        # numpy takes an exponent as a float, and raises for one beyond float64's range
+        pytest.param("x1^-" + "9" * 309, ExprSyntaxError,
+                     "exponent 99999999999999999999... too large (at offset 4)",
+                     id="exponent-beyond-float64"),
         ("x9", UnknownVariable, "variable 'x9' outside dimension 2"),
     ])
     def test_error_messages(self, src, error, message):
@@ -338,6 +334,14 @@ class TestEvaluate:
         ]
         for src, x, t, expect in cases:
             assert ev(src, x, t) == pytest.approx(expect, abs=1e-12), src
+
+    def test_numbers_made_complex_are_numpy_complex(self):
+        got = ev("(1+2i)/(3+4i)", [])
+        assert bits(got) == bits(np.complex128(1 + 2j) / np.complex128(3 + 4j))
+
+    @pytest.mark.parametrize("src", ["1/0", "0^-1", "(1e300)^3"])
+    def test_faulting_numbers_are_not_finite(self, src):
+        assert not np.isfinite(ev(src, []))
 
     def test_array_broadcast(self):
         x = np.linspace(0, 2 * np.pi, 17)
@@ -536,6 +540,18 @@ class TestProgram:
             else:
                 assert got == expect
 
+    @settings(max_examples=300, deadline=None)
+    @given(tree=trees_with_repeats(), x=st.sampled_from([COORDS, [0.0, -0.0, 710.0]]),
+           t=st.sampled_from([None, 0.0, -0.0, 0.3, 710.0]))
+    def test_arithmetic_never_raises(self, tree, x, t):
+        # a fault gives a value that is not finite, of numbers as of arrays;
+        # only a time read with none given raises
+        program = Program([source(tree)], 3, allow_t=True)
+        try:
+            evaluate(program, x, t)
+        except TypeError as exc:
+            assert t is None and "no time t" in str(exc)
+
     def test_repeated_subtree_runs_once(self, trig_calls):
         wave = binop("+", binop("*", num("7"), X1), binop("*", num("7"), X2))
         tree = binop("-", binop("+", binop("*", call("cos", wave), num("2")), call("sin", wave)),
@@ -596,16 +612,8 @@ class TestProgram:
         # complex values at most in the sign of a zero, wherever that walk
         # stays finite; sqrt's branch follows such a sign, so it is left out
         with np.errstate(all="ignore"):
-            try:
-                expect, finite = complex_walk(tree, COORDS, t)
-            except ArithmeticError:
-                return  # a constant or time subexpression faulted
-            try:
-                (got,) = evaluate(Program([source(tree)], 3, allow_t=True), COORDS, t)
-            except ArithmeticError:
-                # only where an operand differs, so the complex walk was not finite
-                assert not np.any(finite)
-                return
+            expect, finite = complex_walk(tree, COORDS, t)
+        (got,) = evaluate(Program([source(tree)], 3, allow_t=True), COORDS, t)
         got, expect, finite = np.broadcast_arrays(got, expect, finite)
         assert np.array_equal(got.real[finite], np.real(expect)[finite])
         assert np.array_equal(got.imag[finite], np.imag(expect)[finite])

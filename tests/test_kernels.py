@@ -714,6 +714,10 @@ class TestDistinctSymbols:
         # a direct call on a grid finds them itself
         homogeneous_mode(spec, self.laplacian_grid(shape, box), [1.0, 0.0], 0.5)
         assert len(calls) == 2
+        # a scalar symbol is its own one distinct value
+        homogeneous_mode(spec, -3.0, [1.0, 0.0], 0.5)
+        inhomogeneous_mode(spec, -3.0, np.cos, 0.5, nodes=8)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_equal_symbols_give_bitwise_equal_modes(self, spec):

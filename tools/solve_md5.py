@@ -8,7 +8,11 @@ directory.  Where the workload is forced, ``--mode probe`` writes the
 verdict that the repeated-root kind reads; then every file is solved with
 ``--mode solve``.  The ``first`` file is also solved with its forcing
 replaced by ``REST``, as the case ``rest``: no workload's own forcing has
-a rest, so this case alone covers that path of the solver.  The other
+a rest, so this case alone covers that path of the solver.  It is solved
+once more with ``phi0`` and the forcing replaced by ``WIDEN``, as the case
+``widen``: expressions whose arrays, node arrays and numbers are made
+complex by ``/``, ``^``, ``sqrt``, ``exp``, ``sinh`` and ``cosh``, beside
+values made from ``abs`` alone, which stay real.  The other
 modes run on the ``first`` file into its directory: ``--mode verify`` and
 ``--mode convergence``, and ``--mode compare-spherical`` where the grid is
 3-D.  All run through ``cli.main`` of the opcauchy package found under
@@ -35,7 +39,12 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import workloads  # noqa: E402
 
 #: A forcing whose rest, the part that is no sum of g_j(t) h_j(x), is all of it.
-REST = "[forcing]\nf = cos(t*x1)"
+REST = {"f": "cos(t*x1)"}
+#: Data and a forcing with a rest that make values complex before each operation.
+WIDEN = {
+    "phi0": "exp(-abs(x1))/(2+cos(x1))^2+sqrt(2+sin(x1))-sinh(sin(x1))/cosh(cos(x1))",
+    "f": "sinh(t)/(1+t)^2*cos(x1)+cosh(t)*sqrt(2+sin(x1))+exp(-t*abs(x1))",
+}
 #: The seeds of ``--mode probe`` whose verdicts are hashed on every run.
 PROBE_SEEDS = range(10)
 
@@ -50,13 +59,19 @@ def import_cli(src):
     return cli
 
 
-def with_rest(case, workdir):
-    """The path of a copy of ``case``'s problem file whose forcing is REST."""
+def with_lines(case, workdir, name, lines):
+    """The path of a copy ``name``.ini of ``case``'s problem file whose lines
+    ``key = ...`` are ``lines[key]``, the forcing ``f`` in a new section."""
     sections = [s for s in case.text.split("\n\n") if not s.startswith("[forcing]")]
-    sections.insert(next(i for i, s in enumerate(sections) if s.startswith("[output]")), REST)
-    path = os.path.join(workdir, "rest.ini")
+    sections.insert(next(i for i, s in enumerate(sections) if s.startswith("[output]")),
+                    "[forcing]\nf = ")
+    out = []
+    for line in "\n\n".join(sections).split("\n"):
+        key = line.partition(" = ")[0]
+        out.append(f"{key} = {lines[key]}" if key in lines else line)
+    path = os.path.join(workdir, f"{name}.ini")
     with open(path, "w") as fh:
-        fh.write("\n\n".join(sections))
+        fh.write("\n".join(out))
     return path
 
 
@@ -92,7 +107,8 @@ def artifacts(cli, workload, seed, workdir):
     for mode in modes:
         run(cli, f"{workload.name} seed {seed} first", outs["first"], "--mode", mode,
             "--problem", first.path)
-    solve("rest", "--mode", "solve", "--problem", with_rest(first, workdir))
+    for name, lines in (("rest", REST), ("widen", WIDEN)):
+        solve(name, "--mode", "solve", "--problem", with_lines(first, workdir, name, lines))
     return {
         f"{workload.name}-{seed}/{kind}/{name}": os.path.join(out, name)
         for kind, out in outs.items()
