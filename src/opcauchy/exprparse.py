@@ -19,11 +19,21 @@ a syntax error.
 ``Program`` parses expressions straight into one table of slots: each
 subexpression is interned as it is read, so a subexpression that occurs
 more than once, in one expression or in several, has one slot and is
-evaluated once.  No tree is built.  ``separate`` views a forcing's Program
-as a sum of products g_j(t) h_j(x) plus a rest that mixes t and x, as
-three Programs over the same table.  ``sampler`` binds a Program to
-coordinates and runs its t-free slots once; the sampler then gives the
-expressions' values at any time.  ``evaluate`` is one such sample.
+evaluated once.  No tree is built.  A call whose argument holds only ASCII
+letters, digits, '_' and '+-*/^' (``cos(5*x1)``, ``sin(1*x1+2*x2-3*x3)``)
+is one token, whose argument is read the first time its text is seen; a
+later reading takes its slot.  A term after a '+' or '-' that is a real
+number literal c times a number, variable or such call X, and ends there,
+is one slot total ± c*X, evaluated as c*X then the sum, as a product slot
+and a sum slot would be; c*X gets no slot, so an equal term elsewhere is
+multiplied again.  A t-free c*X added to a total that reads t keeps its
+two slots, so it runs with the t-free slots.
+
+``separate`` views a forcing's Program as a sum of products g_j(t) h_j(x)
+plus a rest that mixes t and x, as three Programs over the same table.
+``sampler`` binds a Program to coordinates and runs its t-free slots once;
+the sampler then gives the expressions' values at any time.  ``evaluate``
+is one such sample.
 
 Real values stay real: a constant with a zero imaginary part is a float,
 coordinates and the time are used as given, and ``+ - * neg sin cos abs``
@@ -67,8 +77,15 @@ FUNCTIONS = {
     "abs": np.abs,
 }
 
-#: A number, an identifier or an operator; whitespace between tokens is skipped.
-_TOKEN_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?i?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
+_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?i?"
+#: A call token, a number, an identifier or an operator; whitespace between
+#: tokens is skipped.  A call whose argument holds only ASCII letters, digits,
+#: '_' and '+-*/^' is one token: each of those characters starts a number,
+#: an identifier or an operator, so the argument splits into tokens just as
+#: it would outside the call.
+_TOKEN_RE = re.compile(
+    rf"(?:{'|'.join(FUNCTIONS)})\([A-Za-z0-9_+\-*/^]*\)|{_NUMBER}|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]"
+)
 _AXIS_RE = re.compile(r"x(\d+)")
 
 #: Deepest nesting of parentheses, calls and unary minuses a parse accepts.
@@ -76,7 +93,8 @@ MAX_NESTING = 100
 
 # A slot's payload is all it needs besides its operands' values:
 # ("+",) ("-",) ("*",) ("/",) ("neg",) ("^", n) ("call", name)
-# ("const", value) ("x", axis) ("t",).  A constant is a float when its
+# ("const", value) ("x", axis) ("t",), and ("+*", c) or ("-*", c) for
+# total ± c*X, whose operands are total and X.  A constant is a float when its
 # imaginary part is zero, else a complex.  The parser makes no constant
 # with a negative zero or a NaN part, so a constant's value is its key.
 _ADD, _SUB, _MUL, _DIV, _NEG, _T = ("+",), ("-",), ("*",), ("/",), ("neg",), ("t",)
@@ -85,8 +103,12 @@ _ABS = ("call", "abs")
 #: The payloads besides ("^", n) whose operands are made complex first.
 _COMPLEX_FIRST = {_DIV, ("call", "sqrt"), ("call", "exp"), ("call", "sinh"), ("call", "cosh")}
 _SUMS = {"+": _ADD, "-": _SUB}
+#: The payload name of total ± c*X for each sum, and the tokens that can end a term.
+_SCALED = {_ADD: "+*", _SUB: "-*"}
+_TERM_END = {"+", "-", ")", ""}
 _PRODUCTS = {"*": _MUL, "/": _DIV}
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "+*": operator.add, "-*": operator.sub}
 
 
 def _tokenize(src):
@@ -101,6 +123,30 @@ def _tokenize(src):
         raise ExprSyntaxError(f"unexpected character {src[pos:].lstrip()[0]!r}", pos)
     tokens.append("")
     return tokens
+
+
+def _starts(src):
+    """The offset of each token of ``src``, then that of its end."""
+    return [m.start() for m in _TOKEN_RE.finditer(src)] + [len(src)]
+
+
+def _shown(tok):
+    """``tok`` as an error names it: a call token by its name alone, as if
+    its '(' began a token of its own."""
+    return tok.partition("(")[0] or tok
+
+
+def _t_reader(payloads, args):
+    """A function slot -> whether the slot reads t, over the table
+    ``payloads``, ``args`` as it grows; a slot's operands come before it."""
+    reads = []
+
+    def reads_t(slot):
+        for i in range(len(reads), slot + 1):
+            reads.append(payloads[i] is _T or any([reads[a] for a in args[i]]))
+        return reads[slot]
+
+    return reads_t
 
 
 def _interner(payloads, args):
@@ -129,25 +175,31 @@ class _Reader:
     Sums and products are read in a loop; only parentheses, calls and
     unary minus nest, and nesting deeper than ``MAX_NESTING`` is a syntax
     error, so the reader does not recurse without bound.  ``leaves`` maps
-    the text of a number or variable already read to its slot.
+    the text of a number, variable or call token already read to its slot.
+    ``reads_t`` tells whether a slot reads t; it is None where t is not
+    allowed.
     """
 
-    def __init__(self, src, dim, allow_t, intern, leaves):
+    def __init__(self, src, dim, intern, leaves, reads_t):
         self.src = src
         self.tokens = None
         self.pos = 0
         self.depth = 0
         self.dim = dim
-        self.allow_t = allow_t
         self.intern = intern
         self.leaves = leaves
+        self.reads_t = reads_t
+        self.outer = None  # (source, token index, name) of the call token being read
 
     def error(self, message, index=None):
         """An ExprSyntaxError at the offset of token ``index`` (default: the
         current one); offsets are found again only here, on failure."""
         index = self.pos if index is None else index
-        starts = [m.start() for m in _TOKEN_RE.finditer(self.src)] + [len(self.src)]
-        return ExprSyntaxError(message, starts[index])
+        offset = _starts(self.src)[index]
+        if self.outer is not None:  # in a call token's argument, after the name
+            src, outer_index, name = self.outer
+            offset += _starts(src)[outer_index] + len(name)
+        return ExprSyntaxError(message, offset)
 
     def read_term(self, total):
         """(the slot of the expression's top-level '+'/'-' terms read so far
@@ -159,10 +211,10 @@ class _Reader:
         else:
             op = _SUMS[self.tokens[self.pos]]
             self.pos += 1
-            total = self.intern(op, (total, self.term()))
+            total = self.add(op, total)
         tok = self.tokens[self.pos]
         if tok and tok not in _SUMS:
-            raise self.error(f"trailing input {tok!r}")
+            raise self.error(f"trailing input {_shown(tok)!r}")
         return total, not tok
 
     def expr(self):
@@ -170,8 +222,28 @@ class _Reader:
         total = self.term()
         while op := _SUMS.get(self.tokens[self.pos]):
             self.pos += 1
-            total = self.intern(op, (total, self.term()))
+            total = self.add(op, total)
         return total
+
+    def add(self, op, total):
+        """The slot of ``total`` ``op`` the term that follows the '+'/'-'.
+
+        A term that is a real number literal c times a number, variable or
+        call token X, and ends there, is one slot ("+*", c) or ("-*", c):
+        no slot for c or c*X.  Where ``total`` reads t and X does not, the
+        term keeps a slot of its own, so that c*X is computed with the
+        t-free slots, not at every time."""
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
+        if (tok[:1].isdecimal() and tok[-1] != "i" and tokens[pos + 1] == "*"
+                and tokens[pos + 2][:1] not in "+-*/^()" and tokens[pos + 3] in _TERM_END):
+            self.pos = pos + 2
+            factor = self.factor()
+            reads_t = self.reads_t
+            if reads_t is None or reads_t(factor) or not reads_t(total):
+                return self.intern((_SCALED[op], float(tok)), (total, factor))
+            self.pos = pos
+        return self.intern(op, (total, self.term()))
 
     def term(self):
         """factor (('*'|'/') factor)*, left-associative."""
@@ -196,7 +268,8 @@ class _Reader:
         if negs:
             self.nest(negs, start)
         slot = self.leaves.get(tokens[self.pos])
-        if slot is None:
+        # a call token read before is read again where it would nest too deep
+        if slot is None or self.depth == MAX_NESTING and tokens[self.pos][-1] == ")":
             slot = self.primary()
         else:
             self.pos += 1
@@ -217,7 +290,8 @@ class _Reader:
             self.pos += 1
             tok = self.tokens[self.pos]
         if not tok.isdecimal():
-            raise NonIntegerExponent(f"'^' needs a constant integer exponent, got {tok!r}")
+            raise NonIntegerExponent(
+                f"'^' needs a constant integer exponent, got {_shown(tok)!r}")
         n = int(tok)
         if n > sys.float_info.max:  # numpy takes an exponent as a float
             raise self.error(f"exponent {tok[:20]}... too large")
@@ -237,8 +311,25 @@ class _Reader:
         self.depth -= 1
         return slot
 
+    def call(self, tok):
+        """The slot of the call token ``tok``, the token before the current
+        one: its argument's own tokens are read as a group, in place of the
+        expression's, and the slot is kept in ``leaves``."""
+        name = tok[: tok.index("(")]
+        saved = self.src, self.tokens, self.pos, self.outer
+        self.outer = self.src, self.pos - 1, name
+        self.src = tok[len(name):]
+        self.tokens = _TOKEN_RE.findall(self.src)
+        self.tokens.append("")
+        self.pos = 0
+        arg = self.group()
+        self.src, self.tokens, self.pos, self.outer = saved
+        slot = self.leaves[tok] = self.intern(("call", name), (arg,))
+        return slot
+
     def primary(self):
-        """A group, a call, or a number or variable not read before."""
+        """A group, a call, or a number, variable or call token not read
+        before."""
         tok = self.tokens[self.pos]
         if tok == "(":
             return self.group()
@@ -251,12 +342,14 @@ class _Reader:
             else:
                 payload = ("const", float(tok))
         elif lead.isalpha() or lead == "_":
+            if tok[-1] == ")":
+                return self.call(tok)
             if tok in FUNCTIONS:
                 return self.intern(("call", tok), (self.group(),))
             if tok == "i":
                 payload = ("const", 1j)
             elif tok == "t":
-                if not self.allow_t:
+                if self.reads_t is None:
                     raise UnknownVariable("variable 't' not allowed here")
                 payload = _T
             else:
@@ -291,7 +384,13 @@ class Program:
     are read round-robin, one top-level '+'/'-' term at a time (term i of
     every expression, then term i+1), so a value shared by the i-th terms is
     dropped right after its last reader; expression by expression, every
-    shared term would stay alive until the last expression.  A parse error
+    shared term would stay alive until the last expression.  Two readings
+    save slots and time on long trigonometric sums: the argument of a call
+    token such as ``cos(5*x1)`` is read once per Program, however many
+    expressions repeat the call, and a term ``+ c*X`` or ``- c*X`` (c a
+    real number literal, X a number, variable or call token) is one slot
+    ("+*", c) or ("-*", c) over the sum before it and X, with no slot for
+    c or c*X, unless the sum before it reads t and X does not.  A parse error
     is raised for the first expression in order that has one, as if they
     were read one after another; its ``source`` attribute is that
     expression's index.
@@ -309,7 +408,8 @@ class Program:
     def __init__(self, sources, dim, allow_t=False):
         payloads, args, leaves = [], [], {}
         intern = _interner(payloads, args)
-        readers = [_Reader(src, dim, allow_t, intern, leaves) for src in sources]
+        reads_t = _t_reader(payloads, args) if allow_t else None
+        readers = [_Reader(src, dim, intern, leaves, reads_t) for src in sources]
         roots = [None] * len(readers)
         pending, failed = list(range(len(readers))), None
         while pending:
@@ -326,7 +426,7 @@ class Program:
             pending = unfinished
         if failed is not None:
             raise failed
-        del readers, intern  # the tokens and the keys
+        del readers, intern, reads_t  # the tokens and the keys
         self._payloads, self._args = payloads, args
         self._schedule(roots, range(len(payloads)))
 
@@ -342,7 +442,8 @@ class Program:
             if len(operands) == 2:
                 a, b = operands
                 tdep[i] = tdep[a] or tdep[b]
-                from_abs[i] = from_abs[a] and from_abs[b]
+                # total ± c*X reads the constant c too, which is no abs value
+                from_abs[i] = from_abs[a] and from_abs[b] and len(payload) == 1
                 if payload is _DIV:
                     widen[i] = (not from_abs[a]) | (not from_abs[b]) << 1
                 last[a] = last[b] = i
@@ -388,6 +489,8 @@ class Program:
                 if widen[i]:
                     u = _complex(u) if widen[i] & 1 else u
                     v = _complex(v) if widen[i] & 2 else v
+                if len(payload) == 2:  # total ± c*X
+                    v = payload[1] * v
                 vals[i] = _OPERATORS[payload[0]](u, v)
                 if last[a] == i:
                     vals[a] = None
@@ -405,9 +508,10 @@ class Program:
                 vals[i] = x[payload[1]] if payload[0] == "x" else t if payload is _T else payload[1]
 
 
-def _terms(payloads, args, root):
+def _terms(payloads, args, root, intern):
     """(sign, slot) for each '+'/'-' term of ``root`` in reading order, with
-    negations and parenthesised sums opened."""
+    negations and parenthesised sums opened; a term c*X of total ± c*X is
+    ``intern``-ed as the product of the constant c and X."""
     terms, stack = [], [(1, root)]
     while stack:
         sign, slot = stack.pop()
@@ -416,6 +520,11 @@ def _terms(payloads, args, root):
             left, right = args[slot]
             stack.append((-sign if payload is _SUB else sign, right))
             stack.append((sign, left))
+        elif payload[0] in ("+*", "-*"):
+            total, factor = args[slot]
+            term = intern(_MUL, (intern(("const", payload[1]), ()), factor))
+            stack.append((-sign if payload[0] == "-*" else sign, term))
+            stack.append((sign, total))
         elif payload is _NEG:
             stack.append((-sign, args[slot][0]))
         else:
@@ -459,11 +568,13 @@ def separate(program):
     into the table.
     """
     payloads, args = program._payloads, program._args
+    intern = _interner(payloads, args)
+    (root,) = program.roots
+    terms = _terms(payloads, args, root, intern)
     reads_t, reads_x = [], []
     for payload, operands in zip(payloads, args):
         reads_t.append(payload is _T or any([reads_t[a] for a in operands]))
         reads_x.append(payload[0] == "x" or any([reads_x[a] for a in operands]))
-    intern = _interner(payloads, args)
 
     def product(factors):
         """The slot of 1 op factor ..., left-deep; the constant 1 for none."""
@@ -477,9 +588,8 @@ def separate(program):
                 slot = intern(_DIV, (intern(_ONE, ()), factor))
         return intern(_ONE, ()) if slot is None else slot
 
-    (root,) = program.roots
     h_of_g, rest = {}, None
-    for sign, term in _terms(payloads, args, root):
+    for sign, term in terms:
         fsign, factors = _factors(payloads, args, term)
         if any(reads_t[f] and reads_x[f] for _, f in factors):
             if rest is None:

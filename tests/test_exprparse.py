@@ -1,6 +1,7 @@
 import functools
 import gc
 import operator
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -55,9 +56,15 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
 _COMPLEX_FIRST = {"/", "sqrt", "exp", "sinh", "cosh"}
 
 
+def scaled(tree):
+    """Whether ``tree`` is a real number literal times a factor, c*X."""
+    return tree[:2] == ("bin", "*") and tree[2][0] == "num" and not tree[2][1].endswith("i")
+
+
 def source(tree, top=True):
     """The problem-file text of ``tree``: every operation in parentheses,
-    except a '+'/'-' chain at the top (``top``), which stays a chain of terms."""
+    except a '+'/'-' chain at the top (``top``), which stays a chain of
+    terms, and a c*X right of a '+'/'-', which stays ``c*X``."""
     kind = tree[0]
     if kind in ("num", "var"):
         return tree[1]
@@ -70,9 +77,12 @@ def source(tree, top=True):
     if kind == "pow":
         return f"({source(tree[1])})^{tree[2]}"
     _, op, a, b = tree
+    right = source(b, top=False)
+    if op in "+-" and scaled(b):
+        right = f"{b[2][1]}*{source(b[3], top=False)}"
     if top and op in "+-":
-        return f"{source(a)}{op}{source(b, top=False)}"
-    return f"({source(a, top=False)}{op}{source(b, top=False)})"
+        return f"{source(a)}{op}{right}"
+    return f"({source(a, top=False)}{op}{right})"
 
 
 def as_complex(value):
@@ -162,8 +172,28 @@ def canonical(tree):
     return tuple(canonical(k) if isinstance(k, tuple) else k for k in tree)
 
 
+def reads_t(tree):
+    return tree == T or any(reads_t(kid) for kid in tree[1:] if isinstance(kid, tuple))
+
+
+def one_slot(tree):
+    """Whether a Program reads ``tree``, a '+'/'-' as ``source`` prints it,
+    as one slot total ± c*X: its right operand is c*X with X one token (a
+    number, a variable, or a call whose argument's text holds no '(' and no
+    '.'), and it does not add a t-free c*X to a total that reads t."""
+    if tree[0] != "bin" or tree[1] not in "+-" or not scaled(tree[3]):
+        return False
+    x = tree[3][3]
+    token = x[0] in ("num", "var") or x[0] == "call" and not set(source(x[2])) & set("(.")
+    return token and (reads_t(x) or not reads_t(tree[2]))
+
+
 def distinct(tree):
-    """The distinct subtrees of ``tree``, numbers told apart by value."""
+    """The slots of a Program of ``source(tree)``: one per distinct subtree,
+    numbers told apart by value, but one for a sum read as total ± c*X
+    and none for its c and its c*X."""
+    if one_slot(tree):
+        return {("scaled", canonical(tree))} | distinct(tree[2]) | distinct(tree[3][3])
     found = {canonical(tree)}
     for kid in tree[1:]:
         if isinstance(kid, tuple):
@@ -184,12 +214,12 @@ def bits(value):
 
 
 def outcome(fn):
-    """fn()'s bits, or the type of the arithmetic error, or of the TypeError
-    of a time read with none given, that it raises."""
+    """fn()'s bits, or the type of the TypeError of a time read with none
+    given, that it raises."""
     try:
         with np.errstate(all="ignore"):
             return bits(fn())
-    except (ArithmeticError, TypeError) as exc:
+    except TypeError as exc:
         return type(exc)
 
 
@@ -271,6 +301,17 @@ class TestParsing:
                      "exponent 99999999999999999999... too large (at offset 4)",
                      id="exponent-beyond-float64"),
         ("x9", UnknownVariable, "variable 'x9' outside dimension 2"),
+        # in and next to a call read as one token, and after a '+'/'-' whose
+        # term is read as total ± c*X when it is one
+        ("2sin(x1)", ExprSyntaxError, "trailing input 'sin' (at offset 1)"),
+        ("(2cos(x1))", ExprSyntaxError, "expected ')' (at offset 2)"),
+        ("sin(x1*)", ExprSyntaxError, "unexpected token ')' (at offset 7)"),
+        ("x1+2*sin(2x1)", ExprSyntaxError, "expected ')' (at offset 10)"),
+        ("sin(1.2.3)", ExprSyntaxError, "unexpected character '.' (at offset 7)"),
+        ("x1^cos(x1)", NonIntegerExponent, "'^' needs a constant integer exponent, got 'cos'"),
+        ("cos(x1) + 2*sin", ExprSyntaxError, "expected '(' (at offset 15)"),
+        ("x1 - 2 - )", ExprSyntaxError, "unexpected token ')' (at offset 9)"),
+        ("x1 - 2*x9", UnknownVariable, "variable 'x9' outside dimension 2"),
     ])
     def test_error_messages(self, src, error, message):
         with pytest.raises(error) as exc:
@@ -295,7 +336,10 @@ class TestParsing:
             for src in ("(" * depth + "x1" + ")" * depth,
                         "-" * depth + "x1",
                         "sin(" * depth + "x1" + ")" * depth,
-                        "-(" * (depth // 2) + "-" * (depth % 2) + "x1" + ")" * (depth // 2)):
+                        "-(" * (depth // 2) + "-" * (depth % 2) + "x1" + ")" * (depth // 2),
+                        # the innermost call is one token, the second time read before
+                        "(" * (depth - 1) + "cos(1+2*x1)" + ")" * (depth - 1),
+                        "cos(x1)+" + "-" * (depth - 1) + "cos(x1)"):
                 if ok:
                     (value,) = evaluate(Program([src], 1), [np.array([0.5])])
                     assert np.isfinite(value).all()
@@ -421,6 +465,13 @@ class TestPretty:
             binop("*", num("3i"), call("cos", T)),
             binop("-", binop("+", neg(power(X1, 2)), power(neg(X1), 2)), num("2.0")),
             binop("+", binop("*", X1, num("0.0")), binop("*", X1, num("0i"))),
+            # one slot per total ± c*X, none for its c*X, which is not shared
+            binop("-", binop("+", X1, binop("*", num("2"), call("sin", X2))),
+                  binop("*", num("2"), call("sin", X2))),
+            binop("+", binop("*", X1, binop("*", num("0.5"), T)),
+                  binop("*", num("0.5"), T)),
+            # a t-free c*X added to a total that reads t keeps its own slots
+            binop("+", T, binop("*", num("2"), X1)),
         ):
             program = Program([source(tree)], 2, allow_t=True)
             assert len(program._payloads) == len(distinct(tree)), source(tree)
@@ -441,14 +492,16 @@ class TestPretty:
 # Compiled programs
 
 
+_REALS = ["0.0", "1.0", "2.5", "1e-300", "700.0", "1e300"]
 _leaves = st.one_of(
-    st.sampled_from(["0.0", "1.0", "2.5", "1e-300", "700.0", "1e300", "0i", "1.5i", "i"]).map(num),
+    st.sampled_from(_REALS + ["0i", "1.5i", "i"]).map(num),
     st.sampled_from(["x1", "x2", "x3", "t"]).map(var),
 )
 
 
 def _grower(functions):
-    """The step of ``st.recursive`` that grows trees calling ``functions``."""
+    """The step of ``st.recursive`` that grows trees calling ``functions``;
+    a sum may add c*X, a real number literal times a tree."""
 
     def grow(children):
         return st.one_of(
@@ -456,6 +509,8 @@ def _grower(functions):
             children.map(neg),
             st.tuples(children, st.integers(-2, 3)).map(lambda a: power(*a)),
             st.tuples(st.sampled_from("+-*/"), children, children).map(lambda a: binop(*a)),
+            st.tuples(st.sampled_from("+-"), children, st.sampled_from(_REALS), children).map(
+                lambda a: binop(a[0], a[1], binop("*", num(a[2]), a[3]))),
         )
 
     return grow
@@ -527,6 +582,16 @@ class TestProgram:
     )
     @example(  # the walk divides by t = 0 first, the Program overflows 1e300^3 first
         tree=binop("+", power(T, -1), call("sin", power(num("1e300"), 3))), ts=[0.0])
+    @example(  # number*factor after '+' and '-': total ± c*X, a call read as one token
+        tree=binop("-", binop("+", call("cos", X1),
+                              binop("*", num("2.5"), call("sin", binop(
+                                  "+", X2, binop("*", num("3"), X3))))),
+                   binop("*", num("0.5"), T)),
+        ts=[None, 0.3])
+    @example(tree=binop("+", T, binop("*", num("1e300"), X1)), ts=[0.0, 710.0])
+    @example(  # abs(x1) + 2*abs(x1) is not made from abs values alone: sqrt widens it
+        tree=call("sqrt", binop("+", call("abs", X1), binop("*", num("2"), call("abs", X1)))),
+        ts=[None])
     @given(tree=trees_with_repeats(), ts=st.lists(
         st.sampled_from([None, 0.0, -0.0, 0.3, 2.0, 710.0]), min_size=1, max_size=4))
     def test_bitwise_equal_to_tree_walk(self, tree, ts):
@@ -724,6 +789,87 @@ class TestProgram:
         assert peak < 2.0e6
 
 
+class TestCallTokensAndScaledTerms:
+    """A call whose argument holds no parenthesis is read once per Program,
+    and a term c*X after a '+'/'-' is one slot total ± c*X."""
+
+    def test_stiff_file_slots(self, tmp_path):
+        # 6 fields of 254 terms a*cos(k*x1) or b*sin(k*x1): one slot per
+        # distinct call, per k*x1 and its k, per later term, and per first
+        # term's constant, its negation if any, and product
+        text = open(_stiff_file(tmp_path / "even.ini")).read()
+        fields = [line.partition(" = ")[2] for line in text.splitlines()
+                  if line.startswith("phi")]
+        program = Program(fields, 1)
+        kinds = Counter(payload[0] for payload in program._payloads)
+        assert kinds["call"] == len(set(re.findall(r"(?:cos|sin)\(\d+\*x1\)", text))) == 254
+        assert kinds["+*"] + kinds["-*"] == 6 * 253 and kinds["+"] == kinds["-"] == 0
+        negs = sum(field.startswith("-") for field in fields)
+        assert len(program._payloads) == 254 + 6 * 253 + 2 * 127 + 1 + 6 * 2 + negs
+        # and each field is the sum of its terms, added left to right
+        x = [np.linspace(0.0, 2 * np.pi, 256, endpoint=False)]
+        for field, got in zip(fields, evaluate(program, x)):
+            total = None
+            for sign, c, fn, k in re.findall(r"([+-]?)([0-9.e+-]+)\*(cos|sin)\((\d+)\*x1\)",
+                                              field):
+                term = _NUMPY[fn](float(k) * x[0])
+                if total is None:
+                    total = (-float(c) if sign == "-" else float(c)) * term
+                else:
+                    total = _OPS[sign](total, float(c) * term)
+            assert bits(got) == bits(total)
+
+    @pytest.mark.parametrize("src,pairs,rest", [
+        # scaled sums at the top, one fused after another; t as X fuses too
+        ("2*cos(3*x1) + 0.5*sin(x1) + 3*t - 2*cos(t*x1)",
+         [(num("1.0"), binop("+", binop("*", num("2"), call("cos", binop("*", num("3"), X1))),
+                             binop("*", num("0.5"), call("sin", X1)))),
+          (T, num("3"))],
+         neg(binop("*", num("2"), call("cos", binop("*", T, X1))))),
+        # inside the groups of a pair and of the rest
+        ("cos(t)*(0.5*cos(x1)-0.25*sin(2*x1)) + cos(t*x1)*(1+2*sin(x1))",
+         [(call("cos", T), binop("-", binop("*", num("0.5"), call("cos", X1)),
+                                 binop("*", num("0.25"), call("sin", binop("*", num("2"), X1)))))],
+         binop("*", call("cos", binop("*", T, X1)),
+               binop("+", num("1"), binop("*", num("2"), call("sin", X1))))),
+        # a t-free c*X after a total that reads t, at the top and in a group
+        ("t + 2*sin(x1) - 0.5*x1 + cos(t*x1)*(cos(t)+2*sin(x1))",
+         [(T, num("1.0")),
+          (num("1.0"), binop("-", binop("*", num("2"), call("sin", X1)),
+                             binop("*", num("0.5"), X1)))],
+         binop("*", call("cos", binop("*", T, X1)),
+               binop("+", call("cos", T), binop("*", num("2"), call("sin", X1))))),
+    ])
+    def test_separate_opens_scaled_terms(self, src, pairs, rest):
+        # the pairs and the rest are those of each term read as c*X
+        gs, hs, got_rest = parts(src)
+        x = MILD_COORDS[:1]
+        assert [bits(h) for h in evaluate(hs, x)] == [bits(walk(h, x)) for _, h in pairs]
+        for t in (0.0, 0.3, 1.7):
+            want = [bits(walk(g, (), t)) for g, _ in pairs]
+            assert [bits(g) for g in evaluate(gs, (), t)] == want
+            assert bits(evaluate(got_rest, x, t)[0]) == bits(walk(rest, x, t))
+
+    def test_t_free_product_in_a_rest_runs_once(self, trig_calls):
+        # cos(t) + 2*sin(x1) reads t, but 2*sin(x1) is computed with the
+        # t-free slots, once per sampler, not once per sample
+        src = "cos(t*x1)*(cos(t)+2*sin(x1))"
+        program = Program([src], 1, allow_t=True)
+        payloads, args = program._payloads, program._args
+        (product,) = [i for i, payload in enumerate(payloads)
+                      if payload == ("*",) and payloads[args[i][0]] == ("const", 2.0)]
+        (rest,) = [view for view in separate(program) if view.roots]
+        for prog in (program, rest):
+            assert product in prog._t_free
+            assert not [i for i in prog._t_dep if payloads[i][0] in ("+*", "-*")]
+        sample = sampler(rest, MILD_COORDS[:1])
+        tree = binop("*", call("cos", binop("*", T, X1)),
+                     binop("+", call("cos", T), binop("*", num("2"), call("sin", X1))))
+        for t in (0.0, 0.3, 1.7):
+            assert bits(sample(t)[0]) == bits(walk(tree, MILD_COORDS[:1], t))
+        assert trig_calls == {"sin": 1, "cos": 6}
+
+
 def _wave(*coeffs):
     """sum_d coeffs[d] * x_{d+1} as a tree, a negative coefficient subtracted."""
     terms = [(c, binop("*", num(str(abs(c))), var(f"x{d + 1}"))) for d, c in enumerate(coeffs)]
@@ -760,7 +906,7 @@ class TestMultiRoot:
             try:
                 with np.errstate(all="ignore"):
                     got = [bits(v) for v in evaluate(program, COORDS, t)]
-            except (ArithmeticError, TypeError):
+            except TypeError:
                 # which error comes first may differ: t-free slots run first
                 assert any(isinstance(e, type) for e in expect)
             else:
@@ -776,7 +922,7 @@ class TestMultiRoot:
             with np.errstate(all="ignore"):
                 together = [bits(v) for v in evaluate(Program(sources, 3, allow_t=True),
                                                       COORDS, t)]
-        except (ArithmeticError, TypeError):
+        except TypeError:
             assert any(isinstance(a, type) for a in alone)
         else:
             assert together == alone
@@ -1039,14 +1185,11 @@ class TestSeparate:
     def test_parts_read_their_variables_and_add_up(self, tree, t):
         program = Program([source(tree)], 2, allow_t=True)
         gs, hs, rest = separate(program)
-        try:
-            with np.errstate(all="ignore"):
-                evaluate(gs, UNREAD, t)  # the g_j read no x
-                evaluate(hs, MILD_COORDS, UNREAD)  # and the h_j no t
-                expect = evaluate(program, MILD_COORDS, t)[0]
-                got = recombined(gs, hs, rest, MILD_COORDS, t)
-        except ArithmeticError:
-            return  # a constant divided by zero or overflowed
+        with np.errstate(all="ignore"):
+            evaluate(gs, UNREAD, t)  # the g_j read no x
+            evaluate(hs, MILD_COORDS, UNREAD)  # and the h_j no t
+            expect = evaluate(program, MILD_COORDS, t)[0]
+            got = recombined(gs, hs, rest, MILD_COORDS, t)
         finite = np.isfinite(expect) & np.isfinite(got)
         got, expect = (np.broadcast_to(v, finite.shape)[finite] for v in (got, expect))
         assert np.all(np.abs(got - expect) <= 1e-9 * (1.0 + np.abs(expect)))
@@ -1070,8 +1213,9 @@ def reference_schedule(program, n):
     for i in range(n):
         payload, operands = payloads[i], args[i]
         tdep[i] = payload == ("t",) or any(tdep[a] for a in operands)
+        # total ± c*X reads c too, a constant and so no abs value
         from_abs[i] = payload == ("call", "abs") or bool(operands) and all(
-            from_abs[a] for a in operands)
+            from_abs[a] for a in operands) and payload[0] not in ("+*", "-*")
         if payload[0] == "^" or payload == ("/",) or payload[:1] == ("call",) and (
                 payload[1] in _COMPLEX_FIRST):
             widen[i] = tuple(not from_abs[a] for a in operands)
@@ -1095,6 +1239,7 @@ class TestSchedule:
 
     @settings(max_examples=200, deadline=None)
     @example(trees=[binop("/", call("abs", X1), power(call("abs", binop("-", T, X1)), 2))])
+    @example(trees=[binop("-", call("abs", X1), binop("*", num("2"), call("abs", X2)))])
     @given(trees=st.one_of(trees_with_repeats().map(lambda tree: [tree]), forests_with_repeats()))
     def test_classification_matches_the_definitions(self, trees):
         program = Program([source(tree) for tree in trees], 3, allow_t=True)

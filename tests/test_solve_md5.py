@@ -31,9 +31,10 @@ def test_smoke_runs_print_the_same_sorted_lines_for_every_artifact(tmp_path):
         case, name = label.rsplit("/", 1)
         files[case].add(name)
     # "rest": the first kind with a forcing that is all rest; "widen": with
-    # data and a forcing that make values complex
+    # data and a forcing that make values complex; "sums": with data and a
+    # forcing of sums whose terms c*X are read as one slot each
     cases = {f"{w}-3/{k}" for w in ("free3d", "forced3d", "stiff1d")
-             for k in ("first", "even", "repeated", "rest", "widen")}
+             for k in ("first", "even", "repeated", "rest", "widen", "sums")}
     # the verdict of --mode probe --seed s, for s = 0..9
     probes = {f"probe-{s}" for s in range(10)}
     assert set(files) == cases | probes

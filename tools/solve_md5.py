@@ -12,7 +12,10 @@ a rest, so this case alone covers that path of the solver.  It is solved
 once more with ``phi0`` and the forcing replaced by ``WIDEN``, as the case
 ``widen``: expressions whose arrays, node arrays and numbers are made
 complex by ``/``, ``^``, ``sqrt``, ``exp``, ``sinh`` and ``cosh``, beside
-values made from ``abs`` alone, which stay real.  The other
+values made from ``abs`` alone, which stay real.  It is solved once more
+with them replaced by ``SUMS``, as the case ``sums``: sums whose terms
+c*X are read as one slot each, calls read as one token and repeated, and
+terms that are read the other way.  The other
 modes run on the ``first`` file into its directory: ``--mode verify`` and
 ``--mode convergence``, and ``--mode compare-spherical`` where the grid is
 3-D.  All run through ``cli.main`` of the opcauchy package found under
@@ -44,6 +47,16 @@ REST = {"f": "cos(t*x1)"}
 WIDEN = {
     "phi0": "exp(-abs(x1))/(2+cos(x1))^2+sqrt(2+sin(x1))-sinh(sin(x1))/cosh(cos(x1))",
     "f": "sinh(t)/(1+t)^2*cos(x1)+cosh(t)*sqrt(2+sin(x1))+exp(-t*abs(x1))",
+}
+#: Data and a forcing of sums read as total ± c*X, beside terms that are not:
+#: c*X followed by '^', '*' or '/', a complex c, a call with spaces or a
+#: nested call, and a t-free c*X added to a sum that reads t.  The fused
+#: sum in sqrt is not made from abs values alone, so sqrt makes it complex.
+SUMS = {
+    "phi0": "0.5*cos(1*x1)+0.25*sin(2*x1)-1.5*cos(1*x1)+2*cos( 3*x1 )+3*sin(cos(x1))"
+            "+2*cos(x1)^2-2*cos(x1)*x1+2i*sin(x1)-2*(sin(x1))/5+sqrt(abs(x1)+2*abs(x1))",
+    "f": "cos(2*t)*(0.5*cos(1*x1)-0.25*sin(2*x1))+exp(-t)*(1.5*sin(1*x1)+2*cos(3*x1))"
+         "+cos(t*x1)*(cos(t)+2*sin(x1))",
 }
 #: The seeds of ``--mode probe`` whose verdicts are hashed on every run.
 PROBE_SEEDS = range(10)
@@ -107,7 +120,7 @@ def artifacts(cli, workload, seed, workdir):
     for mode in modes:
         run(cli, f"{workload.name} seed {seed} first", outs["first"], "--mode", mode,
             "--problem", first.path)
-    for name, lines in (("rest", REST), ("widen", WIDEN)):
+    for name, lines in (("rest", REST), ("widen", WIDEN), ("sums", SUMS)):
         solve(name, "--mode", "solve", "--problem", with_lines(first, workdir, name, lines))
     return {
         f"{workload.name}-{seed}/{kind}/{name}": os.path.join(out, name)
