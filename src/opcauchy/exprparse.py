@@ -26,8 +26,8 @@ later reading takes its slot.  A term after a '+' or '-' that is a real
 number literal c times a number, variable or such call X, and ends there,
 is one slot total ± c*X, evaluated as c*X then the sum, as a product slot
 and a sum slot would be; c*X gets no slot, so an equal term elsewhere is
-multiplied again.  A t-free c*X added to a total that reads t keeps its
-two slots, so it runs with the t-free slots.
+multiplied again, and a t-free c*X added to a total that reads t is
+multiplied at every time.
 
 ``separate`` views a forcing's Program as a sum of products g_j(t) h_j(x)
 plus a rest that mixes t and x, as three Programs over the same table.
@@ -136,19 +136,6 @@ def _shown(tok):
     return tok.partition("(")[0] or tok
 
 
-def _t_reader(payloads, args):
-    """A function slot -> whether the slot reads t, over the table
-    ``payloads``, ``args`` as it grows; a slot's operands come before it."""
-    reads = []
-
-    def reads_t(slot):
-        for i in range(len(reads), slot + 1):
-            reads.append(payloads[i] is _T or any([reads[a] for a in args[i]]))
-        return reads[slot]
-
-    return reads_t
-
-
 def _interner(payloads, args):
     """A function (payload, operand slots) -> slot over the table ``payloads``,
     ``args``: a key seen before gets its slot, a new one is appended.  The
@@ -175,12 +162,11 @@ class _Reader:
     Sums and products are read in a loop; only parentheses, calls and
     unary minus nest, and nesting deeper than ``MAX_NESTING`` is a syntax
     error, so the reader does not recurse without bound.  ``leaves`` maps
-    the text of a number, variable or call token already read to its slot.
-    ``reads_t`` tells whether a slot reads t; it is None where t is not
-    allowed.
+    the text of a number, variable or call token already read to its slot;
+    t may be read only where ``allow_t`` is true.
     """
 
-    def __init__(self, src, dim, intern, leaves, reads_t):
+    def __init__(self, src, dim, intern, leaves, allow_t):
         self.src = src
         self.tokens = None
         self.pos = 0
@@ -188,7 +174,7 @@ class _Reader:
         self.dim = dim
         self.intern = intern
         self.leaves = leaves
-        self.reads_t = reads_t
+        self.allow_t = allow_t
         self.outer = None  # (source, token index, name) of the call token being read
 
     def error(self, message, index=None):
@@ -230,19 +216,13 @@ class _Reader:
 
         A term that is a real number literal c times a number, variable or
         call token X, and ends there, is one slot ("+*", c) or ("-*", c):
-        no slot for c or c*X.  Where ``total`` reads t and X does not, the
-        term keeps a slot of its own, so that c*X is computed with the
-        t-free slots, not at every time."""
+        no slot for c or c*X."""
         tokens, pos = self.tokens, self.pos
         tok = tokens[pos]
         if (tok[:1].isdecimal() and tok[-1] != "i" and tokens[pos + 1] == "*"
                 and tokens[pos + 2][:1] not in "+-*/^()" and tokens[pos + 3] in _TERM_END):
             self.pos = pos + 2
-            factor = self.factor()
-            reads_t = self.reads_t
-            if reads_t is None or reads_t(factor) or not reads_t(total):
-                return self.intern((_SCALED[op], float(tok)), (total, factor))
-            self.pos = pos
+            return self.intern((_SCALED[op], float(tok)), (total, self.factor()))
         return self.intern(op, (total, self.term()))
 
     def term(self):
@@ -349,7 +329,7 @@ class _Reader:
             if tok == "i":
                 payload = ("const", 1j)
             elif tok == "t":
-                if self.reads_t is None:
+                if not self.allow_t:
                     raise UnknownVariable("variable 't' not allowed here")
                 payload = _T
             else:
@@ -390,10 +370,9 @@ class Program:
     expressions repeat the call, and a term ``+ c*X`` or ``- c*X`` (c a
     real number literal, X a number, variable or call token) is one slot
     ("+*", c) or ("-*", c) over the sum before it and X, with no slot for
-    c or c*X, unless the sum before it reads t and X does not.  A parse error
-    is raised for the first expression in order that has one, as if they
-    were read one after another; its ``source`` attribute is that
-    expression's index.
+    c or c*X.  A parse error is raised for the first expression in order
+    that has one, as if they were read one after another; its ``source``
+    attribute is that expression's index.
 
     Each slot is classified once, from its operands' flags: whether it
     reads t, whether it is made from ``abs`` values alone, and which
@@ -408,8 +387,7 @@ class Program:
     def __init__(self, sources, dim, allow_t=False):
         payloads, args, leaves = [], [], {}
         intern = _interner(payloads, args)
-        reads_t = _t_reader(payloads, args) if allow_t else None
-        readers = [_Reader(src, dim, intern, leaves, reads_t) for src in sources]
+        readers = [_Reader(src, dim, intern, leaves, allow_t) for src in sources]
         roots = [None] * len(readers)
         pending, failed = list(range(len(readers))), None
         while pending:
@@ -426,7 +404,7 @@ class Program:
             pending = unfinished
         if failed is not None:
             raise failed
-        del readers, intern, reads_t  # the tokens and the keys
+        del readers, intern  # the tokens and the keys
         self._payloads, self._args = payloads, args
         self._schedule(roots, range(len(payloads)))
 

@@ -271,15 +271,15 @@ def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None, separable=None)
     the J coefficient arrays c_j of p's shape.
 
     G is tabulated on chunks of nodes over the distinct symbol values.  The
-    table is contracted with the weighted profile samples w_i g_j(tau_i)
-    into W_j on the distinct values, which are gathered to the modes and
-    multiply c_j.  For the rest, fhat is called once per node in node
-    order; a stack of the table's rows, of at most ``_DUHAMEL_BATCH`` mode
-    values or one node, is gathered and multiplied by w_i fhat(tau_i), and
-    one ordered ``np.add.accumulate`` adds it after the sum so far.  That is
-    the node-by-node sum bit for bit, so a mode's value does not depend on
-    the other modes of the call.  For the repeated-root kind G is the
-    kernel of ``measure``, which the discrepancy probe decides.
+    table is contracted with each profile's weighted samples w_i g_j(tau_i)
+    into W_j on the distinct values by one ordered ``np.add.accumulate``
+    over the nodes, with W_j so far added to the first row: the node-by-node
+    sum bit for bit.  W_j is gathered to the modes and multiplies c_j.  For
+    the rest, fhat is called once per node in node order, and each node's
+    row of the table is gathered, multiplied by w_i fhat(tau_i) and added.
+    Both sums run in node order, so a mode's value does not depend on the
+    other modes of the call.  For the repeated-root kind G is the kernel of
+    ``measure``, which the discrepancy probe decides.
     """
     modes, (values, gather) = _modes_distinct(p)
     total = np.zeros(modes.shape, dtype=complex)
@@ -295,24 +295,18 @@ def inhomogeneous_mode(spec, p, fhat, t, nodes=64, measure=None, separable=None)
             weighted = w * profiles(tau)
             W = np.zeros((len(coefficients), values.size), dtype=complex)
         batch = max(1, _DUHAMEL_BATCH // values.size)
-        # rest terms stacked at once: at most _DUHAMEL_BATCH mode values, or one node
-        stack = max(1, _DUHAMEL_BATCH // modes.size)
         for lo in range(0, nodes, batch):
             taus = tau[lo : lo + batch]
             table = _kernel(spec, values, (t - taus)[:, None], (0,), measure)[0]
             if separable:
+                # a profile at a time, so that no temporary outgrows the table
+                for j, g in enumerate(weighted[:, lo : lo + len(table), None]):
+                    terms = g * table
+                    terms[0] += W[j]
+                    W[j] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+            if fhat is not None:
                 for i, row in enumerate(table, lo):
-                    W += weighted[:, i, None] * row
-            if fhat is None:
-                continue
-            for first in range(lo, lo + len(table), stack):
-                rows = table[first - lo : first - lo + stack]
-                f = np.array([w[i] * fhat(tau[i]) for i in range(first, first + len(rows))])
-                terms = gather(rows)
-                terms *= f.reshape(f.shape + (1,) * (terms.ndim - f.ndim))
-                del f  # not held through the next stack's fhat calls
-                terms[0] += total
-                total = np.add.accumulate(terms, axis=0, out=terms)[-1]
+                    total += gather(row) * (w[i] * fhat(tau[i]))
         if separable:
             for Wj, c in zip(W, coefficients):
                 total += gather(Wj) * c

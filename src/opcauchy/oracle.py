@@ -231,7 +231,9 @@ def kernel_discrepancy_probe(m, seed):
     For random (p, t, forcing) both candidate kernels are compared against
     the mode ODE oracle with zero initial data (the oracle's propagator is
     exact on the defective repeated-root modes as on every other); the
-    winner must beat the loser by at least 10^3 on every sample.
+    winner must beat the loser by at least 10^3 on every sample.  The
+    kernels take the forcing, a function of tau alone, as one time profile
+    with coefficient 1, sampled once on the array of the Duhamel nodes.
     """
     rng = np.random.default_rng(seed)
     spec = CharacteristicSpec.repeated_root(m)
@@ -245,8 +247,10 @@ def kernel_discrepancy_probe(m, seed):
         label, fhat = _PROBE_FORCINGS[i % len(_PROBE_FORCINGS)]
         ref = mode_ode_solve(spec, p, zeros, fhat, t)
         scale = 1.0 + abs(ref)
+        profile = (lambda tau: [fhat(tau)], (1.0,))
         err_plain, err_tau = (
-            abs(kernels.inhomogeneous_mode(spec, p, fhat, t, PROBE_NODES, measure) - ref) / scale
+            abs(kernels.inhomogeneous_mode(spec, p, None, t, PROBE_NODES, measure, profile) - ref)
+            / scale
             for measure in (kernels.PLAIN_MEASURE, kernels.TAU_PRIME_MEASURE)
         )
         rows.append((m, complex(p), float(t), label, float(err_plain), float(err_tau)))

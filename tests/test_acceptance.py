@@ -4,7 +4,6 @@ tolerance and prints a single pass line with the measured margin."""
 import time
 
 import numpy as np
-import pytest
 
 from opcauchy.cli import load_verdict, save_verdict
 from opcauchy.kernels import (

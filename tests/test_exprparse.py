@@ -172,20 +172,15 @@ def canonical(tree):
     return tuple(canonical(k) if isinstance(k, tuple) else k for k in tree)
 
 
-def reads_t(tree):
-    return tree == T or any(reads_t(kid) for kid in tree[1:] if isinstance(kid, tuple))
-
-
 def one_slot(tree):
     """Whether a Program reads ``tree``, a '+'/'-' as ``source`` prints it,
     as one slot total ± c*X: its right operand is c*X with X one token (a
     number, a variable, or a call whose argument's text holds no '(' and no
-    '.'), and it does not add a t-free c*X to a total that reads t."""
+    '.')."""
     if tree[0] != "bin" or tree[1] not in "+-" or not scaled(tree[3]):
         return False
     x = tree[3][3]
-    token = x[0] in ("num", "var") or x[0] == "call" and not set(source(x[2])) & set("(.")
-    return token and (reads_t(x) or not reads_t(tree[2]))
+    return x[0] in ("num", "var") or x[0] == "call" and not set(source(x[2])) & set("(.")
 
 
 def distinct(tree):
@@ -470,7 +465,7 @@ class TestPretty:
                   binop("*", num("2"), call("sin", X2))),
             binop("+", binop("*", X1, binop("*", num("0.5"), T)),
                   binop("*", num("0.5"), T)),
-            # a t-free c*X added to a total that reads t keeps its own slots
+            # a t-free c*X added to a total that reads t is one slot too
             binop("+", T, binop("*", num("2"), X1)),
         ):
             program = Program([source(tree)], 2, allow_t=True)
@@ -849,25 +844,6 @@ class TestCallTokensAndScaledTerms:
             want = [bits(walk(g, (), t)) for g, _ in pairs]
             assert [bits(g) for g in evaluate(gs, (), t)] == want
             assert bits(evaluate(got_rest, x, t)[0]) == bits(walk(rest, x, t))
-
-    def test_t_free_product_in_a_rest_runs_once(self, trig_calls):
-        # cos(t) + 2*sin(x1) reads t, but 2*sin(x1) is computed with the
-        # t-free slots, once per sampler, not once per sample
-        src = "cos(t*x1)*(cos(t)+2*sin(x1))"
-        program = Program([src], 1, allow_t=True)
-        payloads, args = program._payloads, program._args
-        (product,) = [i for i, payload in enumerate(payloads)
-                      if payload == ("*",) and payloads[args[i][0]] == ("const", 2.0)]
-        (rest,) = [view for view in separate(program) if view.roots]
-        for prog in (program, rest):
-            assert product in prog._t_free
-            assert not [i for i in prog._t_dep if payloads[i][0] in ("+*", "-*")]
-        sample = sampler(rest, MILD_COORDS[:1])
-        tree = binop("*", call("cos", binop("*", T, X1)),
-                     binop("+", call("cos", T), binop("*", num("2"), call("sin", X1))))
-        for t in (0.0, 0.3, 1.7):
-            assert bits(sample(t)[0]) == bits(walk(tree, MILD_COORDS[:1], t))
-        assert trig_calls == {"sin": 1, "cos": 6}
 
 
 def _wave(*coeffs):

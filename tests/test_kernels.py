@@ -25,7 +25,7 @@ from opcauchy.kernels import (
     _shape,
 )
 from opcauchy.multiplier import Field, mesh
-from opcauchy.oracle import fd_weights, mode_ode_solve
+from opcauchy.oracle import PROBE_SAMPLES, fd_weights, kernel_discrepancy_probe, mode_ode_solve
 from opcauchy.quadrature import gauss_rule
 from opcauchy.symbol_poly import CharacteristicSpec, Kind, symbol_grid
 
@@ -154,7 +154,7 @@ class TestRestSum:
 
     @pytest.mark.parametrize("rest", [np.cos, lambda tau: np.exp(1j * tau) * (1 + tau)],
                              ids=["real", "complex"])
-    def test_scalar_symbol_as_the_probe_calls_it(self, rest):
+    def test_scalar_symbol(self, rest):
         self.check(-2.3 + 0.7j, rest, 0.8, 96)
 
     def test_grid_over_three_table_batches(self):
@@ -173,8 +173,7 @@ class TestRestSum:
 
     def test_peak_memory_of_a_32_cubed_rest(self):
         # under d^2/dx1^2 alone a 32^3 grid has 17 distinct p, so one table
-        # batch holds all 64 nodes; the node terms are still stacked by the
-        # modes they cover
+        # batch holds all 64 nodes; the rest is still added one node at a time
         shape, box = (32, 32, 32), (2 * np.pi,) * 3
         pgrid = symbol_grid(derivative(3, 0, 2), shape, box)
         assert np.unique(pgrid).size == 17
@@ -187,8 +186,70 @@ class TestRestSum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the node-at-a-time loop that this sum replaced peaked at 2 399 824 bytes
+        # the node-by-node sum peaks at four grid arrays and the gather's index
         assert peak <= 2399824
+
+
+class TestProfileSum:
+    """The time profiles of the forcing against a node-by-node Duhamel sum,
+    bit for bit."""
+
+    SPEC = CharacteristicSpec.repeated_root(3)
+
+    @staticmethod
+    def node_by_node(spec, p, profiles, coefficients, t, nodes):
+        """sum_j c_j sum_i G(t - tau_i) w_i g_j(tau_i) / b_m, each W_j added
+        one node at a time."""
+        modes = np.atleast_1d(np.asarray(p, dtype=complex))
+        values, index = np.unique(modes.ravel(), return_inverse=True)
+        tau, w = gauss_rule(nodes, t)
+        table = _kernel(spec, values, (t - tau)[:, None], (0,), TAU_PRIME_MEASURE)[0]
+        weighted = w * profiles(tau)
+        W = np.zeros((len(coefficients), values.size), dtype=complex)
+        for i, row in enumerate(table):
+            W += weighted[:, i, None] * row
+        total = np.zeros(modes.shape, dtype=complex)
+        for Wj, c in zip(W, coefficients):
+            total += Wj[index.reshape(modes.shape)] * c
+        return total / spec.lead
+
+    def test_grid_over_three_table_batches(self):
+        shape, box = (256,), (2 * np.pi,)
+        pgrid = symbol_grid(derivative(1, 0, 2), shape, box)
+        distinct = np.unique(pgrid).size
+        # 129 distinct p: table batches of 31 nodes, so 64 nodes take three
+        assert distinct == 129 and kernels._DUHAMEL_BATCH // distinct == 31
+        rng = np.random.default_rng(19)
+        coefficients = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)]
+
+        def profiles(tau):
+            return np.array([np.cos(3 * tau), np.exp(1j * tau) * (1 + tau), tau * tau])
+
+        separable = (profiles, coefficients)
+        got = inhomogeneous_mode(self.SPEC, pgrid, None, 0.5, 64, TAU_PRIME_MEASURE, separable)
+        want = self.node_by_node(self.SPEC, pgrid, profiles, coefficients, 0.5, 64)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_probe_profile_equals_the_rest_sum(self, monkeypatch, m):
+        # the samples of --mode probe --seed 0, which draws seed m for order m
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return inhomogeneous_mode(*args)
+
+        monkeypatch.setattr(kernels, "inhomogeneous_mode", spy)
+        kernel_discrepancy_probe(m, seed=m)
+        assert len(calls) == 2 * PROBE_SAMPLES
+        assert {args[5] for args in calls} == {PLAIN_MEASURE, TAU_PRIME_MEASURE}
+        for spec, p, fhat, t, nodes, measure, separable in calls:
+            profiles, coefficients = separable
+            assert fhat is None and coefficients == (1.0,)
+            got = inhomogeneous_mode(spec, p, None, t, nodes, measure, separable)
+            # the same callable at one node at a time, as the rest
+            want = inhomogeneous_mode(spec, p, lambda tau: profiles(tau)[0], t, nodes, measure)
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
 
 
 def kind_spec(kind, m):

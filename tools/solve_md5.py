@@ -50,8 +50,9 @@ WIDEN = {
 }
 #: Data and a forcing of sums read as total ± c*X, beside terms that are not:
 #: c*X followed by '^', '*' or '/', a complex c, a call with spaces or a
-#: nested call, and a t-free c*X added to a sum that reads t.  The fused
-#: sum in sqrt is not made from abs values alone, so sqrt makes it complex.
+#: nested call.  The t-free 2*sin(x1) added to cos(t) in the rest is one
+#: fused slot too, run at every time.  The fused sum in sqrt is not made
+#: from abs values alone, so sqrt makes it complex.
 SUMS = {
     "phi0": "0.5*cos(1*x1)+0.25*sin(2*x1)-1.5*cos(1*x1)+2*cos( 3*x1 )+3*sin(cos(x1))"
             "+2*cos(x1)^2-2*cos(x1)*x1+2i*sin(x1)-2*(sin(x1))/5+sqrt(abs(x1)+2*abs(x1))",
